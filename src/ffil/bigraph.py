@@ -8,7 +8,9 @@ raise ResourceLimitError rather than return a possibly-wrong verdict.
 
 import math
 
-from .errors import DomainError, ResourceLimitError
+import numpy as np
+
+from .errors import ConstructionFailure, DomainError, ResourceLimitError
 
 PROBE_CAP = 10**8
 
@@ -27,6 +29,17 @@ def _first_bits(mask: int, s: int):
         if len(out) == s:
             break
     return out
+
+
+def bool_rows_to_masks(mat) -> list:
+    """Int bitmask of each row of a 2-D boolean matrix: bit j of entry i is
+    mat[i][j]."""
+    packed = np.packbits(np.asarray(mat, dtype=bool), axis=1, bitorder="little")
+    raw, width = packed.tobytes(), packed.shape[1]
+    return [
+        int.from_bytes(raw[i * width : (i + 1) * width], "little")
+        for i in range(packed.shape[0])
+    ]
 
 
 class BipartiteGraph:
@@ -56,19 +69,13 @@ class BipartiteGraph:
     @classmethod
     def from_bool_matrix(cls, mat) -> "BipartiteGraph":
         """Build from an m x n boolean adjacency matrix (rows = class A)."""
+        mat = np.asarray(mat, dtype=bool)
+        if mat.ndim != 2:  # [] has no column axis
+            mat = mat.reshape(0, 0)
         g = cls.__new__(cls)
-        m = len(mat)
-        n = len(mat[0]) if m else 0
-        adj_a = [0] * m
-        adj_b = [0] * n
-        for i, row in enumerate(mat):
-            bits = 0
-            for j, v in enumerate(row):
-                if v:
-                    bits |= 1 << j
-                    adj_b[j] |= 1 << i
-            adj_a[i] = bits
-        g.m, g.n, g.adj_a, g.adj_b = m, n, adj_a, adj_b
+        g.m, g.n = mat.shape
+        g.adj_a = bool_rows_to_masks(mat)
+        g.adj_b = bool_rows_to_masks(mat.T)
         return g
 
     def has_edge(self, i: int, j: int) -> bool:
@@ -395,7 +402,8 @@ def hypergraph_independent_set(h: Hypergraph, rng, retry_cap: int = 200) -> list
     Samples each vertex with probability q = (N / (2 (M+N)))^(1/(k-1)), then
     deletes one vertex (the largest) from every edge still inside the sample.
     Retries until the size target is met; by the expectation argument a hit of
-    the 200-retry cap signals a bug, and raises ResourceLimitError.
+    the retry cap (200 by default) signals a bug, and raises
+    ConstructionFailure.
     """
     if h.k < 2:
         raise DomainError("independent-set procedure needs uniformity k >= 2")
@@ -411,7 +419,7 @@ def hypergraph_independent_set(h: Hypergraph, rng, retry_cap: int = 200) -> list
                 picked.discard(max(edge))
         if len(picked) >= target:
             return sorted(picked)
-    raise ResourceLimitError(
+    raise ConstructionFailure(
         f"independent set of size {target} not found in {retry_cap} tries"
     )
 

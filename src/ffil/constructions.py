@@ -458,9 +458,7 @@ def unit_distance_instance(
         x = tuple(rng.randbelow(p) for _ in range(d))
         while not any(x):
             x = tuple(rng.randbelow(p) for _ in range(d))
-        diff = (u_arr[:, None, :] - u_arr[None, :, :] - np.asarray(x)) % p
-        norms = (diff * diff % p) @ form.sig_array() % p
-        count = int(np.count_nonzero(norms == 1))
+        count = int(np.count_nonzero(form.unit_pair_matrix(u_arr, (u_arr + x) % p)))
         if 2 * p * count >= u_size**2:
             shift, cross = x, count
             report.retries["shift"] = attempt

@@ -3,14 +3,10 @@
 All geometry is exact field arithmetic; membership tests never use
 probabilistic shortcuts. Grid sweeps (sphere tables, pairwise norms) are
 vectorized with numpy over prime fields; extension-field points go through
-the scalar context operations.
-
-Sphere point tables for origin-centered spheres are memoized in memory and,
-when the environment variable FFIL_CACHE_DIR is set, on disk.
+the scalar context operations. Sphere point tables for origin-centered
+spheres are memoized in memory.
 """
 
-import json
-import os
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -19,8 +15,12 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 from .gf import FieldCtx
 from . import linalg
-from .bigraph import BipartiteGraph
+from .bigraph import BipartiteGraph, bool_rows_to_masks
 from .mpoly import ENUM_CAP, domain_points
+
+# Rows of the left point array per block of the pairwise-norm sweep, so the
+# int64 temporaries are O(_PAIR_BLOCK * n * d) whatever the number of pairs.
+_PAIR_BLOCK = 256
 
 
 class BilinearForm:
@@ -65,9 +65,6 @@ class BilinearForm:
         sig = "".join("+" if s == 1 else "-" for s in self.signature)
         return f"BilinearForm(p={self.ctx.p}, {sig})"
 
-    def sig_str(self) -> str:
-        return "".join("p" if s == 1 else "m" for s in self.signature)
-
     def inner(self, u, v):
         """Sum of sigma_i * u_i * v_i; raw field value."""
         if len(u) != self.dim or len(v) != self.dim:
@@ -99,21 +96,33 @@ class BilinearForm:
         p = self.ctx.p
         return np.array([1 if s == 1 else p - 1 for s in self.signature], dtype=np.int64)
 
-    def norms_of_rows(self, arr: np.ndarray) -> np.ndarray:
-        """Vectorized norm_sq over the rows of an int array (prime ctx only)."""
+    def norms_of_rows(self, arr) -> np.ndarray:
+        """Vectorized norm_sq along the last axis of an int array (prime ctx
+        only).
+
+        Each squared coordinate is added or subtracted and the sum reduced
+        after every coordinate, so no intermediate exceeds p^2 and the int64
+        arithmetic is exact for every p <= 2^31.
+        """
         if self.ctx.kind != "prime":
             raise DomainError("vectorized norms require a prime context")
         p = self.ctx.p
-        sq = arr % p
-        return (sq * sq % p) @ self.sig_array() % p
+        arr = np.asarray(arr, dtype=np.int64) % p
+        acc = np.zeros(arr.shape[:-1], dtype=np.int64)
+        for i, s in enumerate(self.signature):
+            sq = arr[..., i] * arr[..., i] % p
+            acc = (acc + sq if s == 1 else acc - sq) % p
+        return acc
 
-
-def inner(form: BilinearForm, u, v):
-    return form.inner(u, v)
-
-
-def norm_sq(form: BilinearForm, v):
-    return form.norm_sq(v)
+    def unit_pair_matrix(self, a, b) -> np.ndarray:
+        """Boolean matrix M[i, j] = (norm_sq(a[i] - b[j]) == 1) for two point
+        arrays (prime ctx only), swept in row blocks of a."""
+        a, b = (np.asarray(x, dtype=np.int64).reshape(len(x), self.dim) for x in (a, b))
+        out = np.empty((a.shape[0], b.shape[0]), dtype=bool)
+        for lo in range(0, a.shape[0], _PAIR_BLOCK):
+            diff = a[lo : lo + _PAIR_BLOCK, None, :] - b[None, :, :]
+            out[lo : lo + _PAIR_BLOCK] = self.norms_of_rows(diff) == 1
+        return out
 
 
 @dataclass(frozen=True)
@@ -205,32 +214,31 @@ _ORIGIN_CACHE = {}
 
 
 def _origin_sphere_points(form: BilinearForm, cap: int):
+    """Points of the origin-centered unit sphere, lexicographic order.
+
+    x_1..x_{d-1} range over the grid and sigma_d * x_d^2 = 1 - (partial norm)
+    is solved with a square-root table: each head gives 0, 1 or 2 points, in
+    increasing x_d.
+    """
     p, d = form.ctx.p, form.dim
     key = (p, form.signature)
     pts = _ORIGIN_CACHE.get(key)
     if pts is not None:
         return pts
-    cache_dir = os.environ.get("FFIL_CACHE_DIR")
-    path = None
-    if cache_dir:
-        path = os.path.join(cache_dir, f"sphere_p{p}_d{d}_{form.sig_str()}.json")
-        if os.path.exists(path):
-            with open(path) as fh:
-                pts = [tuple(pt) for pt in json.load(fh)]
-            _ORIGIN_CACHE[key] = pts
-            return pts
     if p**d > cap:
         raise ResourceLimitError(f"sphere enumeration over {p}^{d} points exceeds cap")
-    grid = domain_points(p, d)
-    mask = form.norms_of_rows(grid) == 1
-    pts = [tuple(int(v) for v in row) for row in grid[mask]]
+    head = domain_points(p, d - 1)
+    partial = form.norms_of_rows(np.pad(head, ((0, 0), (0, 1))))
+    target = form.signature[-1] * (1 - partial) % p
+    half = np.arange((p + 1) // 2, dtype=np.int64)  # one root of each square
+    root = np.full(p, -1, dtype=np.int64)
+    root[half * half % p] = half
+    r = root[target]
+    last = np.stack([r, p - r], axis=1).reshape(-1, 1)
+    keep = np.stack([r >= 0, r > 0], axis=1).reshape(-1)
+    rows = np.hstack([np.repeat(head, 2, axis=0), last])[keep]
+    pts = [tuple(row) for row in rows.tolist()]
     _ORIGIN_CACHE[key] = pts
-    if path:
-        os.makedirs(cache_dir, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump([list(pt) for pt in pts], fh)
-        os.replace(tmp, path)
     return pts
 
 
@@ -509,13 +517,7 @@ def unit_distance_graph(points, form: BilinearForm) -> UnitDistanceGraph:
         if len(pt) != form.dim:
             raise DomainError("point dimension mismatch")
     if ctx.kind == "prime":
-        arr = np.asarray(points, dtype=np.int64)
-        p = ctx.p
-        diff = (arr[:, None, :] - arr[None, :, :]) % p
-        sq = diff * diff % p
-        norms = sq @ form.sig_array() % p
-        mat = norms == 1
-        adj = [_mask_from_bools(mat[i]) for i in range(n)]
+        adj = bool_rows_to_masks(form.unit_pair_matrix(points, points))
     else:
         one = (1, 0)
         adj = [0] * n
@@ -528,24 +530,12 @@ def unit_distance_graph(points, form: BilinearForm) -> UnitDistanceGraph:
     return UnitDistanceGraph(points, form, adj)
 
 
-def _mask_from_bools(row) -> int:
-    mask = 0
-    for j in np.nonzero(row)[0]:
-        mask |= 1 << int(j)
-    return mask
-
-
 def point_sphere_incidence(points, centers, form: BilinearForm) -> BipartiteGraph:
     """Incidence graph: rows are points, columns are unit spheres (by center);
     an edge means the point lies on the sphere."""
     if form.ctx.kind != "prime":
         raise DomainError("incidence builder runs over prime fields only")
-    p = form.ctx.p
-    pa = np.asarray([tuple(pt) for pt in points], dtype=np.int64)
-    ca = np.asarray([tuple(c) for c in centers], dtype=np.int64)
-    diff = (pa[:, None, :] - ca[None, :, :]) % p
-    norms = (diff * diff % p) @ form.sig_array() % p
-    return BipartiteGraph.from_bool_matrix(norms == 1)
+    return BipartiteGraph.from_bool_matrix(form.unit_pair_matrix(points, centers))
 
 
 def embed_to_standard_norm(points, ext_ctx: FieldCtx):

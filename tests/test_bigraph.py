@@ -1,7 +1,9 @@
+import numpy as np
 import pytest
 
 from ffil import (
     BipartiteGraph,
+    ConstructionFailure,
     DomainError,
     Hypergraph,
     Pattern,
@@ -212,6 +214,32 @@ def test_independent_set_examples():
     out = hypergraph_independent_set(k4, rng)
     assert len(out) == 1  # any singleton; larger sets span an edge
     assert independent_set_bound(30, 40, 3) == 5
+
+
+def test_independent_set_retry_cap():
+    h = Hypergraph(4, 2, [(0, 1)])
+    with pytest.raises(ConstructionFailure):
+        hypergraph_independent_set(h, Rng(3), retry_cap=0)
+
+
+def test_from_bool_matrix_matches_edge_list():
+    # widths around the packbits byte boundary, and past one 64-bit word
+    rng = Rng(102)
+    cases = []
+    for width in (1, 7, 8, 9, 65):
+        r = rng.derive(width)
+        m = 1 + r.randbelow(6)
+        cases.append([[int(r.bernoulli(0.5)) for _ in range(width)] for _ in range(m)])
+    cases += [[], [[], [], []]]
+    for rows in cases:
+        m = len(rows)
+        n = len(rows[0]) if m else 0
+        want = BipartiteGraph(
+            m, n, [(i, j) for i in range(m) for j in range(n) if rows[i][j]]
+        )
+        for mat in (rows, np.array(rows, dtype=bool).reshape(m, n)):
+            g = BipartiteGraph.from_bool_matrix(mat)
+            assert (g.m, g.n, g.adj_a, g.adj_b) == (want.m, want.n, want.adj_a, want.adj_b)
 
 
 def test_independent_set_random_instances():

@@ -8,10 +8,8 @@ import pytest
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args):
     env = dict(os.environ, PYTHONPATH=SRC, PYTHONWARNINGS="ignore")
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "ffil.cli", *args],
         capture_output=True,
@@ -192,21 +190,3 @@ def test_point_variety_cli(tmp_path):
     rep = load_report(out)
     assert rep["achieved"]["incidences"] >= rep["bound"]["incidences_min"]
     assert csvp.read_text().splitlines()[0] == "variety,section_degree,incident_points"
-
-
-def test_cache_dir_roundtrip(tmp_path):
-    out = tmp_path / "sg.json"
-    cache = tmp_path / "cache"
-    cache.mkdir()
-    r = run_cli("sphere-geometry", "--p", "11", "--d", "2", "--families", "5",
-                "--kmax", "3", "--seed", "2", "--output", str(out),
-                env_extra={"FFIL_CACHE_DIR": str(cache)})
-    assert r.returncode == 0
-    assert (cache / "sphere_p11_d2_pp.json").exists()
-    # second run reads the cached table and reproduces the same report
-    first = canonical(load_report(out))
-    r = run_cli("sphere-geometry", "--p", "11", "--d", "2", "--families", "5",
-                "--kmax", "3", "--seed", "2", "--output", str(out),
-                env_extra={"FFIL_CACHE_DIR": str(cache)})
-    assert r.returncode == 0
-    assert canonical(load_report(out)) == first

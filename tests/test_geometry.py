@@ -1,3 +1,6 @@
+from itertools import product
+
+import numpy as np
 import pytest
 
 from ffil import (
@@ -49,17 +52,68 @@ def test_bilinearity_randomized():
         assert left == (form.inner(u, v) + form.inner(u2, v)) % 11
 
 
+P31 = 2**31 - 1  # prime, = 3 (mod 4), so square roots are one pow away
+MIXED_SIGNATURES = [(-1, -1, -1), (1, -1, -1), (-1, -1, 1, -1)]
+
+
+def random_unit(form, r):
+    """Random vector of norm 1: random head, last coordinate solved for."""
+    p = form.ctx.p
+    while True:
+        head = tuple(r.randbelow(p) for _ in range(form.dim - 1))
+        t = form.signature[-1] * (1 - form.norm_sq(head + (0,))) % p
+        if pow(t, (p - 1) // 2, p) in (0, 1):
+            return head + (pow(t, (p + 1) // 4, p),)
+
+
+def test_vectorized_norms_exact_at_large_p():
+    # squared coordinates near p^2 ~ 2^62 must not overflow int64 for any
+    # mix of signs; unit pairs are planted so the graphs are not empty
+    rng = Rng(66)
+    for sig in MIXED_SIGNATURES:
+        form = BilinearForm(FieldCtx.prime(P31), sig)
+        d = len(sig)
+        for trial in range(10):
+            r = rng.derive(trial)
+            base = [tuple(r.randbelow(P31) for _ in range(d)) for _ in range(40)]
+            assert form.norms_of_rows(np.asarray(base)).tolist() == [
+                form.norm_sq(x) for x in base
+            ]
+            pts = base[:4] + [
+                tuple((a + b) % P31 for a, b in zip(x, random_unit(form, r)))
+                for x in base[:4]
+            ]
+            g = unit_distance_graph(pts, form)
+            assert g.edge_count() >= 4
+            inc = point_sphere_incidence(pts, base[:4], form)
+            assert inc.edge_count() >= 4
+            for i, x in enumerate(pts):
+                for j, y in enumerate(pts):
+                    want = form.norm_sq(form.diff(x, y)) == 1
+                    assert bool(g.adj[i] >> j & 1) == want
+                for j, w in enumerate(base[:4]):
+                    assert inc.has_edge(i, j) == Sphere(form, w).contains(x)
+
+
 def test_sphere_point_counts():
     assert len(sphere_points(Sphere(BilinearForm.standard(FieldCtx.prime(7), 2), (0, 0)))) == 8
     assert len(sphere_points(Sphere(BilinearForm.standard(FieldCtx.prime(5), 2), (0, 0)))) == 4
 
 
 def test_sphere_points_match_scalar_membership():
-    form = BilinearForm.standard(FieldCtx.prime(5), 3)
-    s = Sphere(form, (1, 2, 3))
-    got = sphere_points(s)
-    want = [pt for pt in grid(5, 3) if s.contains(pt)]
-    assert got == want
+    # every signature for d = 1..4 (d = 1 has an empty head grid), from a
+    # freshly computed origin table, at the origin and at a shifted center
+    import ffil.geometry as geo
+
+    geo._ORIGIN_CACHE.clear()
+    for p in (3, 5, 7, 11):
+        for d in range(1, 5):
+            pts = grid(p, d)
+            for sig in product((1, -1), repeat=d):
+                form = BilinearForm(FieldCtx.prime(p), sig)
+                for center in ((0,) * d, tuple(range(1, d + 1))):
+                    s = Sphere(form, center)
+                    assert sphere_points(s) == [pt for pt in pts if s.contains(pt)]
 
 
 def test_sphere_translation_invariance():
@@ -283,16 +337,3 @@ def test_point_fixture_round_trip():
     pts2, form2 = parse_points(text)
     assert pts2 == pts
     assert form2 == form
-
-
-def test_sphere_cache_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("FFIL_CACHE_DIR", str(tmp_path))
-    import ffil.geometry as geo
-
-    geo._ORIGIN_CACHE.clear()
-    form = BilinearForm.standard(FieldCtx.prime(11), 2)
-    first = sphere_points(Sphere(form, (0, 0)))
-    assert (tmp_path / "sphere_p11_d2_pp.json").exists()
-    geo._ORIGIN_CACHE.clear()
-    again = sphere_points(Sphere(form, (0, 0)))  # served from disk
-    assert first == again
