@@ -9,7 +9,6 @@ not bad luck.
 """
 
 import math
-import time
 import warnings
 from dataclasses import dataclass, field
 
@@ -20,10 +19,14 @@ from .gf import FieldCtx, find_prime, is_prime
 from .mpoly import (
     ENUM_CAP,
     MultiPoly,
-    bivariate_section,
+    _pow_col,
+    count_zeros,
     domain_points,
-    evaluate_batch,
+    grid_slabs,
     sample_uniform,
+    section_tensors,
+    tensor_poly,
+    zero_mask,
 )
 from .bigraph import BipartiteGraph, contains_kss, smallest_free_s
 from .geometry import BilinearForm, embed_to_standard_norm, unit_distance_graph
@@ -45,7 +48,6 @@ class ConstructionReport:
     verification: dict = field(default_factory=dict)
     retries: dict = field(default_factory=dict)
     flags: list = field(default_factory=list)
-    wall_s: float = 0.0
 
     def to_dict(self) -> dict:
         return {
@@ -94,14 +96,13 @@ class ZeroCountResult:
         return sum(self.counts) / self.trials
 
 
-def zero_count_experiment(p, nvars, degree, trials, rng, jobs: int = 1) -> ZeroCountResult:
+def zero_count_experiment(p, nvars, degree, trials, rng) -> ZeroCountResult:
     """Fraction of uniform degree-<=degree polynomials on F_p^nvars with at
     least p^(nvars-1)/2 rational zeros.
 
     Preconditions p >= 5 prime, nvars >= 3, degree >= 3 match the regime where
     values at distinct points are pairwise independent, making the success
-    probability at least 3/4 per trial. Trial t draws from rng.derive(t), so
-    results are identical for any `jobs` count.
+    probability at least 3/4 per trial. Trial t draws from rng.derive(t).
     """
     if not is_prime(p) or p < 5:
         raise DomainError("p must be a prime >= 5")
@@ -112,19 +113,10 @@ def zero_count_experiment(p, nvars, degree, trials, rng, jobs: int = 1) -> ZeroC
     if p**nvars > ENUM_CAP:
         raise ResourceLimitError("zero counting domain exceeds cap")
     ctx = FieldCtx.prime(p)
-    pts = domain_points(p, nvars)
-
-    def one(t: int) -> int:
-        f = sample_uniform(ctx, nvars, degree, rng.derive(t))
-        return int(np.count_nonzero(evaluate_batch(f, pts) == 0))
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            counts = list(pool.map(one, range(trials)))
-    else:
-        counts = [one(t) for t in range(trials)]
+    counts = [
+        count_zeros(sample_uniform(ctx, nvars, degree, rng.derive(t)))
+        for t in range(trials)
+    ]
     return ZeroCountResult(p, nvars, degree, trials, counts, p ** (nvars - 1) / 2)
 
 
@@ -140,12 +132,9 @@ class AlgebraicGraphInstance:
     report: ConstructionReport
 
 
-def _product_zero_mask(f: MultiPoly, grid1, grid2, p) -> np.ndarray:
-    n1, n2 = grid1.shape[0], grid2.shape[0]
-    pts = np.hstack(
-        [np.repeat(grid1, n2, axis=0), np.tile(grid2, (n1, 1))]
-    )
-    return (evaluate_batch(f, pts) == 0).reshape(n1, n2)
+def _product_zero_mask(f: MultiPoly, d1: int) -> np.ndarray:
+    """mask[i, j] is f(x_i, y_j) == 0 for x_i, y_j in lex order of F_p^d1, F_p^d2."""
+    return zero_mask(f).reshape(f.ctx.p**d1, -1)
 
 
 def random_algebraic_graph(p, d1, d2, m, n, s, rng) -> AlgebraicGraphInstance:
@@ -157,7 +146,6 @@ def random_algebraic_graph(p, d1, d2, m, n, s, rng) -> AlgebraicGraphInstance:
     the independent regime, so a 20-retry cap is generous). Then subsamples
     m rows and n columns until the subgraph keeps at least mn/(2p) edges.
     """
-    start = time.perf_counter()
     if not is_prime(p):
         raise DomainError("p must be prime")
     if m < 1 or n < 1 or m > p**d1 or n > p**d2:
@@ -189,7 +177,7 @@ def random_algebraic_graph(p, d1, d2, m, n, s, rng) -> AlgebraicGraphInstance:
     best_edges = -1
     for attempt in range(1, RETRY_POLY + 1):
         cand = sample_uniform(ctx, d1 + d2, delta, rng)
-        cand_mask = _product_zero_mask(cand, grid1, grid2, p)
+        cand_mask = _product_zero_mask(cand, d1)
         e0 = int(cand_mask.sum())
         best_edges = max(best_edges, e0)
         if 2 * e0 < full_target:
@@ -203,7 +191,6 @@ def random_algebraic_graph(p, d1, d2, m, n, s, rng) -> AlgebraicGraphInstance:
         break
     if f is None:
         report.achieved["edges_full_best"] = best_edges
-        report.wall_s = time.perf_counter() - start
         raise ConstructionFailure(
             f"no admissible polynomial in {RETRY_POLY} tries", best=report
         )
@@ -219,7 +206,6 @@ def random_algebraic_graph(p, d1, d2, m, n, s, rng) -> AlgebraicGraphInstance:
             report.retries["subsample"] = attempt
             break
     if sub is None:
-        report.wall_s = time.perf_counter() - start
         raise ConstructionFailure(
             f"no admissible subsample in {RETRY_SUBSAMPLE} tries", best=report
         )
@@ -232,7 +218,6 @@ def random_algebraic_graph(p, d1, d2, m, n, s, rng) -> AlgebraicGraphInstance:
         "outcome": "verified-free" if witness is None else "witness-found",
         "witness": witness,
     }
-    report.wall_s = time.perf_counter() - start
     rows = [tuple(int(v) for v in grid1[i]) for i in rows_idx]
     cols = [tuple(int(v) for v in grid2[j]) for j in cols_idx]
     return AlgebraicGraphInstance(graph, f, rows, cols, report)
@@ -248,6 +233,7 @@ class PointVarietyInstance:
     graph: BipartiteGraph
     poly: MultiPoly
     report: ConstructionReport
+    incident_points: list  # per variety, how many of `points` lie on it
 
 
 def point_variety_instance(m, alpha, dim, rng) -> PointVarietyInstance:
@@ -261,7 +247,6 @@ def point_variety_instance(m, alpha, dim, rng) -> PointVarietyInstance:
     factorization into irreducible components is attempted); the freeness of
     the emitted incidence graph is verified directly instead of inferred.
     """
-    start = time.perf_counter()
     n = int(m**alpha)
     if m < 2 or n < 1:
         raise DomainError("need m >= 2 and floor(m^alpha) >= 1")
@@ -273,18 +258,17 @@ def point_variety_instance(m, alpha, dim, rng) -> PointVarietyInstance:
     inst = random_algebraic_graph(p, dim, dim2, m, n, s, rng)
     delta = (dim + dim2) ** 2
 
-    parr = np.asarray(inst.rows, dtype=np.int64)
-    full = domain_points(p, dim)
-    systems = []
-    incidences = 0
-    proxy_ok = True
-    for q in inst.cols:
-        fq = bivariate_section(inst.poly, q)
-        systems.append([fq])
-        incidences += int(np.count_nonzero(evaluate_batch(fq, parr) == 0))
-        full_zeros = int(np.count_nonzero(evaluate_batch(fq, full) == 0))
-        if full_zeros > delta * p ** (dim - 1):
-            proxy_ok = False
+    cidx = np.ravel_multi_index(tuple(np.asarray(inst.cols).T), (p,) * dim2)
+    sections = section_tensors(inst.poly, dim2)[cidx]
+    systems = [[tensor_poly(inst.poly.ctx, sec)] for sec in sections]
+    # Column j of `zeros` is the zero set of section j over F_p^dim.
+    grid = np.arange(p, dtype=np.int64)
+    per_col = np.moveaxis(sections, 0, -1)
+    zeros = np.concatenate(list(grid_slabs(per_col, p, [grid] * dim))) == 0
+    zeros = zeros.reshape(p**dim, len(sections))
+    ridx = np.ravel_multi_index(tuple(np.asarray(inst.rows).T), (p,) * dim)
+    incident = zeros[ridx].sum(axis=0).tolist()
+    proxy_ok = bool((zeros.sum(axis=0) <= delta * p ** (dim - 1)).all())
 
     report = ConstructionReport(
         kind="point-variety",
@@ -300,7 +284,7 @@ def point_variety_instance(m, alpha, dim, rng) -> PointVarietyInstance:
         },
         seed=rng.seed,
         achieved={
-            "incidences": incidences,
+            "incidences": sum(incident),
             "edges": inst.report.achieved["edges"],
             "degree_proxy_ok": proxy_ok,
         },
@@ -313,8 +297,7 @@ def point_variety_instance(m, alpha, dim, rng) -> PointVarietyInstance:
             "factorization, freeness verified exactly on the emitted graph"
         ],
     )
-    report.wall_s = time.perf_counter() - start
-    return PointVarietyInstance(inst.rows, systems, inst.graph, inst.poly, report)
+    return PointVarietyInstance(inst.rows, systems, inst.graph, inst.poly, report, incident)
 
 
 # -- evasive point sets ----------------------------------------------------------
@@ -340,9 +323,9 @@ def evasive_point_set(p, d, k, strategy, rng, cap: int = ENUM_CAP):
             # monomial y_1^(2i+1) * prod_{j>=2} y_j^2: odd total degree
             # 2i + 1 + 2(d-k-1), strictly increasing in i
             col = np.copy(base[:, 0])
-            col = _pow_mod(col, 2 * i + 1, p)
+            col = _pow_col(col, 2 * i + 1, p)
             for j in range(1, d - k):
-                col = col * _pow_mod(base[:, j], 2, p) % p
+                col = col * _pow_col(base[:, j], 2, p) % p
             cols.append(col.reshape(-1, 1))
         arr = np.hstack(cols)
         return [tuple(int(v) for v in row) for row in arr]
@@ -351,17 +334,6 @@ def evasive_point_set(p, d, k, strategy, rng, cap: int = ENUM_CAP):
         grid = domain_points(p, d)
         return [tuple(int(v) for v in grid[i]) for i in idx]
     raise DomainError(f"unknown strategy {strategy!r}")
-
-
-def _pow_mod(col: np.ndarray, e: int, p: int) -> np.ndarray:
-    out = np.ones_like(col)
-    b = col % p
-    while e:
-        if e & 1:
-            out = out * b % p
-        b = b * b % p
-        e >>= 1
-    return out
 
 
 def line_intersection_audit(points, p, d):
@@ -419,7 +391,6 @@ def unit_distance_instance(
     F_{p^2} so the relation becomes the standard one. Subsamples to n points
     when n is given and smaller.
     """
-    start = time.perf_counter()
     if d < 2:
         raise DomainError("construction needs d >= 2")
     k = d // 2
@@ -464,7 +435,6 @@ def unit_distance_instance(
             report.retries["shift"] = attempt
             break
     if shift is None:
-        report.wall_s = time.perf_counter() - start
         raise ConstructionFailure(
             f"no admissible shift in {RETRY_SHIFT} tries", best=report
         )
@@ -506,5 +476,4 @@ def unit_distance_instance(
         # the guaranteed freeness level is not numeric; report the smallest
         # s at which the exhaustive check certifies freeness instead
         report.verification["smallest_free_s"] = smallest_free_s(double, 4 * s)
-    report.wall_s = time.perf_counter() - start
     return UnitDistanceInstance(pts_final, form_final, graph, report)

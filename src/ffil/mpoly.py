@@ -1,9 +1,18 @@
 """Sparse multivariate polynomials over prime fields.
 
 A MultiPoly maps exponent vectors to nonzero coefficients. The scalar
-`evaluate` is the reference semantics (term-by-term powering); grid sweeps
-(`zero_set`, `evaluate_batch`) vectorize the same arithmetic with numpy and
-the test suite cross-checks the two paths against each other.
+`evaluate` is the reference semantics (term-by-term powering), and
+`bivariate_section` is the reference for fixing trailing variables.
+
+Whole-grid sweeps (`zero_mask`, `zero_set`, `count_zeros`, and the grid
+work in `constructions`) go through one separable kernel, `grid_slabs`: the
+dense coefficient tensor (one axis per variable) is contracted one axis at a
+time with the power table x^e mod p of that axis' coordinates, so a sweep of
+n^D points costs about D n^(D+1) multiply-adds instead of terms x n^D, and
+contracting only the trailing axes yields every section's coefficients at
+once (Kronecker-structured evaluation, as in Yates' algorithm).
+`evaluate_batch` vectorizes the term-by-term arithmetic for scattered
+points. The test suite cross-checks every path against `evaluate`.
 
 Supported arithmetic is deliberately small: add, multiply, substitute. No
 GCDs, no factorization.
@@ -232,18 +241,151 @@ def _check_enum_cap(p, nvars, cap):
     return n
 
 
+# -- separable grid evaluation ---------------------------------------------
+
+_SLAB_ELEMS = 1 << 20  # elements in the largest intermediate array of one slab
+
+
+def coefficient_tensor(f: MultiPoly, fold: bool = False) -> np.ndarray:
+    """Dense int64 coefficients of f: one axis per variable, of length
+    (largest exponent of that variable) + 1.
+
+    With `fold`, every exponent e >= p first becomes 1 + (e - 1) mod (p - 1),
+    which leaves the function on F_p^nvars unchanged (x^p = x for every x)
+    and caps each axis at length p, so the tensor is never larger than the
+    grid it is evaluated on.
+    """
+    p = f.ctx.p
+    exps = np.array(list(f.terms), dtype=np.int64).reshape(len(f.terms), f.nvars)
+    if fold:
+        exps = np.where(exps >= p, 1 + (exps - 1) % (p - 1), exps)
+    shape = tuple(exps.max(axis=0) + 1) if f.terms else (1,) * f.nvars
+    coef = np.zeros(shape, dtype=np.int64)
+    np.add.at(coef, tuple(exps.T), list(f.terms.values()))
+    return coef % p
+
+
+def tensor_poly(ctx: FieldCtx, coef: np.ndarray) -> MultiPoly:
+    """The polynomial whose dense coefficient tensor is `coef`; inverts
+    `coefficient_tensor` up to trailing zero slices."""
+    exps = np.argwhere(coef)
+    coeffs = coef[tuple(exps.T)].tolist()
+    return MultiPoly(ctx, coef.ndim, dict(zip(map(tuple, exps.tolist()), coeffs)))
+
+
+def _power_table(x, k: int, p: int) -> np.ndarray:
+    """P[i, e] = x[i]^e mod p for 0 <= e < k (with 0^0 = 1), as int64."""
+    x = np.asarray(x, dtype=np.int64) % p
+    table = np.ones((x.shape[0], k), dtype=np.int64)
+    for e in range(1, k):
+        table[:, e] = table[:, e - 1] * x % p
+    return table
+
+
+def _plan(k: int, p: int):
+    """(dtype, chunk) for exact length-k dot products of residues mod p.
+
+    float64 BLAS is exact while every partial sum stays below 2^53. Beyond
+    that, int64 sums `chunk` products at a time, with chunk (p-1)^2 < 2^63,
+    and reduces after each chunk; p <= 2^31 keeps chunk >= 1.
+    """
+    bound = (p - 1) ** 2
+    if k * bound < 2**53:
+        return np.float64, k
+    chunk = (2**63 - 1) // bound
+    if chunk < 1:
+        raise DomainError(f"p = {p} is too large for exact int64 grid evaluation")
+    return np.int64, chunk
+
+
+def _contract_leading(t: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
+    """Contract axis 0 of t with the (n, k) power table mod p; the new axis
+    of length n becomes the last one. Returns int64 residues (int64 `%` is
+    several times faster than float64 `%`)."""
+    _, chunk = _plan(table.shape[1], p)
+    t = t.astype(table.dtype, copy=False)
+    acc = None
+    for lo in range(0, table.shape[1], chunk):
+        part = np.tensordot(t[lo : lo + chunk], table[:, lo : lo + chunk], axes=([0], [1]))
+        part = part.astype(np.int64, copy=False)
+        part %= p
+        acc = part if acc is None else (acc + part) % p
+    return acc
+
+
+def grid_slabs(coef: np.ndarray, p: int, axes):
+    """Values of a polynomial on the product set axes[0] x ... x axes[m-1],
+    yielded as int64 residues in slabs along axes[0].
+
+    `coef` holds residues mod p. Its first m = len(axes) >= 1 axes are
+    exponent axes (as from `coefficient_tensor`); each is contracted with the
+    power table of its coordinate vector, reducing mod p after every axis.
+    Any further axes of `coef` are carried through unchanged, so a slab has
+    shape (rows, len(axes[1]), ..., len(axes[m-1]), *coef.shape[m:]).
+    Exact for every p <= 2^31 (see `_plan`). No intermediate array exceeds
+    about `_SLAB_ELEMS` elements beyond `coef` itself, and no coordinate
+    array of the product set is ever built.
+    """
+    coef = np.asarray(coef, dtype=np.int64)
+    m = len(axes)
+    tables = [
+        _power_table(x, coef.shape[v], p).astype(_plan(coef.shape[v], p)[0])
+        for v, x in enumerate(axes)
+    ]
+    width = math.prod(max(t.shape) for t in tables[1:]) * math.prod(coef.shape[m:])
+    step = max(1, _SLAB_ELEMS // max(1, width))
+    for lo in range(0, tables[0].shape[0], step):
+        t = _contract_leading(coef, tables[0][lo : lo + step], p)
+        for table in tables[1:]:
+            t = _contract_leading(t, table, p)
+        # contracted axes were appended in order after the carried ones
+        yield np.ascontiguousarray(np.moveaxis(t, range(t.ndim - m, t.ndim), range(m)))
+
+
+def section_tensors(f: MultiPoly, d2: int) -> np.ndarray:
+    """Coefficient tensors of the sections f(., q) for every q in F_p^d2.
+
+    Contracts the trailing d2 >= 1 axes of f's coefficient tensor over all of
+    F_p^d2 at once. Row j belongs to the j-th q in lexicographic order and
+    holds the coefficients of `bivariate_section(f, q)` on the leading
+    nvars - d2 axes.
+    """
+    if not 1 <= d2 <= f.nvars:
+        raise DomainError("need 1 <= d2 <= nvars")
+    p, d1 = f.ctx.p, f.nvars - d2
+    coef = coefficient_tensor(f)
+    tail_first = np.moveaxis(coef, range(d1, f.nvars), range(d2))
+    grid = np.arange(p, dtype=np.int64)
+    out = np.concatenate(list(grid_slabs(tail_first, p, [grid] * d2)))
+    return out.reshape(p**d2, *coef.shape[:d1])
+
+
+def zero_mask(f: MultiPoly, cap: int = ENUM_CAP) -> np.ndarray:
+    """Boolean tensor of shape (p,) * nvars, True at the zeros of f.
+
+    Entry [x_0, ..., x_{D-1}] is f(x) == 0, so C-order flattening follows the
+    lexicographic row order of `domain_points`.
+    """
+    p = f.ctx.p
+    _check_enum_cap(p, f.nvars, cap)
+    if f.nvars == 0:
+        return np.array(f.evaluate(()) == 0)
+    mask = np.empty((p,) * f.nvars, dtype=bool)
+    grid = np.arange(p, dtype=np.int64)
+    lo = 0
+    for slab in grid_slabs(coefficient_tensor(f, fold=True), p, [grid] * f.nvars):
+        np.equal(slab, 0, out=mask[lo : lo + slab.shape[0]])
+        lo += slab.shape[0]
+    return mask
+
+
 def zero_set(f: MultiPoly, cap: int = ENUM_CAP):
     """All rational zeros of f in F_p^nvars, in lexicographic order."""
-    _check_enum_cap(f.ctx.p, f.nvars, cap)
-    pts = domain_points(f.ctx.p, f.nvars)
-    mask = evaluate_batch(f, pts) == 0
-    return [tuple(int(x) for x in row) for row in pts[mask]]
+    return [tuple(row) for row in np.argwhere(zero_mask(f, cap)).tolist()]
 
 
 def count_zeros(f: MultiPoly, cap: int = ENUM_CAP) -> int:
-    _check_enum_cap(f.ctx.p, f.nvars, cap)
-    pts = domain_points(f.ctx.p, f.nvars)
-    return int(np.count_nonzero(evaluate_batch(f, pts) == 0))
+    return int(np.count_nonzero(zero_mask(f, cap)))
 
 
 def bivariate_section(f: MultiPoly, q) -> MultiPoly:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from ffil import (
@@ -17,7 +18,15 @@ from ffil import (
     sample_uniform,
     zero_set,
 )
-from ffil.mpoly import domain_points
+from ffil import mpoly
+from ffil.mpoly import (
+    coefficient_tensor,
+    domain_points,
+    grid_slabs,
+    section_tensors,
+    tensor_poly,
+    zero_mask,
+)
 from ffil.rng import Rng
 
 from oracles import scalar_zero_points
@@ -77,13 +86,15 @@ def test_zero_set_examples():
 
 
 def test_zero_set_matches_scalar_oracle():
+    # the oracle enumerates points in lex order, so this also pins the order
     rng = Rng(5)
-    for trial in range(20):
+    for trial in range(30):
         r = rng.derive(trial)
-        p = (3, 5, 7)[r.randbelow(3)]
-        d = 1 + r.randbelow(2)
-        f = sample_uniform(FieldCtx.prime(p), d, 2, r)
+        p = (2, 3, 5, 7)[r.randbelow(4)]
+        d = 1 + r.randbelow(3)
+        f = sample_uniform(FieldCtx.prime(p), d, 1 + r.randbelow(8), r)
         assert zero_set(f) == scalar_zero_points(f)
+        assert count_zeros(f) == len(scalar_zero_points(f))
 
 
 def test_zero_set_cap():
@@ -135,6 +146,92 @@ def test_batch_matches_scalar():
         vals = evaluate_batch(f, pts)
         for row, v in zip(pts, vals):
             assert f.evaluate(tuple(int(c) for c in row)) == int(v)
+
+
+def _grid_values(f, axes):
+    return np.concatenate(list(grid_slabs(coefficient_tensor(f), f.ctx.p, axes)))
+
+
+def _scalar_values(f, axes):
+    shape = tuple(len(a) for a in axes)
+    out = np.zeros(shape, dtype=np.int64)
+    for idx in np.ndindex(*shape):
+        out[idx] = f.evaluate(tuple(int(a[i]) for a, i in zip(axes, idx)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "p, regime",
+    [
+        (7, (np.float64, 9)),  # k (p-1)^2 < 2^53: one float64 BLAS pass
+        (67108859, (np.int64, 2048)),  # ~2^26: int64, one reduction per axis
+        (2**31 - 1, (np.int64, 2)),  # int64, a reduction every 2 terms
+    ],
+)
+def test_grid_kernel_matches_scalar(p, regime):
+    assert mpoly._plan(9, p) == regime
+    ctx = FieldCtx.prime(p)
+    rng = Rng(p)
+    for trial in range(6):
+        r = rng.derive(trial)
+        f = sample_uniform(ctx, 3, 8, r)
+        # small product sets with repeats, 0 and p - 1 in every axis
+        axes = [[0, p - 1] + [r.randbelow(p) for _ in range(1 + t)] for t in range(3)]
+        axes[1].append(axes[1][-1])
+        assert np.array_equal(_grid_values(f, axes), _scalar_values(f, axes))
+
+
+def test_grid_kernel_reduces_after_every_term(monkeypatch):
+    monkeypatch.setattr(mpoly, "_plan", lambda k, p: (np.int64, 1))
+    p = 2**31 - 1
+    f = sample_uniform(FieldCtx.prime(p), 2, 6, Rng(8))
+    axes = [[0, 1, p - 1, 12345], [p - 2, 7, 0]]
+    assert np.array_equal(_grid_values(f, axes), _scalar_values(f, axes))
+
+
+def test_grid_kernel_slabs_and_full_grid(monkeypatch):
+    # tiny slabs must give the same tensor, in lex order of domain_points
+    ctx = FieldCtx.prime(5)
+    f = sample_uniform(ctx, 3, 6, Rng(21))
+    want = evaluate_batch(f, domain_points(5, 3)).reshape(5, 5, 5)
+    assert np.array_equal(_grid_values(f, [range(5)] * 3), want)
+    monkeypatch.setattr(mpoly, "_SLAB_ELEMS", 1)
+    slabs = list(grid_slabs(coefficient_tensor(f), 5, [range(5)] * 3))
+    assert len(slabs) == 5
+    assert np.array_equal(np.concatenate(slabs), want)
+    assert np.array_equal(zero_mask(f).ravel(), want.ravel() == 0)
+
+
+def test_coefficient_tensor_round_trip():
+    ctx = FieldCtx.prime(11)
+    rng = Rng(4)
+    for trial in range(20):
+        f = sample_uniform(ctx, 1 + trial % 3, 5, rng.derive(trial))
+        assert tensor_poly(ctx, coefficient_tensor(f)) == f
+
+
+def test_zero_set_with_exponents_above_p():
+    # folded exponents keep the tensor within (p,) * nvars and the zeros exact
+    for p in (2, 3, 5):
+        ctx = FieldCtx.prime(p)
+        f = MultiPoly(ctx, 3, {(1000, 999, 0): 1, (0, 0, p): 2, (p - 1, 2 * p, 1): 1,
+                               (1, 0, 0): p - 1, (0, 0, 0): 1})
+        assert all(k <= p for k in coefficient_tensor(f, fold=True).shape)
+        assert zero_set(f) == scalar_zero_points(f)
+
+
+def test_section_tensors_match_bivariate_section():
+    rng = Rng(19)
+    for p, d1, d2, deg in ((5, 1, 2, 6), (7, 2, 1, 4), (3, 2, 2, 9)):
+        ctx = FieldCtx.prime(p)
+        f = sample_uniform(ctx, d1 + d2, deg, rng.derive(p))
+        sections = section_tensors(f, d2)
+        qs = domain_points(p, d2)
+        assert sections.shape[0] == len(qs)
+        for q, sec in zip(qs, sections):
+            assert tensor_poly(ctx, sec) == bivariate_section(f, tuple(int(x) for x in q))
+    with pytest.raises(DomainError):
+        section_tensors(f, 0)
 
 
 def test_bivariate_section_examples():
