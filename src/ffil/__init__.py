@@ -4,7 +4,7 @@ extremal-graph constructions, behind a reproducible experiment CLI."""
 
 from .errors import ConstructionFailure, DomainError, ResourceLimitError
 from .rng import Rng
-from .gf import FieldCtx, FieldElement, field_inverse, find_prime, is_prime, sqrt_minus_one
+from .gf import FieldCtx, find_prime, is_prime
 from .mpoly import (
     MultiPoly,
     bivariate_section,
@@ -57,7 +57,6 @@ from .constructions import (
     UnitDistanceInstance,
     ZeroCountResult,
     evasive_point_set,
-    line_intersection_audit,
     point_variety_instance,
     random_algebraic_graph,
     unit_distance_instance,

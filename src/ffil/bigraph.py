@@ -84,12 +84,6 @@ class BipartiteGraph:
     def edge_count(self) -> int:
         return sum(mask.bit_count() for mask in self.adj_a)
 
-    def degree_a(self, i: int) -> int:
-        return self.adj_a[i].bit_count()
-
-    def neighbors_a(self, i: int):
-        return list(_bits(self.adj_a[i]))
-
     def induced(self, a_idx, b_idx) -> "BipartiteGraph":
         """Induced subgraph on the given A- and B-index lists (reindexed)."""
         edges = []
@@ -427,31 +421,18 @@ def hypergraph_independent_set(h: Hypergraph, rng, retry_cap: int = 200) -> list
 # -- fixture formats ---------------------------------------------------------
 
 
-def format_graph(g: BipartiteGraph) -> str:
-    """Header 'm n', then one line per A-vertex listing neighbor indices."""
-    lines = [f"{g.m} {g.n}"]
-    for i in range(g.m):
-        lines.append(" ".join(str(j) for j in _bits(g.adj_a[i])))
-    return "\n".join(lines) + "\n"
-
-
 def parse_graph(text: str) -> BipartiteGraph:
+    """Header 'm n', then one line per A-vertex listing neighbor indices."""
     lines = text.splitlines()
     if not lines:
         raise DomainError("empty graph fixture")
-    m, n = (int(t) for t in lines[0].split())
-    edges = []
-    for i in range(m):
-        row = lines[1 + i] if 1 + i < len(lines) else ""
-        for tok in row.split():
-            edges.append((i, int(tok)))
+    try:
+        m, n = (int(t) for t in lines[0].split())
+        edges = []
+        for i in range(m):
+            row = lines[1 + i] if 1 + i < len(lines) else ""
+            for tok in row.split():
+                edges.append((i, int(tok)))
+    except ValueError as exc:
+        raise DomainError(f"malformed graph fixture: {exc}") from None
     return BipartiteGraph(m, n, edges)
-
-
-def format_pattern(pat: Pattern) -> str:
-    return "\n".join(pat.labels) + "\n"
-
-
-def parse_pattern(text: str) -> Pattern:
-    rows = [line.strip() for line in text.splitlines() if line.strip()]
-    return Pattern(rows)

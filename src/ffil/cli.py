@@ -16,6 +16,7 @@ import csv
 import json
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 
 import numpy as np
@@ -80,6 +81,43 @@ def _write_outputs(args, body: dict, csv_spec) -> None:
             w.writerows(rows)
 
 
+def _read_input(path) -> str:
+    """Text of an input file; a file that cannot be read as text is a usage error."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read {path}: {exc}") from None
+
+
+def _load_json(path, counts, index_lists) -> dict:
+    """JSON object whose `counts` keys hold nonnegative ints and whose
+    `index_lists` keys hold lists of lists of nonnegative ints."""
+    text = _read_input(path)
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise DomainError(f"{path} is not JSON: {exc}") from None
+
+    def count(v):
+        return isinstance(v, int) and v >= 0
+
+    if not (
+        isinstance(data, dict)
+        and all(count(data.get(k)) for k in counts)
+        and all(
+            isinstance(data.get(k), list)
+            and all(isinstance(row, list) and all(map(count, row)) for row in data[k])
+            for k in index_lists
+        )
+    ):
+        raise DomainError(
+            f"{path} needs nonnegative integers {', '.join(counts)} and "
+            f"lists of nonnegative integers {', '.join(index_lists)}"
+        )
+    return data
+
+
 def _jsonable(obj):
     if isinstance(obj, (np.integer,)):
         return int(obj)
@@ -93,31 +131,39 @@ def _jsonable(obj):
 # -- subcommands -------------------------------------------------------------
 
 
+def _construction_outputs(rep, header, rows):
+    """Body, CSV spec and exit code of a report whose verification block came
+    from `constructions.kss_verdict`."""
+    code = 0 if rep.verification["outcome"] == "verified-free" else VERIFY_EXIT
+    return asdict(rep), (header, rows), code
+
+
 def cmd_zarankiewicz(args, rng):
     inst = cons.random_algebraic_graph(
         args.p, args.d1, args.d2, args.m, args.n, args.s, rng
     )
     rep = inst.report
-    body = rep.to_dict()
     rows = [[args.p, args.d1, args.d2, args.m, args.n, args.s, args.seed,
              rep.achieved["edges"], rep.bound["edges_min"],
              rep.verification["outcome"]]]
     header = ["p", "d1", "d2", "m", "n", "s", "seed", "edges", "edges_min", "outcome"]
-    code = 0 if rep.verification["outcome"] == "verified-free" else VERIFY_EXIT
-    return body, (header, rows), code
-
-
-def _load_fixture_polys(path):
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    polys = [parse_poly(ln) for ln in lines]
-    return polys
+    return _construction_outputs(rep, header, rows)
 
 
 def cmd_zero_patterns(args, rng):
     ctx = FieldCtx.prime(args.p)
     if args.fixture:
-        polys = _load_fixture_polys(args.fixture)
+        lines = _read_input(args.fixture).splitlines()
+        polys = [parse_poly(ln, ctx) for ln in lines if ln.strip()]
+        if len(polys) != args.k:
+            raise DomainError(f"fixture has {len(polys)} polynomials, --k is {args.k}")
+        for f in polys:
+            if f.nvars != args.vars:
+                raise DomainError(f"fixture polynomial in {f.nvars} variables, --vars is {args.vars}")
+            if f.total_degree > args.degree:
+                raise DomainError(
+                    f"fixture polynomial of degree {f.total_degree} exceeds --degree {args.degree}"
+                )
     else:
         polys = [
             sample_uniform(ctx, args.vars, args.degree, rng.derive(i))
@@ -173,12 +219,10 @@ def cmd_containment_patterns(args, rng):
 
 def cmd_shatter(args, rng):
     if args.input:
-        with open(args.input) as fh:
-            data = json.load(fh)
+        data = _load_json(args.input, ("ground",), ("members",))
         system = patmod.SetSystem(data["ground"], data["members"])
     elif args.graph:
-        with open(args.graph) as fh:
-            g = bigraph.parse_graph(fh.read())
+        g = bigraph.parse_graph(_read_input(args.graph))
         if args.side == "a":
             system = patmod.SetSystem(g.n, list(g.adj_a))
         else:
@@ -214,15 +258,12 @@ def cmd_zero_count(args, rng):
 
 def cmd_point_variety(args, rng):
     inst = cons.point_variety_instance(args.m, args.alpha, args.dim, rng)
-    rep = inst.report
-    body = rep.to_dict()
     rows = [
         [qi, system[0].total_degree, zc]
         for qi, (system, zc) in enumerate(zip(inst.systems, inst.incident_points))
     ]
     header = ["variety", "section_degree", "incident_points"]
-    code = 0 if rep.verification["outcome"] == "verified-free" else VERIFY_EXIT
-    return body, (header, rows), code
+    return _construction_outputs(inst.report, header, rows)
 
 
 def cmd_unit_distance(args, rng):
@@ -230,18 +271,18 @@ def cmd_unit_distance(args, rng):
         args.n, args.d, rng, p=args.p, s=args.s, strategy=args.strategy
     )
     rep = inst.report
-    body = rep.to_dict()
     a = rep.achieved
     rows = [[rep.params["p"], args.d, a["U_size"], a["P_size"], a["cross_pairs"],
              a["unit_distances"], rep.bound["cross_pairs_min"],
              rep.verification["outcome"]]]
     header = ["p", "d", "U_size", "P_size", "cross_pairs", "unit_distances",
               "cross_pairs_min", "outcome"]
-    code = 0 if rep.verification["outcome"] == "verified-free" else VERIFY_EXIT
-    return body, (header, rows), code
+    return _construction_outputs(rep, header, rows)
 
 
 def cmd_sphere_geometry(args, rng):
+    if args.kmax < 2:
+        raise DomainError("--kmax must be >= 2: each family intersects at least two spheres")
     ctx = FieldCtx.prime(args.p)
     form = geo.BilinearForm.standard(ctx, args.d)
     grid = [tuple(int(v) for v in r) for r in domain_points(args.p, args.d)]
@@ -249,7 +290,7 @@ def cmd_sphere_geometry(args, rng):
     failures = 0
     for fi in range(args.families):
         r = rng.derive(fi)
-        k = 2 + r.randbelow(max(1, args.kmax - 1))
+        k = 2 + r.randbelow(args.kmax - 1)
         centers = [grid[r.randbelow(len(grid))] for _ in range(k)]
         spheres = [geo.Sphere(form, c) for c in centers]
         flat = geo.intersect_spheres_to_flat(spheres)
@@ -340,8 +381,7 @@ def cmd_pattern_scan(args, rng):
 
 def cmd_indep_set(args, rng):
     if args.hypergraph:
-        with open(args.hypergraph) as fh:
-            data = json.load(fh)
+        data = _load_json(args.hypergraph, ("n", "k"), ("edges",))
         hg = bigraph.Hypergraph(data["n"], data["k"], data["edges"])
     else:
         seen = set()
@@ -501,7 +541,7 @@ def main(argv=None) -> int:
     except ConstructionFailure as exc:
         sys.stderr.write(f"construction failure: {exc}\n")
         if exc.best is not None:
-            _write_outputs(args, exc.best.to_dict(), None)
+            _write_outputs(args, asdict(exc.best), None)
         return RESOURCE_EXIT
     _write_outputs(args, body, csv_spec)
     return code

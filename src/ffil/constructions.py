@@ -49,17 +49,15 @@ class ConstructionReport:
     retries: dict = field(default_factory=dict)
     flags: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "params": self.params,
-            "seed": self.seed,
-            "achieved": self.achieved,
-            "bound": self.bound,
-            "verification": self.verification,
-            "retries": self.retries,
-            "flags": self.flags,
-        }
+
+def kss_verdict(graph: BipartiteGraph, s: int) -> dict:
+    """Exact K_{s,s} check as a report's verification block."""
+    witness = contains_kss(graph, s)
+    return {
+        "s": s,
+        "outcome": "verified-free" if witness is None else "witness-found",
+        "witness": witness,
+    }
 
 
 def integer_nth_root(n: int, e: int) -> int:
@@ -212,12 +210,7 @@ def random_algebraic_graph(p, d1, d2, m, n, s, rng) -> AlgebraicGraphInstance:
 
     graph = BipartiteGraph.from_bool_matrix(sub)
     report.achieved["edges"] = graph.edge_count()
-    witness = contains_kss(graph, s)
-    report.verification = {
-        "s": s,
-        "outcome": "verified-free" if witness is None else "witness-found",
-        "witness": witness,
-    }
+    report.verification = kss_verdict(graph, s)
     rows = [tuple(int(v) for v in grid1[i]) for i in rows_idx]
     cols = [tuple(int(v) for v in grid2[j]) for j in cols_idx]
     return AlgebraicGraphInstance(graph, f, rows, cols, report)
@@ -336,35 +329,6 @@ def evasive_point_set(p, d, k, strategy, rng, cap: int = ENUM_CAP):
     raise DomainError(f"unknown strategy {strategy!r}")
 
 
-def line_intersection_audit(points, p, d):
-    """Exhaustive max |L & U| over all affine lines L of F_p^d.
-
-    Returns (max_count, (basepoint, direction)) for a line attaining it.
-    Reported for diagnostics only; nothing downstream assumes a bound.
-    """
-    got = set(tuple(pt) for pt in points)
-    grid = [tuple(int(v) for v in row) for row in domain_points(p, d)]
-    best = (0, None)
-    for direction in grid:
-        first = next((c for c in direction if c), None)
-        if first != 1:
-            continue  # canonical representative per direction class
-        seen = set()
-        for x in grid:
-            if x in seen:
-                continue
-            line = []
-            cur = x
-            for _ in range(p):
-                line.append(cur)
-                seen.add(cur)
-                cur = tuple((a + b) % p for a, b in zip(cur, direction))
-            count = sum(1 for pt in line if pt in got)
-            if count > best[0]:
-                best = (count, (min(line), direction))
-    return best
-
-
 # -- unit-distance instances ------------------------------------------------------
 
 
@@ -459,7 +423,7 @@ def unit_distance_instance(
 
     graph = unit_distance_graph(pts_final, form_final)
     double = graph.bipartite_double()
-    witness = contains_kss(double, s)
+    report.verification = kss_verdict(double, s)
     report.achieved = {
         "U_size": u_size,
         "P_size": len(pts_final),
@@ -467,12 +431,7 @@ def unit_distance_instance(
         "unit_distances": graph.edge_count(),
         "shift": list(shift),
     }
-    report.verification = {
-        "s": s,
-        "outcome": "verified-free" if witness is None else "witness-found",
-        "witness": witness,
-    }
-    if witness is not None:
+    if report.verification["witness"] is not None:
         # the guaranteed freeness level is not numeric; report the smallest
         # s at which the exhaustive check certifies freeness instead
         report.verification["smallest_free_s"] = smallest_free_s(double, 4 * s)

@@ -553,33 +553,3 @@ def embed_to_standard_norm(points, ext_ctx: FieldCtx):
         head = tuple((int(c) % p, 0) for c in pt[:-1])
         out.append(head + (((0, int(pt[-1]) % p)),))
     return out
-
-
-# -- point-set fixtures -------------------------------------------------------
-
-
-def format_points(points, form: BilinearForm) -> str:
-    """Header 'p d signature' (signature as +/- string), one point per line."""
-    sig = "".join("+" if s == 1 else "-" for s in form.signature)
-    lines = [f"{form.ctx.p} {form.dim} {sig}"]
-    for pt in points:
-        lines.append(" ".join(str(int(v)) for v in pt))
-    return "\n".join(lines) + "\n"
-
-
-def parse_points(text: str):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise DomainError("empty point fixture")
-    p_str, d_str, sig = lines[0].split()
-    p, d = int(p_str), int(d_str)
-    if len(sig) != d or any(ch not in "+-" for ch in sig):
-        raise DomainError("signature must be a +/- string of length d")
-    form = BilinearForm(FieldCtx.prime(p), tuple(1 if ch == "+" else -1 for ch in sig))
-    points = []
-    for ln in lines[1:]:
-        pt = tuple(int(t) % p for t in ln.split())
-        if len(pt) != d:
-            raise DomainError("point dimension mismatch in fixture")
-        points.append(pt)
-    return points, form

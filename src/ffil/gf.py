@@ -2,9 +2,8 @@
 
 The extension is F_p[a] / (a^2 + 1) and is only defined for p = 3 (mod 4),
 which makes a^2 + 1 irreducible. Raw values are ints in [0, p) for prime
-contexts and pairs (x, y) meaning x + y*a for extension contexts; FieldElement
-wraps a raw value with its context for operator arithmetic. Hot loops
-elsewhere in the package work on raw values through the context methods.
+contexts and pairs (x, y) meaning x + y*a for extension contexts; the rest of
+the package works on raw values through the context methods.
 """
 
 import math
@@ -88,7 +87,7 @@ class FieldCtx:
     values, so contexts are safe to share freely.
     """
 
-    __slots__ = ("kind", "p", "order")
+    __slots__ = ("kind", "p")
 
     def __init__(self, p: int, kind: str = "prime"):
         if kind not in ("prime", "ext"):
@@ -101,7 +100,6 @@ class FieldCtx:
             raise DomainError("quadratic extension needs p = 3 (mod 4)")
         self.kind = kind
         self.p = p
-        self.order = p if kind == "prime" else p * p
 
     @classmethod
     def prime(cls, p: int) -> "FieldCtx":
@@ -124,22 +122,8 @@ class FieldCtx:
 
     # -- raw-value arithmetic ------------------------------------------------
 
-    def reduce(self, v):
-        p = self.p
-        if self.kind == "prime":
-            if isinstance(v, tuple):
-                raise DomainError("prime field value must be an int")
-            return v % p
-        if isinstance(v, int):
-            return (v % p, 0)
-        x, y = v
-        return (x % p, y % p)
-
     def zero_raw(self):
         return 0 if self.kind == "prime" else (0, 0)
-
-    def one_raw(self):
-        return 1 if self.kind == "prime" else (1, 0)
 
     def add(self, x, y):
         p = self.p
@@ -153,12 +137,6 @@ class FieldCtx:
             return (x - y) % p
         return ((x[0] - y[0]) % p, (x[1] - y[1]) % p)
 
-    def neg(self, x):
-        p = self.p
-        if self.kind == "prime":
-            return (-x) % p
-        return ((-x[0]) % p, (-x[1]) % p)
-
     def mul(self, x, y):
         p = self.p
         if self.kind == "prime":
@@ -166,168 +144,3 @@ class FieldCtx:
         a, b = x
         c, d = y
         return ((a * c - b * d) % p, (a * d + b * c) % p)
-
-    def inv(self, x):
-        p = self.p
-        if self.kind == "prime":
-            return _inverse_mod(x, p)
-        a, b = x
-        # (a + b*alpha)^-1 = (a - b*alpha) / (a^2 + b^2); the norm a^2 + b^2
-        # is nonzero for (a, b) != 0 because -1 is a non-residue mod p.
-        n = (a * a + b * b) % p
-        ninv = _inverse_mod(n, p)
-        return (a * ninv % p, (-b) * ninv % p)
-
-    def pow(self, x, e: int):
-        if e < 0:
-            return self.pow(self.inv(x), -e)
-        if self.kind == "prime":
-            return pow(x, e, self.p)
-        out = self.one_raw()
-        base = x
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
-
-    def is_zero(self, x):
-        return x == 0 if self.kind == "prime" else x == (0, 0)
-
-    # -- elements ------------------------------------------------------------
-
-    def elem(self, v) -> "FieldElement":
-        return FieldElement(self, self.reduce(v))
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, self.zero_raw())
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, self.one_raw())
-
-    def alpha(self) -> "FieldElement":
-        if self.kind != "ext":
-            raise DomainError("alpha exists only in extension contexts")
-        return FieldElement(self, (0, 1))
-
-    def elements(self):
-        """All field elements, lexicographic raw order."""
-        if self.kind == "prime":
-            for v in range(self.p):
-                yield FieldElement(self, v)
-        else:
-            for x in range(self.p):
-                for y in range(self.p):
-                    yield FieldElement(self, (x, y))
-
-    def random(self, rng) -> "FieldElement":
-        if self.kind == "prime":
-            return FieldElement(self, rng.randbelow(self.p))
-        return FieldElement(self, (rng.randbelow(self.p), rng.randbelow(self.p)))
-
-
-class FieldElement:
-    """A field value tied to its context; supports + - * / ** and inverse()."""
-
-    __slots__ = ("ctx", "val")
-
-    def __init__(self, ctx: FieldCtx, val):
-        self.ctx = ctx
-        self.val = ctx.reduce(val)
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElement):
-            if other.ctx != self.ctx:
-                raise DomainError("field context mismatch")
-            return other.val
-        if isinstance(other, int):
-            return self.ctx.reduce(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.add(self.val, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.sub(self.val, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.sub(v, self.val))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.mul(self.val, v))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(self.ctx, self.ctx.neg(self.val))
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.ctx, self.ctx.mul(self.val, self.ctx.inv(v)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.ctx, self.ctx.pow(self.val, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.ctx, self.ctx.inv(self.val))
-
-    def is_zero(self) -> bool:
-        return self.ctx.is_zero(self.val)
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return self.ctx == other.ctx and self.val == other.val
-        if isinstance(other, int):
-            return self.val == self.ctx.reduce(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.ctx, self.val))
-
-    def __repr__(self):
-        if self.ctx.kind == "prime":
-            return f"F{self.ctx.p}({self.val})"
-        return f"F{self.ctx.p}^2{self.val}"
-
-
-def field_inverse(x: FieldElement) -> FieldElement:
-    """Multiplicative inverse; DomainError('no inverse of zero') on zero."""
-    return x.inverse()
-
-
-def sqrt_minus_one(ctx: FieldCtx) -> FieldElement:
-    """An element whose square is -1.
-
-    Extension contexts return alpha itself. Prime contexts admit a root only
-    for p = 2 or p = 1 (mod 4); p = 3 (mod 4) raises DomainError since
-    x^2 = -1 has no solution there.
-    """
-    if ctx.kind == "ext":
-        return ctx.alpha()
-    p = ctx.p
-    if p == 2:
-        return ctx.one()
-    if p % 4 == 3:
-        raise DomainError(f"no square root of -1 in F_{p}")
-    # p = 1 (mod 4): a non-residue g gives g^((p-1)/4) as a root.
-    g = 2
-    while pow(g, (p - 1) // 2, p) != p - 1:
-        g += 1
-    return ctx.elem(pow(g, (p - 1) // 4, p))

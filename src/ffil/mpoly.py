@@ -440,12 +440,19 @@ def format_poly(f: MultiPoly) -> str:
     return f"p={f.ctx.p}; vars={f.nvars}; {body}"
 
 
+def _fixture_int(token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise DomainError(f"malformed polynomial fixture token {token!r}") from None
+
+
 def parse_poly(text: str, ctx: FieldCtx | None = None) -> MultiPoly:
     pieces = [s.strip() for s in text.split(";")]
     if len(pieces) != 3:
         raise DomainError("expected 'p=..; vars=..; <terms>'")
-    p = int(pieces[0].split("=")[1])
-    nvars = int(pieces[1].split("=")[1])
+    p = _fixture_int(pieces[0].partition("=")[2])
+    nvars = _fixture_int(pieces[1].partition("=")[2])
     if ctx is None:
         ctx = FieldCtx.prime(p)
     elif ctx.p != p:
@@ -466,7 +473,7 @@ def parse_poly(text: str, ctx: FieldCtx | None = None) -> MultiPoly:
                         raise DomainError(f"variable x{i} out of range")
                     exps[i] += e
                 else:
-                    coeff *= int(factor)
+                    coeff *= _fixture_int(factor)
             key = tuple(exps)
             terms[key] = terms.get(key, 0) + coeff
     return MultiPoly(ctx, nvars, terms)

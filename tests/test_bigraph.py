@@ -15,13 +15,7 @@ from ffil import (
     prefix_tree_pattern,
     staircase_pattern,
 )
-from ffil.bigraph import (
-    format_graph,
-    format_pattern,
-    parse_graph,
-    parse_pattern,
-    smallest_free_s,
-)
+from ffil.bigraph import parse_graph, smallest_free_s
 from ffil.rng import Rng
 
 from oracles import brute_kss, brute_pattern
@@ -262,11 +256,13 @@ def test_independent_set_random_instances():
 
 
 def test_fixture_round_trips():
+    # header 'm n', then one neighbor line per A-vertex; missing lines are empty
     g = BipartiteGraph(3, 4, [(0, 1), (0, 3), (2, 0)])
-    g2 = parse_graph(format_graph(g))
-    assert (g2.m, g2.n, g2.adj_a) == (g.m, g.n, g.adj_a)
-    pat = Pattern(["01*", "1*0"])
-    assert parse_pattern(format_pattern(pat)) == pat
+    for text in ("3 4\n1 3\n\n0\n", "3 4\n1 3\n\n0"):
+        g2 = parse_graph(text)
+        assert (g2.m, g2.n, g2.adj_a, g2.adj_b) == (g.m, g.n, g.adj_a, g.adj_b)
+    g3 = parse_graph("2 2\n1\n")
+    assert g3.adj_a == [0b10, 0]
 
 
 def test_induced_subgraph():

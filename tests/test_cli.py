@@ -1,11 +1,13 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
 import pytest
 
-SRC = os.path.join(os.path.dirname(__file__), "..", "src")
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
+SRC = os.path.join(ROOT, "src")
 
 
 def run_cli(*args):
@@ -59,6 +61,79 @@ def test_zero_patterns_fixture_example(tmp_path):
     rep = load_report(out)
     assert rep["achieved"]["pattern_count"] == 3
     assert rep["bound"] == {"rbg": 3, "tight_form": 2}
+
+
+def assert_usage_error(r, needle=""):
+    """Exit 1 with an `error:` line (containing `needle`) and no traceback."""
+    assert r.returncode == 1, r.stderr
+    assert "Traceback" not in r.stderr
+    assert any(ln.startswith("error:") and needle in ln for ln in r.stderr.splitlines()), r.stderr
+
+
+@pytest.mark.parametrize(
+    "fixture, flags, needle",
+    [
+        ("p=7; vars=2; x0\n", ("--p", "5", "--vars", "4", "--k", "9", "--degree", "1"), "modulus"),
+        ("p=3; vars=2; x0\np=3; vars=2; x1\n", ("--p", "3", "--vars", "1", "--k", "2", "--degree", "1"), "--vars"),
+        ("p=3; vars=1; x0\np=3; vars=1; x0 + 2\n", ("--p", "3", "--vars", "1", "--k", "3", "--degree", "1"), "--k"),
+        ("p=3; vars=1; x0^2\n", ("--p", "3", "--vars", "1", "--k", "1", "--degree", "1"), "--degree"),
+    ],
+    ids=["p", "vars", "k", "degree"],
+)
+def test_zero_patterns_fixture_must_match_flags(tmp_path, fixture, flags, needle):
+    fx = tmp_path / "fx.txt"
+    fx.write_text(fixture)
+    r = run_cli("zero-patterns", *flags, "--fixture", str(fx), "--seed", "0")
+    assert_usage_error(r, needle)
+
+
+ZP = ("zero-patterns", "--p", "3", "--vars", "1", "--k", "1", "--degree", "1", "--fixture")
+
+
+@pytest.mark.parametrize(
+    "data, args",
+    [
+        (b"p=3; vars=1; 3*y\n", ZP),
+        (None, ZP),  # the input file does not exist
+        (b"\xff\xfe\x00", ZP),
+        (b"2 2\n0 x\n", ("shatter", "--k", "2", "--graph")),
+        (b'{"ground": 3}', ("shatter", "--k", "2", "--input")),
+        (b'{"ground": 3, "members": [[0], [-1]]}', ("shatter", "--k", "2", "--input")),
+        (b"{ground", ("shatter", "--k", "2", "--input")),
+        (b'{"n": 5, "k": 2}', ("indep-set", "--n", "5", "--m", "1", "--k", "2", "--hypergraph")),
+    ],
+    ids=["poly-token", "missing-file", "not-text", "graph-token", "no-members",
+         "negative-member", "not-json", "no-edges"],
+)
+def test_malformed_input_exit_1(tmp_path, data, args):
+    path = tmp_path / "input"
+    if data is not None:
+        path.write_bytes(data)
+    assert_usage_error(run_cli(*args, str(path), "--seed", "1"))
+
+
+def test_sphere_geometry_rejects_kmax_below_2():
+    r = run_cli("sphere-geometry", "--p", "5", "--d", "2", "--families", "2",
+                "--kmax", "1", "--seed", "1")
+    assert_usage_error(r, "--kmax")
+
+
+def test_readme_cli_examples(tmp_path, monkeypatch):
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        block = fh.read().split("## CLI", 1)[1].split("```")[1]
+    commands = [shlex.split(ln)[1:] for ln in block.splitlines() if ln.startswith("ffil ")]
+    assert len({c[0] for c in commands}) == 10  # one example per subcommand
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "lines.txt").write_text("p=3; vars=1; x0\np=3; vars=1; x0 + 2\n")
+    (tmp_path / "sets.json").write_text(json.dumps({"ground": 3, "members": [[0], [1], [2]]}))
+    for args in commands:
+        r = run_cli(*args)
+        assert r.returncode == 0, (args, r.stderr)
+        if "--output" in args:
+            report = load_report(args[args.index("--output") + 1])
+        else:
+            report = json.loads(r.stdout)
+        assert report["config"]["seed"] == int(args[args.index("--seed") + 1])
 
 
 def test_missing_flag_exit_1():

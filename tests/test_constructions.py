@@ -8,7 +8,6 @@ from ffil import (
     DomainError,
     FieldCtx,
     evasive_point_set,
-    line_intersection_audit,
     point_variety_instance,
     random_algebraic_graph,
     unit_distance_instance,
@@ -154,15 +153,6 @@ def test_evasive_set_random():
     assert len(set(U)) == 25
     grid = {tuple(int(v) for v in r) for r in domain_points(5, 3)}
     assert set(U) <= grid
-
-
-def test_line_intersection_audit():
-    U = evasive_point_set(7, 3, 1, "map-image", Rng(1))
-    count, line = line_intersection_audit(U, 7, 3)
-    assert 1 <= count <= 7
-    base, direction = line
-    pts = {tuple((b + t * d) % 7 for b, d in zip(base, direction)) for t in range(7)}
-    assert sum(1 for q in pts if q in set(U)) == count
 
 
 def test_unit_distance_d2():

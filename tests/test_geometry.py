@@ -18,7 +18,6 @@ from ffil import (
     sphere_points,
     unit_distance_graph,
 )
-from ffil.geometry import format_points, parse_points
 from ffil.mpoly import domain_points
 from ffil.rng import Rng
 
@@ -327,13 +326,3 @@ def test_point_sphere_incidence_matches_scalar():
     for i, x in enumerate(pts[:8]):
         for j, w in enumerate(pts[:8]):
             assert g.has_edge(i, j) == Sphere(form, w).contains(x)
-
-
-def test_point_fixture_round_trip():
-    ctx = FieldCtx.prime(5)
-    form = BilinearForm.for_dim(ctx, 5)
-    pts = [(0, 1, 2, 3, 4), (4, 3, 2, 1, 0)]
-    text = format_points(pts, form)
-    pts2, form2 = parse_points(text)
-    assert pts2 == pts
-    assert form2 == form
