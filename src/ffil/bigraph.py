@@ -6,6 +6,7 @@ desk scale. Searches never approximate: when a probe budget runs out they
 raise ResourceLimitError rather than return a possibly-wrong verdict.
 """
 
+import bisect
 import math
 
 import numpy as np
@@ -13,22 +14,6 @@ import numpy as np
 from .errors import ConstructionFailure, DomainError, ResourceLimitError
 
 PROBE_CAP = 10**8
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _first_bits(mask: int, s: int):
-    out = []
-    for b in _bits(mask):
-        out.append(b)
-        if len(out) == s:
-            break
-    return out
 
 
 def bool_rows_to_masks(mat) -> list:
@@ -96,60 +81,169 @@ class BipartiteGraph:
         return BipartiteGraph(len(a_idx), len(b_idx), edges)
 
 
-def contains_kss(g: BipartiteGraph, s: int, probe_cap: int = PROBE_CAP):
+# contains_kss filters a node's candidates in numpy once there are more than
+# _SMALL_NODE of them; its float32 pair-count blocks and uint8 column-sum
+# blocks hold at most _PAIR_CELLS cells, whatever the graph size.
+_SMALL_NODE = 16
+_PAIR_CELLS = 1 << 18
+
+
+def _incidence_rows(masks, width: int) -> np.ndarray:
+    """uint8 0/1 matrix whose row r is the bitmask masks[r] over `width` bits."""
+    nbytes = (width + 7) // 8
+    raw = b"".join(mask.to_bytes(nbytes, "little") for mask in masks)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
+    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
+
+
+def contains_kss(g: BipartiteGraph, s: int, probe_cap: int = PROBE_CAP, counters=None):
     """Exact K_{s,s} detection; witness (rows_in_A, cols_in_B) or None.
 
-    Iterates s-subsets of the smaller class in increasing lexicographic order,
-    carrying the common neighborhood as a bitmask and pruning any branch whose
+    Searches s-subsets of the smaller class in increasing lexicographic
+    order, carrying the common neighborhood, and prunes any branch whose
     common neighborhood falls below s, so the first witness found is the
-    lexicographically least. Every subset extension counts against probe_cap;
-    exhausting it raises ResourceLimitError (never a silent approximation).
+    lexicographically least. The search node for a chosen prefix considers
+    the candidates v from one past its last vertex up to the last index that
+    leaves room for the rest of the subset; a probe is one candidate v
+    considered at one node, and exhausting probe_cap raises
+    ResourceLimitError (never a silent approximation). When `counters` is a
+    dict, counters["kss_probes"] is increased by the probes a search that
+    returns has spent.
+
+    The candidates are filtered a whole node at a time. A child's surviving
+    candidates (v with |N(v) & common| >= s) are among its parent's, so each
+    node finds which of its survivors survive at each of its children at
+    once: one product of 0/1 incidence rows over its common neighborhood,
+    per-child column sums when that block would exceed _PAIR_CELLS, or int
+    bitmask tests at nodes with at most _SMALL_NODE survivors. A child with
+    no survivor is charged its probes without being visited. Probes are
+    charged in bulk, so the count at return, and whether probe_cap is
+    exceeded, equal those of the loop that tries one candidate at a time.
     """
     if s < 1:
         raise DomainError("s must be >= 1")
-    if s > g.m or s > g.n:
-        return None
+    hit, probes = _kss_search(g, s, probe_cap) if s <= min(g.m, g.n) else (None, 0)
+    if counters is not None:
+        counters["kss_probes"] = counters.get("kss_probes", 0) + probes
+    return hit
+
+
+def _kss_search(g: BipartiteGraph, s: int, probe_cap: int):
+    """(witness or None, probes) for 1 <= s <= min(g.m, g.n); see contains_kss."""
     swap = g.n < g.m
     adj = g.adj_b if swap else g.adj_a
     size = g.n if swap else g.m
-    other = g.m if swap else g.n
-    full = (1 << other) - 1
     probes = 0
+    inc = None  # inc[x, v] = 1 iff x ~ v, for x in the other class; built on first use
 
-    def extend(start, chosen, common):
+    def charge(count):
         nonlocal probes
-        for v in range(start, size - (s - len(chosen)) + 1):
-            probes += 1
-            if probes > probe_cap:
-                raise ResourceLimitError("K_{s,s} search probe budget exhausted")
-            c2 = common & adj[v]
-            if c2.bit_count() < s:
-                continue
-            chosen.append(v)
-            if len(chosen) == s:
-                return list(chosen), _first_bits(c2, s)
-            hit = extend(v + 1, chosen, c2)
-            if hit:
+        probes += count
+        if probes > probe_cap:
+            raise ResourceLimitError("K_{s,s} search probe budget exhausted")
+
+    def live_kids(common, cand, nkids, limit):
+        """(i, survivors of kid cand[i]) for the kids i < nkids whose
+        survivors (later candidates w with |N(kid) & N(w) & common| >= s)
+        include one below `limit`, in order."""
+        if len(cand) <= _SMALL_NODE:
+            for i in range(nkids):
+                cu = common & adj[cand[i]]
+                nxt = [w for w in cand[i + 1 :] if (cu & adj[w]).bit_count() >= s]
+                if nxt and nxt[0] < limit:
+                    yield i, nxt
+            return
+        nonlocal inc
+        if inc is None:
+            inc = _incidence_rows(g.adj_a if swap else g.adj_b, size)
+        arr = np.asarray(cand, dtype=np.int64)
+        block = max(1, _PAIR_CELLS // arr.size)
+        dense = common.bit_count() * arr.size <= _PAIR_CELLS
+        if dense:  # one product gives the pair counts of all kids
+            sub = inc[_mask_indices(common)[:, None], arr].astype(np.float32)
+        for lo in range(0, nkids, block):
+            kids = arr[lo : min(nkids, lo + block)]
+            if dense:
+                surv = sub[:, lo : lo + kids.size].T @ sub >= s  # exact: < 2^24 ones
+            else:
+                surv = np.zeros((kids.size, arr.size), dtype=bool)
+                for i, u in enumerate(kids.tolist()):
+                    later = arr[lo + i + 1 :]
+                    surv[i, lo + i + 1 :] = _later_counts(inc, common & adj[u], u, later) >= s
+            surv &= arr[None, :] > kids[:, None]
+            live = surv.any(axis=1) if limit > arr[-1] else (surv & (arr < limit)).any(axis=1)
+            for i in np.flatnonzero(live).tolist():
+                yield lo + i, arr[surv[i]].tolist()
+
+    def node(chosen, common, cand):
+        # cand: this node's survivors in [start, size), ascending. Its kids
+        # are those below hi; a kid scans up to hi_kid, and one with no
+        # survivor below that is charged its probes without a visit.
+        t = len(chosen)
+        hi = size - (s - t) + 1
+        hi_kid = hi + 1
+        last = t + 2 == s  # the kids are last-level nodes: any survivor is a witness
+        pos = chosen[-1] + 1 if chosen else 0
+        nkids = bisect.bisect_left(cand, hi)
+        prev = 0  # kids before prev are settled
+
+        def unvisited(end):  # probes of the kids cand[prev:end], none visited
+            return (end - prev) * (hi_kid - 1) - sum(cand[prev:end])
+
+        for i, nxt in live_kids(common, cand, nkids, hi_kid):
+            u = cand[i]
+            charge(u + 1 - pos + unvisited(i))
+            pos, prev = u + 1, i + 1
+            if last:
+                charge(nxt[0] - u)
+                rows = chosen + [u, nxt[0]]
+                cols = _mask_indices(common & adj[u] & adj[nxt[0]])[:s].tolist()
+                return (cols, rows) if swap else (rows, cols)
+            hit = node(chosen + [u], common & adj[u], nxt)
+            if hit is not None:
                 return hit
-            chosen.pop()
+        charge(hi - pos + unvisited(nkids))
         return None
 
-    hit = extend(0, [], full)
-    if hit is None:
-        return None
-    rows, cols = hit
-    return (cols, rows) if swap else (rows, cols)
+    survivors = [v for v in range(size) if adj[v].bit_count() >= s]
+    if s == 1:
+        if not survivors:
+            charge(size)
+            return None, probes
+        v = survivors[0]
+        charge(v + 1)
+        rows, cols = [v], _mask_indices(adj[v])[:1].tolist()
+        return ((cols, rows) if swap else (rows, cols)), probes
+    other = g.m if swap else g.n
+    return node([], (1 << other) - 1, survivors), probes
 
 
-def smallest_free_s(g: BipartiteGraph, s_cap: int, probe_cap: int = PROBE_CAP):
+def _later_counts(inc, common: int, u: int, later) -> np.ndarray:
+    """|N(w) & common| for each w in `later` (all > u), from column sums of
+    the rows of inc over common; uint8 sums of at most 255 rows are exact."""
+    idx = _mask_indices(common)
+    per = min(255, max(1, _PAIR_CELLS // inc.shape[1]))
+    counts = np.zeros(inc.shape[1] - u - 1, dtype=np.int64)
+    for c0 in range(0, idx.size, per):
+        counts += inc[idx[c0 : c0 + per], u + 1 :].sum(axis=0, dtype=np.uint8)
+    return counts[later - (u + 1)]
+
+
+def _mask_indices(mask: int) -> np.ndarray:
+    """Ascending bit positions of a nonnegative int bitmask."""
+    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
+    return np.flatnonzero(np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little"))
+
+
+def smallest_free_s(g: BipartiteGraph, s_cap: int, probe_cap: int = PROBE_CAP, counters=None):
     """Smallest s <= s_cap for which g is K_{s,s}-free, or None if even
     s = s_cap finds a witness.
 
     Containment of K_{s,s} is monotone decreasing in s, so a linear scan
-    upward from 1 suffices.
+    upward from 1 suffices. `counters` is passed to every contains_kss call.
     """
     for s in range(1, s_cap + 1):
-        if contains_kss(g, s, probe_cap) is None:
+        if contains_kss(g, s, probe_cap, counters) is None:
             return s
     return None
 
@@ -188,98 +282,87 @@ class Pattern:
         return f"Pattern({self.a}x{self.b})"
 
 
-def find_induced_pattern(g: BipartiteGraph, pat: Pattern, node_cap: int = PROBE_CAP):
+def find_induced_pattern(
+    g: BipartiteGraph, pat: Pattern, node_cap: int = PROBE_CAP, counters=None
+):
     """Injective class-preserving embedding of `pat` into `g`, or None.
 
     Every '1'-labeled pair must map to an edge and every '0'-labeled pair to a
-    non-edge; '*' pairs are free. Backtracking picks the next pattern vertex
-    with the most already-assigned non-* constraints (ties: total constraint
-    count, then A before B, then index) and scans host candidates in
-    increasing index through bitmask filtering, so the result is
-    deterministic. Each candidate attempted counts against node_cap.
+    non-edge; '*' pairs are free. Backtracking maps the pattern vertices in a
+    static order, computed once before the search: next comes the vertex with
+    the most non-* constraints to vertices already in the order (ties: total
+    constraint count, then A before B, then index). The vertices mapped at
+    depth t are always the first t of that order, so each depth also knows
+    in advance which constraints it must check. Host candidates are scanned
+    in increasing index through bitmask filtering, so the result is
+    deterministic. A node is one candidate attempted; each counts against
+    node_cap, and when `counters` is a dict, counters["pattern_nodes"] is
+    increased by the nodes a search that returns has spent.
     """
-    a, b = pat.a, pat.b
-    if a > g.m or b > g.n:
+    fits = pat.a <= g.m and pat.b <= g.n
+    steps, hosts, nodes = _pattern_search(g, pat, node_cap) if fits else (None, None, 0)
+    if counters is not None:
+        counters["pattern_nodes"] = counters.get("pattern_nodes", 0) + nodes
+    if hosts is None:
         return None
-    cons_a = [
-        [(j, pat.labels[i][j]) for j in range(b) if pat.labels[i][j] != "*"]
-        for i in range(a)
-    ]
-    cons_b = [
-        [(i, pat.labels[i][j]) for i in range(a) if pat.labels[i][j] != "*"]
-        for j in range(b)
-    ]
-    map_a = [-1] * a
-    map_b = [-1] * b
-    used_a = 0
-    used_b = 0
+    map_a, map_b = [-1] * pat.a, [-1] * pat.b
+    for (is_a, i, _), h in zip(steps, hosts):
+        (map_a if is_a else map_b)[i] = h
+    return map_a, map_b
+
+
+def _pattern_search(g: BipartiteGraph, pat: Pattern, node_cap: int):
+    """(steps, host vertex per step or None, nodes); see find_induced_pattern."""
+    a, b = pat.a, pat.b
+    # non-* constraints of each pattern vertex: [(other vertex, is_edge)]
+    cons = {("A", i): [] for i in range(a)} | {("B", j): [] for j in range(b)}
+    for i, row in enumerate(pat.labels):
+        for j, lbl in enumerate(row):
+            if lbl != "*":
+                cons["A", i].append((("B", j), lbl == "1"))
+                cons["B", j].append((("A", i), lbl == "1"))
+    # steps[t] = (is_a, index, [(depth of other vertex, is_edge)]) for the
+    # vertex mapped at depth t and its constraints to those mapped before
+    order, steps = {}, []
+    for _ in range(a + b):
+        best = min(
+            (v for v in cons if v not in order),
+            key=lambda v: (-sum(o in order for o, _ in cons[v]), -len(cons[v]), v),
+        )
+        steps.append(
+            (best[0] == "A", best[1], [(order[o], one) for o, one in cons[best] if o in order])
+        )
+        order[best] = len(order)
     full_a = (1 << g.m) - 1
     full_b = (1 << g.n) - 1
+    hosts = [0] * (a + b)  # host vertex chosen at each depth
     nodes = 0
 
-    def pick():
-        best = None
-        best_key = None
-        for side, count, cons, mapped, other_map in (
-            ("A", a, cons_a, map_a, map_b),
-            ("B", b, cons_b, map_b, map_a),
-        ):
-            for i in range(count):
-                if mapped[i] != -1:
-                    continue
-                assigned = sum(1 for o, _ in cons[i] if other_map[o] != -1)
-                key = (-assigned, -len(cons[i]), side, i)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (side, i)
-        return best
-
-    def candidates(side, i):
-        if side == "A":
-            mask = full_a & ~used_a
-            for o, lbl in cons_a[i]:
-                h = map_b[o]
-                if h == -1:
-                    continue
-                col = g.adj_b[h]
-                mask &= col if lbl == "1" else full_a & ~col
-        else:
-            mask = full_b & ~used_b
-            for o, lbl in cons_b[i]:
-                h = map_a[o]
-                if h == -1:
-                    continue
-                col = g.adj_a[h]
-                mask &= col if lbl == "1" else full_b & ~col
-        return mask
-
-    def rec(depth):
-        nonlocal used_a, used_b, nodes
+    def rec(depth, used_a, used_b):
+        nonlocal nodes
         if depth == a + b:
             return True
-        side, i = pick()
-        mapped = map_a if side == "A" else map_b
-        for h in _bits(candidates(side, i)):
+        is_a, _, checks = steps[depth]
+        if is_a:
+            mask, cols = full_a & ~used_a, g.adj_b
+        else:
+            mask, cols = full_b & ~used_b, g.adj_a
+        for t, one in checks:
+            col = cols[hosts[t]]
+            mask &= col if one else ~col
+        while mask:
+            low = mask & -mask
+            mask ^= low
             nodes += 1
             if nodes > node_cap:
                 raise ResourceLimitError("pattern search node budget exhausted")
-            mapped[i] = h
-            if side == "A":
-                used_a |= 1 << h
-            else:
-                used_b |= 1 << h
-            if rec(depth + 1):
+            hosts[depth] = low.bit_length() - 1
+            if rec(depth + 1, used_a | low if is_a else used_a, used_b if is_a else used_b | low):
                 return True
-            mapped[i] = -1
-            if side == "A":
-                used_a &= ~(1 << h)
-            else:
-                used_b &= ~(1 << h)
         return False
 
-    if rec(0):
-        return list(map_a), list(map_b)
-    return None
+    found = rec(0, 0, 0)
+    return steps, hosts if found else None, nodes
 
 
 def prefix_tree_pattern(d: int, delta: int, size_cap: int = 5_000_000) -> Pattern:

@@ -14,6 +14,7 @@ or retry-cap errors.
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from dataclasses import asdict
@@ -294,11 +295,12 @@ def cmd_sphere_geometry(args, rng):
         centers = [grid[r.randbelow(len(grid))] for _ in range(k)]
         spheres = [geo.Sphere(form, c) for c in centers]
         flat = geo.intersect_spheres_to_flat(spheres)
-        inter = set(geo.sphere_points(spheres[0]))
+        first = set(geo.sphere_points(spheres[0]))
+        inter = set(first)
         for sph in spheres[1:]:
             inter &= set(geo.sphere_points(sph))
         flat_pts = set() if flat.is_empty else set(flat.points())
-        identity_ok = (set(geo.sphere_points(spheres[0])) & flat_pts) == inter
+        identity_ok = (first & flat_pts) == inter
         orth_ok = True
         base = centers[0]
         for b in flat.basis:
@@ -357,15 +359,16 @@ def cmd_pattern_scan(args, rng):
         pat = bigraph.prefix_tree_pattern(args.d - 1, 1)
     rows = []
     found_any = False
+    counters = {"pattern_nodes": 0}
     if args.full_scan:
-        hit = find_induced_pattern(host, pat)
+        hit = find_induced_pattern(host, pat, counters=counters)
         found_any |= hit is not None
         rows.append(["full", int(hit is not None)])
     for hi in range(args.hosts):
         r = rng.derive(hi)
         ridx = r.sample_indices(host.m, min(args.host_size, host.m))
         cidx = r.sample_indices(host.n, min(args.host_size, host.n))
-        hit = find_induced_pattern(host.induced(ridx, cidx), pat)
+        hit = find_induced_pattern(host.induced(ridx, cidx), pat, counters=counters)
         found_any |= hit is not None
         rows.append([hi, int(hit is not None)])
     body = {
@@ -375,6 +378,7 @@ def cmd_pattern_scan(args, rng):
         "verification": {"pattern_absent": not found_any},
         "retries": {},
         "flags": [],
+        "counters": counters,
     }
     return body, (["host", "found"], rows), 0 if not found_any else VERIFY_EXIT
 
@@ -382,6 +386,11 @@ def cmd_pattern_scan(args, rng):
 def cmd_indep_set(args, rng):
     if args.hypergraph:
         data = _load_json(args.hypergraph, ("n", "k"), ("edges",))
+        for flag, value in (("n", data["n"]), ("k", data["k"]), ("m", len(data["edges"]))):
+            if value != getattr(args, flag):
+                raise DomainError(
+                    f"{args.hypergraph} has {flag} = {value}, --{flag} is {getattr(args, flag)}"
+                )
         hg = bigraph.Hypergraph(data["n"], data["k"], data["edges"])
     else:
         seen = set()
@@ -515,7 +524,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--hypergraph", help="JSON {n, k, edges}")
+    p.add_argument("--hypergraph", help="JSON {n, k, edges}; must agree with --n, --k and --m")
     common(p)
     p.set_defaults(func=cmd_indep_set)
 
@@ -528,6 +537,12 @@ def main(argv=None) -> int:
     if not getattr(args, "command", None):
         parser.print_help(sys.stderr)
         return USAGE_EXIT
+    for path in (args.output, args.csv):
+        if path and (
+            os.path.isdir(path) or not os.access(os.path.dirname(os.path.abspath(path)), os.W_OK)
+        ):
+            sys.stderr.write(f"error: cannot write output file {path}\n")
+            return USAGE_EXIT
     args._t0 = time.perf_counter()
     rng = Rng(args.seed)
     try:

@@ -48,11 +48,14 @@ class ConstructionReport:
     verification: dict = field(default_factory=dict)
     retries: dict = field(default_factory=dict)
     flags: list = field(default_factory=list)
+    # work done, e.g. kss_probes; not part of the verdict
+    counters: dict = field(default_factory=dict)
 
 
-def kss_verdict(graph: BipartiteGraph, s: int) -> dict:
-    """Exact K_{s,s} check as a report's verification block."""
-    witness = contains_kss(graph, s)
+def kss_verdict(graph: BipartiteGraph, s: int, counters: dict) -> dict:
+    """Exact K_{s,s} check as a report's verification block; the probes it
+    spends are added to counters["kss_probes"]."""
+    witness = contains_kss(graph, s, counters=counters)
     return {
         "s": s,
         "outcome": "verified-free" if witness is None else "witness-found",
@@ -154,6 +157,7 @@ def random_algebraic_graph(p, d1, d2, m, n, s, rng) -> AlgebraicGraphInstance:
     delta = (d1 + d2) ** 2
     report = ConstructionReport(
         kind="random-algebraic-graph",
+        counters={"kss_probes": 0},
         params={"p": p, "d1": d1, "d2": d2, "m": m, "n": n, "s": s, "delta": delta},
         seed=rng.seed,
     )
@@ -181,7 +185,7 @@ def random_algebraic_graph(p, d1, d2, m, n, s, rng) -> AlgebraicGraphInstance:
         if 2 * e0 < full_target:
             continue
         g0 = BipartiteGraph.from_bool_matrix(cand_mask)
-        if contains_kss(g0, s) is not None:
+        if contains_kss(g0, s, counters=report.counters) is not None:
             continue
         f, mask = cand, cand_mask
         report.retries["poly"] = attempt
@@ -210,7 +214,7 @@ def random_algebraic_graph(p, d1, d2, m, n, s, rng) -> AlgebraicGraphInstance:
 
     graph = BipartiteGraph.from_bool_matrix(sub)
     report.achieved["edges"] = graph.edge_count()
-    report.verification = kss_verdict(graph, s)
+    report.verification = kss_verdict(graph, s, report.counters)
     rows = [tuple(int(v) for v in grid1[i]) for i in rows_idx]
     cols = [tuple(int(v) for v in grid2[j]) for j in cols_idx]
     return AlgebraicGraphInstance(graph, f, rows, cols, report)
@@ -284,6 +288,7 @@ def point_variety_instance(m, alpha, dim, rng) -> PointVarietyInstance:
         bound={"incidences_min": m * n / (2 * p)},
         verification=inst.report.verification,
         retries=inst.report.retries,
+        counters=inst.report.counters,
         flags=inst.report.flags
         + [
             "varieties are full zero sets of the sections; no irreducible "
@@ -378,6 +383,7 @@ def unit_distance_instance(
 
     report = ConstructionReport(
         kind="unit-distance",
+        counters={"kss_probes": 0},
         params={"n": n, "d": d, "p": p, "k": k, "s": s, "strategy": strategy},
         seed=rng.seed,
         bound={"cross_pairs_min": u_size**2 / (2 * p)},
@@ -423,7 +429,7 @@ def unit_distance_instance(
 
     graph = unit_distance_graph(pts_final, form_final)
     double = graph.bipartite_double()
-    report.verification = kss_verdict(double, s)
+    report.verification = kss_verdict(double, s, report.counters)
     report.achieved = {
         "U_size": u_size,
         "P_size": len(pts_final),
@@ -434,5 +440,7 @@ def unit_distance_instance(
     if report.verification["witness"] is not None:
         # the guaranteed freeness level is not numeric; report the smallest
         # s at which the exhaustive check certifies freeness instead
-        report.verification["smallest_free_s"] = smallest_free_s(double, 4 * s)
+        report.verification["smallest_free_s"] = smallest_free_s(
+            double, 4 * s, counters=report.counters
+        )
     return UnitDistanceInstance(pts_final, form_final, graph, report)

@@ -348,19 +348,30 @@ def flats_in_sphere_check(sphere: Sphere, dim_cap: int, cap: int = ENUM_CAP) -> 
     <x - w, x - y> = 0 for all flat points x, y (w the center).
 
     Flats are built bottom-up: points, then closures of (flat, extra sphere
-    point) pairs, deduplicated by their full point sets.
+    point) pairs, deduplicated by their full point sets. Two kinds of q are
+    skipped before their closure is computed, because the closure would be
+    rejected anyway: every flat through the base point x and q contains
+    x + 2(q - x), so a q for which that point is off the sphere gives a flat
+    outside it; and a q on an already found flat that contains the current
+    flat spans that same flat again.
     """
     form = sphere.form
     ctx = form.ctx
+    p = ctx.p
     pts = sphere_points(sphere, cap)
     pt_set = set(pts)
     report = SphereFlatsReport()
     levels = {0: {frozenset((q,)): AffineFlat(ctx, form.dim, q, []) for q in pts}}
     for r in range(1, dim_cap + 1):
         nxt = {}
+        through = {}  # point -> point sets in nxt that contain it
         for key, flat in levels[r - 1].items():
+            base = flat.base
+            covered = set().union(*(g for g in through.get(base, ()) if key <= g))
             for q in pts:
-                if q in key:
+                if q in key or q in covered:
+                    continue
+                if tuple((2 * b - x) % p for x, b in zip(base, q)) not in pt_set:
                     continue
                 closure = _affine_closure(ctx, [flat.base] + [q] + sorted(key - {flat.base}))
                 if closure.dim != r:
@@ -369,6 +380,9 @@ def flats_in_sphere_check(sphere: Sphere, dim_cap: int, cap: int = ENUM_CAP) -> 
                 if cl_pts in nxt or not cl_pts <= pt_set:
                     continue
                 nxt[cl_pts] = closure
+                covered |= cl_pts
+                for x in cl_pts:
+                    through.setdefault(x, []).append(cl_pts)
         levels[r] = nxt
         if not nxt:
             break

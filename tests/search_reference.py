@@ -1,0 +1,225 @@
+"""Reference copies of the exact search kernels, for equivalence tests.
+
+`contains_kss`, `find_induced_pattern` and `flats_in_sphere_check` are kept
+here verbatim as they were before the search kernels were vectorized (scalar
+probe loop, per-node `pick()`, closure of every point pair). The fast kernels
+in `ffil` must return the same witness, raise `ResourceLimitError` at the
+same caps and list the same flats. Do not optimize this module.
+"""
+
+from ffil.bigraph import BipartiteGraph, Pattern
+from ffil.errors import DomainError, ResourceLimitError
+from ffil.geometry import (
+    AffineFlat,
+    FlatRecord,
+    Sphere,
+    SphereFlatsReport,
+    _affine_closure,
+    is_totally_isotropic,
+    sphere_points,
+)
+from ffil.mpoly import ENUM_CAP
+
+PROBE_CAP = 10**8
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _first_bits(mask: int, s: int):
+    out = []
+    for b in _bits(mask):
+        out.append(b)
+        if len(out) == s:
+            break
+    return out
+
+
+def contains_kss(g: BipartiteGraph, s: int, probe_cap: int = PROBE_CAP):
+    """Exact K_{s,s} detection; witness (rows_in_A, cols_in_B) or None.
+
+    Iterates s-subsets of the smaller class in increasing lexicographic order,
+    carrying the common neighborhood as a bitmask and pruning any branch whose
+    common neighborhood falls below s, so the first witness found is the
+    lexicographically least. Every subset extension counts against probe_cap;
+    exhausting it raises ResourceLimitError (never a silent approximation).
+    """
+    if s < 1:
+        raise DomainError("s must be >= 1")
+    if s > g.m or s > g.n:
+        return None
+    swap = g.n < g.m
+    adj = g.adj_b if swap else g.adj_a
+    size = g.n if swap else g.m
+    other = g.m if swap else g.n
+    full = (1 << other) - 1
+    probes = 0
+
+    def extend(start, chosen, common):
+        nonlocal probes
+        for v in range(start, size - (s - len(chosen)) + 1):
+            probes += 1
+            if probes > probe_cap:
+                raise ResourceLimitError("K_{s,s} search probe budget exhausted")
+            c2 = common & adj[v]
+            if c2.bit_count() < s:
+                continue
+            chosen.append(v)
+            if len(chosen) == s:
+                return list(chosen), _first_bits(c2, s)
+            hit = extend(v + 1, chosen, c2)
+            if hit:
+                return hit
+            chosen.pop()
+        return None
+
+    hit = extend(0, [], full)
+    if hit is None:
+        return None
+    rows, cols = hit
+    return (cols, rows) if swap else (rows, cols)
+
+
+def find_induced_pattern(g: BipartiteGraph, pat: Pattern, node_cap: int = PROBE_CAP):
+    """Injective class-preserving embedding of `pat` into `g`, or None.
+
+    Every '1'-labeled pair must map to an edge and every '0'-labeled pair to a
+    non-edge; '*' pairs are free. Backtracking picks the next pattern vertex
+    with the most already-assigned non-* constraints (ties: total constraint
+    count, then A before B, then index) and scans host candidates in
+    increasing index through bitmask filtering, so the result is
+    deterministic. Each candidate attempted counts against node_cap.
+    """
+    a, b = pat.a, pat.b
+    if a > g.m or b > g.n:
+        return None
+    cons_a = [
+        [(j, pat.labels[i][j]) for j in range(b) if pat.labels[i][j] != "*"]
+        for i in range(a)
+    ]
+    cons_b = [
+        [(i, pat.labels[i][j]) for i in range(a) if pat.labels[i][j] != "*"]
+        for j in range(b)
+    ]
+    map_a = [-1] * a
+    map_b = [-1] * b
+    used_a = 0
+    used_b = 0
+    full_a = (1 << g.m) - 1
+    full_b = (1 << g.n) - 1
+    nodes = 0
+
+    def pick():
+        best = None
+        best_key = None
+        for side, count, cons, mapped, other_map in (
+            ("A", a, cons_a, map_a, map_b),
+            ("B", b, cons_b, map_b, map_a),
+        ):
+            for i in range(count):
+                if mapped[i] != -1:
+                    continue
+                assigned = sum(1 for o, _ in cons[i] if other_map[o] != -1)
+                key = (-assigned, -len(cons[i]), side, i)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = (side, i)
+        return best
+
+    def candidates(side, i):
+        if side == "A":
+            mask = full_a & ~used_a
+            for o, lbl in cons_a[i]:
+                h = map_b[o]
+                if h == -1:
+                    continue
+                col = g.adj_b[h]
+                mask &= col if lbl == "1" else full_a & ~col
+        else:
+            mask = full_b & ~used_b
+            for o, lbl in cons_b[i]:
+                h = map_a[o]
+                if h == -1:
+                    continue
+                col = g.adj_a[h]
+                mask &= col if lbl == "1" else full_b & ~col
+        return mask
+
+    def rec(depth):
+        nonlocal used_a, used_b, nodes
+        if depth == a + b:
+            return True
+        side, i = pick()
+        mapped = map_a if side == "A" else map_b
+        for h in _bits(candidates(side, i)):
+            nodes += 1
+            if nodes > node_cap:
+                raise ResourceLimitError("pattern search node budget exhausted")
+            mapped[i] = h
+            if side == "A":
+                used_a |= 1 << h
+            else:
+                used_b |= 1 << h
+            if rec(depth + 1):
+                return True
+            mapped[i] = -1
+            if side == "A":
+                used_a &= ~(1 << h)
+            else:
+                used_b &= ~(1 << h)
+        return False
+
+    if rec(0):
+        return list(map_a), list(map_b)
+    return None
+
+
+def flats_in_sphere_check(sphere: Sphere, dim_cap: int, cap: int = ENUM_CAP) -> SphereFlatsReport:
+    """Enumerate every flat of dimension <= dim_cap contained in the sphere
+    and check two identities on each: total isotropy of the flat, and
+    <x - w, x - y> = 0 for all flat points x, y (w the center).
+
+    Flats are built bottom-up: points, then closures of (flat, extra sphere
+    point) pairs, deduplicated by their full point sets.
+    """
+    form = sphere.form
+    ctx = form.ctx
+    pts = sphere_points(sphere, cap)
+    pt_set = set(pts)
+    report = SphereFlatsReport()
+    levels = {0: {frozenset((q,)): AffineFlat(ctx, form.dim, q, []) for q in pts}}
+    for r in range(1, dim_cap + 1):
+        nxt = {}
+        for key, flat in levels[r - 1].items():
+            for q in pts:
+                if q in key:
+                    continue
+                closure = _affine_closure(ctx, [flat.base] + [q] + sorted(key - {flat.base}))
+                if closure.dim != r:
+                    continue
+                cl_pts = frozenset(closure.points())
+                if cl_pts in nxt or not cl_pts <= pt_set:
+                    continue
+                nxt[cl_pts] = closure
+        levels[r] = nxt
+        if not nxt:
+            break
+    w = sphere.center
+    for r in sorted(levels):
+        for cl_pts, flat in sorted(levels[r].items(), key=lambda kv: sorted(kv[0])):
+            iso = is_totally_isotropic(form, flat)
+            radial = True
+            members = sorted(cl_pts)
+            for x in members:
+                for y in members:
+                    if form.inner(form.diff(x, w), form.diff(x, y)) != 0:
+                        radial = False
+                        break
+                if not radial:
+                    break
+            report.entries.append(FlatRecord(flat.dim, flat.base, flat.basis, iso, radial))
+    return report

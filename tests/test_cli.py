@@ -112,6 +112,38 @@ def test_malformed_input_exit_1(tmp_path, data, args):
     assert_usage_error(run_cli(*args, str(path), "--seed", "1"))
 
 
+@pytest.mark.parametrize(
+    "flags, needle",
+    [
+        (("--n", "5", "--m", "1", "--k", "3"), "--n"),
+        (("--n", "30", "--m", "1", "--k", "2"), "--k"),
+        (("--n", "30", "--m", "2", "--k", "3"), "--m"),
+    ],
+    ids=["n", "k", "m"],
+)
+def test_indep_set_hypergraph_must_match_flags(tmp_path, flags, needle):
+    hg = tmp_path / "hg.json"
+    hg.write_text(json.dumps({"n": 30, "k": 3, "edges": [[0, 1, 2]]}))
+    r = run_cli("indep-set", *flags, "--hypergraph", str(hg), "--seed", "1")
+    assert_usage_error(r, needle)
+    ok = run_cli("indep-set", "--n", "30", "--m", "1", "--k", "3", "--hypergraph", str(hg),
+                 "--seed", "1")
+    assert ok.returncode == 0, ok.stderr
+    assert json.loads(ok.stdout)["config"]["n"] == 30
+
+
+@pytest.mark.parametrize("flag", ["--output", "--csv"])
+def test_unwritable_output_exit_1_before_the_run(tmp_path, flag):
+    # this run would exit 3 (enumeration cap), so exit 1 shows that the
+    # output paths are checked before any computation
+    run = ("zero-count", "--p", "101", "--vars", "5", "--degree", "3", "--trials", "1",
+           "--seed", "1")
+    target = tmp_path / "missing" / "out"
+    assert_usage_error(run_cli(*run, flag, str(target)), str(target))
+    assert not target.parent.exists()
+    assert_usage_error(run_cli(*run, flag, str(tmp_path)), str(tmp_path))  # a directory
+
+
 def test_sphere_geometry_rejects_kmax_below_2():
     r = run_cli("sphere-geometry", "--p", "5", "--d", "2", "--families", "2",
                 "--kmax", "1", "--seed", "1")

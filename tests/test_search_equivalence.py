@@ -1,0 +1,203 @@
+"""The vectorized search kernels against their scalar reference copies.
+
+`search_reference` holds the K_{s,s}, induced-pattern and sphere-flat
+searches as they were written before vectorization. Here the fast kernels
+must give the same witness or None, spend exactly as many probes or nodes
+(the reference raises at cap c - 1 and not at c, c being the count the fast
+kernel reports), and list the same flats in the same order.
+"""
+
+import json
+
+import pytest
+
+import ffil.cli
+import ffil.constructions
+import search_reference as ref
+from ffil import bigraph
+from ffil.bigraph import (
+    BipartiteGraph,
+    Pattern,
+    contains_kss,
+    find_induced_pattern,
+    prefix_tree_pattern,
+)
+from ffil.errors import ResourceLimitError
+from ffil.geometry import BilinearForm, Sphere, flats_in_sphere_check, unit_distance_graph
+from ffil.gf import FieldCtx
+from ffil.mpoly import domain_points
+from ffil.rng import Rng
+
+
+def random_graph(r, max_side, density):
+    m = 1 + r.randbelow(max_side)
+    n = 1 + r.randbelow(max_side)
+    edges = [(i, j) for i in range(m) for j in range(n) if r.bernoulli(density)]
+    return BipartiteGraph(m, n, edges)
+
+
+def assert_exact_count(count, *searches):
+    """`count` is the exact work of each search: each raises
+    ResourceLimitError at cap count - 1 and none does at cap count."""
+    for search in searches:
+        if count:
+            with pytest.raises(ResourceLimitError):
+                search(count - 1)
+        search(count)
+
+
+def check_kss(g, s):
+    counters = {}
+    got = contains_kss(g, s, counters=counters)
+    assert got == ref.contains_kss(g, s)
+    assert_exact_count(
+        counters["kss_probes"],
+        lambda cap: contains_kss(g, s, probe_cap=cap),
+        lambda cap: ref.contains_kss(g, s, probe_cap=cap),
+    )
+    return got
+
+
+@pytest.mark.parametrize(
+    "small_node, pair_cells",
+    [(16, 1 << 18), (0, 1 << 18), (0, 1), (0, 40), (3, 7)],
+    ids=["default", "numpy-nodes", "column-sums", "small-blocks", "mixed"],
+)
+def test_kss_matches_reference(monkeypatch, small_node, pair_cells):
+    # the node-size and block-size thresholds only choose how survivors are
+    # counted; every choice must give the reference's witness and probes
+    monkeypatch.setattr(bigraph, "_SMALL_NODE", small_node)
+    monkeypatch.setattr(bigraph, "_PAIR_CELLS", pair_cells)
+    rng = Rng(2024)
+    found = 0
+    for trial in range(120):
+        r = rng.derive(trial)
+        g = random_graph(r, 24, (0.25, 0.5, 0.75, 0.9)[r.randbelow(4)])
+        found += check_kss(g, 1 + r.randbelow(5)) is not None
+    assert 10 < found < 110  # both verdicts are exercised
+
+
+def test_kss_matches_reference_on_unit_distance_graphs():
+    for p, d, sig in ((7, 2, (1, 1)), (5, 3, (1, 1, 1)), (3, 4, (1, 1, 1, -1))):
+        form = BilinearForm(FieldCtx.prime(p), sig)
+        double = unit_distance_graph(domain_points(p, d).tolist(), form).bipartite_double()
+        for s in (2, 3, 4):
+            check_kss(double, s)
+
+
+def test_kss_probe_count_of_trivial_searches():
+    counters = {}
+    g = BipartiteGraph(3, 2, [(0, 0)])
+    assert contains_kss(g, 3, counters=counters) is None  # s above a class size
+    assert counters == {"kss_probes": 0}
+    assert contains_kss(g, 1, counters=counters) == ([0], [0])
+    assert counters == {"kss_probes": 1}
+
+
+def check_pattern(g, pat):
+    counters = {}
+    got = find_induced_pattern(g, pat, counters=counters)
+    assert got == ref.find_induced_pattern(g, pat)
+    assert_exact_count(
+        counters["pattern_nodes"],
+        lambda cap: find_induced_pattern(g, pat, node_cap=cap),
+        lambda cap: ref.find_induced_pattern(g, pat, node_cap=cap),
+    )
+    return got
+
+
+def test_pattern_matches_reference():
+    rng = Rng(77)
+    found = 0
+    for trial in range(300):
+        r = rng.derive(trial)
+        g = random_graph(r, 10, (0.2, 0.5, 0.8)[r.randbelow(3)])
+        pa, pb = 1 + r.randbelow(4), 1 + r.randbelow(4)
+        pat = Pattern(["".join("01*"[r.randbelow(3)] for _ in range(pb)) for _ in range(pa)])
+        found += check_pattern(g, pat) is not None
+    assert 30 < found < 270
+
+
+def test_pattern_matches_reference_tree_mode():
+    # the host and sub-hosts of `pattern-scan --p 3 --d 3 --pattern tree`
+    p, d = 3, 3
+    grid = domain_points(p, d).tolist()
+    normals = [v for v in grid if next((c for c in v if c), None) == 1]
+    host = BipartiteGraph.from_bool_matrix(
+        [[sum(a * b for a, b in zip(pt, nrm)) % p == c for nrm in normals for c in range(p)]
+         for pt in grid]
+    )
+    pat = prefix_tree_pattern(d - 1, 1)
+    rng = Rng(5)
+    for i in range(4):
+        r = rng.derive(i)
+        sub = host.induced(r.sample_indices(host.m, 15), r.sample_indices(host.n, 15))
+        check_pattern(sub, pat)
+
+
+SIGNATURES = {
+    "plus": lambda d: (1,) * d,
+    "mixed": lambda d: (1,) * (d - 1) + (-1,),
+    "minus": lambda d: (-1,) * d,
+}
+FLAT_CASES = [
+    (p, d, cap)
+    for p in (3, 5, 7, 11, 13)
+    for d in (2, 3, 4)
+    for cap in (1, 2)
+    if p**d <= (343 if cap == 1 else 125) or (d == 2 and p**d <= 169)
+]
+
+
+@pytest.mark.parametrize("p, d, dim_cap", FLAT_CASES)
+@pytest.mark.parametrize("sig", sorted(SIGNATURES))
+def test_flats_match_reference(p, d, dim_cap, sig):
+    form = BilinearForm(FieldCtx.prime(p), SIGNATURES[sig](d))
+    for center in ((0,) * d, tuple((3 * i + 1) % p for i in range(d))):
+        sphere = Sphere(form, center)
+        got = flats_in_sphere_check(sphere, dim_cap).entries
+        assert got == ref.flats_in_sphere_check(sphere, dim_cap).entries
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["unit-distance", "--d", "2", "--p", "7", "--s", "3"],
+        ["unit-distance", "--d", "2", "--p", "7", "--s", "2"],  # witness, then smallest_free_s
+        ["zarankiewicz", "--p", "7", "--d1", "1", "--d2", "1", "--m", "7", "--n", "7", "--s", "2"],
+        ["point-variety", "--m", "25", "--alpha", "1.0", "--dim", "2"],
+        ["pattern-scan", "--p", "3", "--d", "3", "--hosts", "3", "--host-size", "12"],
+    ],
+    ids=lambda argv: argv[0] + "-" + argv[-1],
+)
+def test_report_counters_equal_reference_counts(monkeypatch, capsys, argv):
+    """A report's counters block sums the exact work of its searches."""
+    searches = []  # (reference search with a cap, count the kernel reported)
+
+    def spy_kss(g, s, probe_cap=bigraph.PROBE_CAP, counters=None):
+        own = {}
+        hit = contains_kss(g, s, probe_cap, own)
+        searches.append((lambda cap: ref.contains_kss(g, s, probe_cap=cap), own["kss_probes"]))
+        counters["kss_probes"] += own["kss_probes"]
+        return hit
+
+    def spy_pattern(g, pat, node_cap=bigraph.PROBE_CAP, counters=None):
+        own = {}
+        hit = find_induced_pattern(g, pat, node_cap, own)
+        searches.append(
+            (lambda cap: ref.find_induced_pattern(g, pat, node_cap=cap), own["pattern_nodes"])
+        )
+        counters["pattern_nodes"] += own["pattern_nodes"]
+        return hit
+
+    monkeypatch.setattr(ffil.constructions, "contains_kss", spy_kss)
+    monkeypatch.setattr(bigraph, "contains_kss", spy_kss)  # smallest_free_s
+    monkeypatch.setattr(ffil.cli, "find_induced_pattern", spy_pattern)
+    code = ffil.cli.main(argv + ["--seed", "1"])
+    report = json.loads(capsys.readouterr().out)
+    assert code in (0, 2)
+    key = "pattern_nodes" if argv[0] == "pattern-scan" else "kss_probes"
+    assert report["counters"] == {key: sum(count for _, count in searches)}
+    assert report["counters"][key] > 0
+    for search, count in searches:
+        assert_exact_count(count, search)
