@@ -71,14 +71,8 @@ class BipartiteGraph:
 
     def induced(self, a_idx, b_idx) -> "BipartiteGraph":
         """Induced subgraph on the given A- and B-index lists (reindexed)."""
-        edges = []
-        pos_b = {j: c for c, j in enumerate(b_idx)}
-        for r, i in enumerate(a_idx):
-            mask = self.adj_a[i]
-            for j, c in pos_b.items():
-                if mask >> j & 1:
-                    edges.append((r, c))
-        return BipartiteGraph(len(a_idx), len(b_idx), edges)
+        rows = _incidence_rows([self.adj_a[i] for i in a_idx], self.n)
+        return BipartiteGraph.from_bool_matrix(rows[:, list(b_idx)])
 
 
 # contains_kss filters a node's candidates in numpy once there are more than

@@ -341,7 +341,7 @@ def evasive_point_set(p, d, k, strategy, rng, cap: int = ENUM_CAP):
 class UnitDistanceInstance:
     points: list
     form: BilinearForm
-    graph: object  # UnitDistanceGraph
+    graph: BipartiteGraph  # unit_distance_graph: the bipartite double
     report: ConstructionReport
 
 
@@ -356,9 +356,10 @@ def unit_distance_instance(
     the modulus directly, e.g. p = 7 which no admissible n reaches), builds a
     base set U of size p^e, and samples nonzero shifts x until U and U + x
     span at least |U|^2/(2p) ordered unit pairs under the dimension form. The
-    final set is U union (U + x); when d = 1 (mod 4) it is re-embedded over
-    F_{p^2} so the relation becomes the standard one. Subsamples to n points
-    when n is given and smaller.
+    final set is U union (U + x), subsampled to n points when n is given and
+    smaller. The graph is always built over F_p under the dimension form;
+    when d = 1 (mod 4) the returned points and form are the re-embedding over
+    F_{p^2}, where the relation is the standard one and the graph the same.
     """
     if d < 2:
         raise DomainError("construction needs d >= 2")
@@ -412,35 +413,34 @@ def unit_distance_instance(
     merged = sorted(
         set(u_set) | set(tuple((a + b) % p for a, b in zip(pt, shift)) for pt in u_set)
     )
+    if n is not None:
+        if n > len(merged):
+            raise DomainError(f"requested n = {n} exceeds constructed {len(merged)} points")
+        if n < len(merged):
+            idx = rng.sample_indices(len(merged), n)
+            merged = [merged[i] for i in idx]
+
+    graph = unit_distance_graph(merged, form)
+    pts_final, form_final = merged, form
     if d % 4 == 1:
+        # a^2 = -1, so the embedded points under the standard form span the
+        # same unit pairs as `merged` under the dimension form
         ext = FieldCtx.quadratic(p)
         pts_final = embed_to_standard_norm(merged, ext)
         form_final = BilinearForm.standard(ext, d)
         report.flags.append("re-embedded over the quadratic extension (d = 1 mod 4)")
-    else:
-        pts_final = merged
-        form_final = form
-    if n is not None:
-        if n > len(pts_final):
-            raise DomainError(f"requested n = {n} exceeds constructed {len(pts_final)} points")
-        if n < len(pts_final):
-            idx = rng.sample_indices(len(pts_final), n)
-            pts_final = [pts_final[i] for i in idx]
-
-    graph = unit_distance_graph(pts_final, form_final)
-    double = graph.bipartite_double()
-    report.verification = kss_verdict(double, s, report.counters)
+    report.verification = kss_verdict(graph, s, report.counters)
     report.achieved = {
         "U_size": u_size,
         "P_size": len(pts_final),
         "cross_pairs": cross,
-        "unit_distances": graph.edge_count(),
+        "unit_distances": graph.edge_count() // 2,
         "shift": list(shift),
     }
     if report.verification["witness"] is not None:
         # the guaranteed freeness level is not numeric; report the smallest
         # s at which the exhaustive check certifies freeness instead
         report.verification["smallest_free_s"] = smallest_free_s(
-            double, 4 * s, counters=report.counters
+            graph, 4 * s, counters=report.counters
         )
     return UnitDistanceInstance(pts_final, form_final, graph, report)

@@ -1,10 +1,11 @@
 """Bilinear forms, unit spheres, affine flats, and unit-distance graphs.
 
 All geometry is exact field arithmetic; membership tests never use
-probabilistic shortcuts. Grid sweeps (sphere tables, pairwise norms) are
-vectorized with numpy over prime fields; extension-field points go through
-the scalar context operations. Sphere point tables for origin-centered
-spheres are memoized in memory.
+probabilistic shortcuts. Grid sweeps (sphere tables, pairwise norms) and
+every graph are computed with numpy over prime fields. Extension-field
+points only relabel prime-field ones (the F_{p^2} re-embedding); the scalar
+context operations in `inner` are their reference. Sphere point tables for
+origin-centered spheres are memoized in memory.
 """
 
 from dataclasses import dataclass, field
@@ -221,12 +222,12 @@ def _origin_sphere_points(form: BilinearForm, cap: int):
     increasing x_d.
     """
     p, d = form.ctx.p, form.dim
+    if p**d > cap:  # also for a memoized table, so the cap never depends on call order
+        raise ResourceLimitError(f"sphere enumeration over {p}^{d} points exceeds cap")
     key = (p, form.signature)
     pts = _ORIGIN_CACHE.get(key)
     if pts is not None:
         return pts
-    if p**d > cap:
-        raise ResourceLimitError(f"sphere enumeration over {p}^{d} points exceeds cap")
     head = domain_points(p, d - 1)
     partial = form.norms_of_rows(np.pad(head, ((0, 0), (0, 1))))
     target = form.signature[-1] * (1 - partial) % p
@@ -423,8 +424,9 @@ def isotropic_unit_pair_search(form: BilinearForm, cap: int = ENUM_CAP):
 
     When x^2 = -1 has no root in F_p no such pair exists; the search verifies
     that by exhausting all totally isotropic k-dimensional direction spaces
-    (canonical RREF enumeration) against all unit vectors. Returns the first
-    pair found (deterministic order) or None.
+    (canonical RREF enumeration) against all unit vectors, taken from the
+    origin sphere table in lexicographic order. Returns the first pair found
+    (deterministic order) or None.
     """
     d = form.dim
     if d % 2 == 0:
@@ -432,12 +434,8 @@ def isotropic_unit_pair_search(form: BilinearForm, cap: int = ENUM_CAP):
     if form.ctx.kind != "prime":
         raise DomainError("search runs over prime fields only")
     p = form.ctx.p
-    if p**d > cap:
-        raise ResourceLimitError("vector enumeration exceeds cap")
     k = (d - 1) // 2
-    grid = domain_points(p, d)
-    norms = form.norms_of_rows(grid)
-    units = grid[norms == 1]
+    units = np.asarray(_origin_sphere_points(form, cap), dtype=np.int64).reshape(-1, d)
     if k == 0:
         if units.shape[0]:
             w = tuple(int(v) for v in units[0])
@@ -488,60 +486,22 @@ def _extend_isotropic(form, p, sig, cands, chosen, orthogonal_units):
 # -- unit-distance graphs ---------------------------------------------------
 
 
-class UnitDistanceGraph:
-    """Symmetric loop-free graph: i ~ j iff norm_sq(points[i] - points[j]) = 1."""
-
-    __slots__ = ("points", "form", "adj")
-
-    def __init__(self, points, form: BilinearForm, adj):
-        self.points = points
-        self.form = form
-        self.adj = adj
-
-    @property
-    def n(self) -> int:
-        return len(self.points)
-
-    def edge_count(self) -> int:
-        return sum(mask.bit_count() for mask in self.adj) // 2
-
-    def degree(self, i: int) -> int:
-        return self.adj[i].bit_count()
-
-    def bipartite_double(self) -> BipartiteGraph:
-        """Two copies of the point set; (i, j) is an edge iff i ~ j here."""
-        g = BipartiteGraph.__new__(BipartiteGraph)
-        g.m = g.n = self.n
-        g.adj_a = list(self.adj)
-        g.adj_b = list(self.adj)
-        return g
-
-
-def unit_distance_graph(points, form: BilinearForm) -> UnitDistanceGraph:
-    """Build the unit-distance graph of a point list under `form`.
-
-    Works over prime contexts (vectorized) and extension contexts (scalar
-    field ops). A point is never adjacent to itself: the difference has norm
-    zero, not one.
+def unit_distance_graph(points, form: BilinearForm) -> BipartiteGraph:
+    """Unit-distance graph of a point list under `form` (prime ctx only), as
+    its bipartite double: both classes are the point list, and (i, j) is an
+    edge iff norm_sq(points[i] - points[j]) = 1. The relation is symmetric,
+    so the two classes share one list of bitmasks. A point is never adjacent
+    to itself: the difference has norm zero, not one.
     """
+    if form.ctx.kind != "prime":
+        raise DomainError("unit-distance graphs are built over prime fields only")
     points = [tuple(pt) for pt in points]
-    n = len(points)
-    ctx = form.ctx
-    for pt in points:
-        if len(pt) != form.dim:
-            raise DomainError("point dimension mismatch")
-    if ctx.kind == "prime":
-        adj = bool_rows_to_masks(form.unit_pair_matrix(points, points))
-    else:
-        one = (1, 0)
-        adj = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                delta = form.diff(points[i], points[j])
-                if form.norm_sq(delta) == one:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
-    return UnitDistanceGraph(points, form, adj)
+    if any(len(pt) != form.dim for pt in points):
+        raise DomainError("point dimension mismatch")
+    g = BipartiteGraph.__new__(BipartiteGraph)
+    g.m = g.n = len(points)
+    g.adj_a = g.adj_b = bool_rows_to_masks(form.unit_pair_matrix(points, points))
+    return g
 
 
 def point_sphere_incidence(points, centers, form: BilinearForm) -> BipartiteGraph:

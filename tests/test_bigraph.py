@@ -271,3 +271,19 @@ def test_induced_subgraph():
     assert sub.m == 2 and sub.n == 2
     assert sub.has_edge(0, 1) == g.has_edge(1, 2)
     assert sub.has_edge(1, 0) == g.has_edge(3, 0)
+    # seeded random index lists, in any order, empty ones included
+    rng = Rng(268)
+    for trial in range(50):
+        r = rng.derive(trial)
+        g = random_host(r, max_side=70)
+        a_idx = r.sample_indices(g.m, r.randbelow(g.m + 1))
+        b_idx = r.sample_indices(g.n, r.randbelow(g.n + 1))
+        if trial % 2:
+            a_idx, b_idx = a_idx[::-1], b_idx[::-1]
+        sub = g.induced(a_idx, b_idx)
+        assert (sub.m, sub.n) == (len(a_idx), len(b_idx))
+        assert len(sub.adj_a) == sub.m and len(sub.adj_b) == sub.n
+        for row, i in enumerate(a_idx):
+            for col, j in enumerate(b_idx):
+                assert sub.has_edge(row, col) == g.has_edge(i, j)
+                assert bool(sub.adj_b[col] >> row & 1) == g.has_edge(i, j)

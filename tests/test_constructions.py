@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from ffil import (
-    BilinearForm,
     DomainError,
     FieldCtx,
     evasive_point_set,
@@ -191,29 +190,29 @@ def test_unit_distance_replayable():
 
 
 def test_unit_distance_d5_extension_branch():
-    inst = unit_distance_instance(None, 5, Rng(42), p=3, s=4)
-    rep = inst.report
-    assert rep.achieved["U_size"] == 81
-    assert inst.form.ctx.kind == "ext"
-    # embedded unit relation matches the pre-embedding form exactly
-    ctx = FieldCtx.prime(3)
-    form_d = BilinearForm.for_dim(ctx, 5)
-    pre = [tuple(c[0] if i < 4 else c[1] for i, c in enumerate(pt)) for pt in inst.points]
+    # the graph is built over F_3 under the dimension form; every pair of it
+    # must match the scalar F_9 relation of the re-embedded points
     one = (1, 0)
-    for i in range(0, len(pre), 7):
-        for j in range(i + 1, len(pre), 5):
-            want = form_d.norm_sq(form_d.diff(pre[i], pre[j])) == 1
-            got = inst.form.norm_sq(inst.form.diff(inst.points[i], inst.points[j])) == one
-            assert want == got
-    # witness, if any, is genuine: all pairs at unit distance
-    ver = rep.verification
-    if ver["outcome"] == "witness-found":
-        S, T = ver["witness"]
-        for i in S:
-            for j in T:
-                d = inst.form.diff(inst.points[i], inst.points[j])
-                assert inst.form.norm_sq(d) == one
-        assert ver["smallest_free_s"] is None or ver["smallest_free_s"] > rep.params["s"]
+    for seed, size in ((42, 111), (1, 145)):
+        inst = unit_distance_instance(None, 5, Rng(seed), p=3, s=4)
+        rep, g = inst.report, inst.graph
+        assert rep.achieved["U_size"] == 81
+        assert rep.achieved["P_size"] == size == g.m == g.n
+        assert inst.form.ctx.kind == "ext"
+        assert "re-embedded over the quadratic extension (d = 1 mod 4)" in rep.flags
+        for i, x in enumerate(inst.points):
+            for j, y in enumerate(inst.points):
+                assert g.has_edge(i, j) == (inst.form.norm_sq(inst.form.diff(x, y)) == one)
+        assert rep.achieved["unit_distances"] * 2 == g.edge_count()
+        # witness, if any, is genuine: all pairs at unit distance
+        ver = rep.verification
+        if ver["outcome"] == "witness-found":
+            S, T = ver["witness"]
+            for i in S:
+                for j in T:
+                    d = inst.form.diff(inst.points[i], inst.points[j])
+                    assert inst.form.norm_sq(d) == one
+            assert ver["smallest_free_s"] is None or ver["smallest_free_s"] > rep.params["s"]
 
 
 def test_unit_distance_rejects_bad_p():

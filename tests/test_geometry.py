@@ -8,6 +8,7 @@ from ffil import (
     BilinearForm,
     DomainError,
     FieldCtx,
+    ResourceLimitError,
     Sphere,
     embed_to_standard_norm,
     flats_in_sphere_check,
@@ -89,7 +90,7 @@ def test_vectorized_norms_exact_at_large_p():
             for i, x in enumerate(pts):
                 for j, y in enumerate(pts):
                     want = form.norm_sq(form.diff(x, y)) == 1
-                    assert bool(g.adj[i] >> j & 1) == want
+                    assert g.has_edge(i, j) == want
                 for j, w in enumerate(base[:4]):
                     assert inc.has_edge(i, j) == Sphere(form, w).contains(x)
 
@@ -239,27 +240,44 @@ def test_isotropic_unit_pair_search_d5():
         assert isotropic_unit_pair_search(form) is None
     with pytest.raises(DomainError):
         isotropic_unit_pair_search(BilinearForm.standard(FieldCtx.prime(3), 4))
+    # the unit vectors come from the memoized sphere table, which still
+    # enforces the cap once the table is built (it is, by the loop above)
+    with pytest.raises(ResourceLimitError):
+        isotropic_unit_pair_search(form, cap=7**5 - 1)
+    with pytest.raises(ResourceLimitError):
+        sphere_points(Sphere(form, (0,) * 5), cap=7**5 - 1)
 
 
 def test_unit_distance_graph_examples():
     ctx = FieldCtx.prime(7)
     form = BilinearForm.standard(ctx, 2)
     g = unit_distance_graph([(0, 0), (1, 0), (3, 3)], form)
-    assert g.adj[0] >> 1 & 1  # differ by e_1
-    assert not g.adj[0] >> 0 & 1  # no self loops
+    assert g.has_edge(0, 1)  # differ by e_1
+    assert not g.has_edge(0, 0)  # no self loops
     full = unit_distance_graph(grid(7, 2), form)
-    assert full.edge_count() == 49 * 8 // 2
+    assert full.edge_count() == 49 * 8  # each unit pair once per side
     # symmetry
     for i in range(full.n):
         for j in range(full.n):
-            assert (full.adj[i] >> j & 1) == (full.adj[j] >> i & 1)
+            assert full.has_edge(i, j) == full.has_edge(j, i)
+    assert full.adj_a == full.adj_b
+    with pytest.raises(DomainError):
+        unit_distance_graph([(0, 0, 0)], form)
+
+
+def test_unit_distance_graph_rejects_extension_form():
+    # re-embedded F_{p^2} points are never graphed; their F_p preimages are,
+    # under BilinearForm.for_dim
+    ext = FieldCtx.quadratic(7)
+    pts = embed_to_standard_norm([(0, 0), (1, 0)], ext)
+    with pytest.raises(DomainError):
+        unit_distance_graph(pts, BilinearForm.standard(ext, 2))
 
 
 def test_bipartite_double_view():
     ctx = FieldCtx.prime(7)
     form = BilinearForm.standard(ctx, 2)
-    g = unit_distance_graph([(0, 0), (1, 0), (2, 0)], form)
-    d = g.bipartite_double()
+    d = unit_distance_graph([(0, 0), (1, 0), (2, 0)], form)
     assert (d.m, d.n) == (3, 3)
     assert d.has_edge(0, 1) and d.has_edge(1, 0)
     assert not d.has_edge(0, 0)

@@ -80,7 +80,7 @@ def test_kss_matches_reference(monkeypatch, small_node, pair_cells):
 def test_kss_matches_reference_on_unit_distance_graphs():
     for p, d, sig in ((7, 2, (1, 1)), (5, 3, (1, 1, 1)), (3, 4, (1, 1, 1, -1))):
         form = BilinearForm(FieldCtx.prime(p), sig)
-        double = unit_distance_graph(domain_points(p, d).tolist(), form).bipartite_double()
+        double = unit_distance_graph(domain_points(p, d).tolist(), form)
         for s in (2, 3, 4):
             check_kss(double, s)
 
