@@ -277,7 +277,7 @@ class Pattern:
 
 
 def find_induced_pattern(
-    g: BipartiteGraph, pat: Pattern, node_cap: int = PROBE_CAP, counters=None
+    g: BipartiteGraph, pat: Pattern, node_cap: int = PROBE_CAP, counters=None, rooted=False
 ):
     """Injective class-preserving embedding of `pat` into `g`, or None.
 
@@ -292,9 +292,17 @@ def find_induced_pattern(
     deterministic. A node is one candidate attempted; each counts against
     node_cap, and when `counters` is a dict, counters["pattern_nodes"] is
     increased by the nodes a search that returns has spent.
+
+    With rooted=True the vertex mapped at depth 0 may only go to host vertex 0
+    of its class. That is exact for existence on a host whose automorphisms
+    move every vertex of each class onto vertex 0 while acting on both
+    classes at once, such as `point_sphere_incidence(grid, grid)` with
+    `geometry.is_full_grid(grid)`: translating an embedding so that its
+    depth-0 vertex lands on the origin gives another embedding. The
+    embedding returned is then not the one the plain search would return.
     """
     fits = pat.a <= g.m and pat.b <= g.n
-    steps, hosts, nodes = _pattern_search(g, pat, node_cap) if fits else (None, None, 0)
+    steps, hosts, nodes = _pattern_search(g, pat, node_cap, rooted) if fits else (None, None, 0)
     if counters is not None:
         counters["pattern_nodes"] = counters.get("pattern_nodes", 0) + nodes
     if hosts is None:
@@ -305,7 +313,7 @@ def find_induced_pattern(
     return map_a, map_b
 
 
-def _pattern_search(g: BipartiteGraph, pat: Pattern, node_cap: int):
+def _pattern_search(g: BipartiteGraph, pat: Pattern, node_cap: int, rooted: bool):
     """(steps, host vertex per step or None, nodes); see find_induced_pattern."""
     a, b = pat.a, pat.b
     # non-* constraints of each pattern vertex: [(other vertex, is_edge)]
@@ -344,6 +352,8 @@ def _pattern_search(g: BipartiteGraph, pat: Pattern, node_cap: int):
         for t, one in checks:
             col = cols[hosts[t]]
             mask &= col if one else ~col
+        if rooted and depth == 0:
+            mask &= 1
         while mask:
             low = mask & -mask
             mask ^= low

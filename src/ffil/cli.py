@@ -359,9 +359,14 @@ def cmd_pattern_scan(args, rng):
         pat = bigraph.prefix_tree_pattern(args.d - 1, 1)
     rows = []
     found_any = False
-    counters = {"pattern_nodes": 0}
+    counters = {"pattern_nodes": 0, "rooted_searches": 0}
     if args.full_scan:
-        hit = find_induced_pattern(host, pat, counters=counters)
+        # points against unit spheres centered on the same full grid: every
+        # translation of F_p^d maps the host onto itself, so an embedding
+        # exists iff one maps the first pattern vertex to the origin
+        rooted = args.pattern == "pi" and geo.is_full_grid(grid, args.p)
+        counters["rooted_searches"] += rooted
+        hit = find_induced_pattern(host, pat, counters=counters, rooted=rooted)
         found_any |= hit is not None
         rows.append(["full", int(hit is not None)])
     for hi in range(args.hosts):

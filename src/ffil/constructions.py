@@ -11,6 +11,7 @@ not bad luck.
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,13 @@ from .mpoly import (
     zero_mask,
 )
 from .bigraph import BipartiteGraph, contains_kss, smallest_free_s
-from .geometry import BilinearForm, embed_to_standard_norm, unit_distance_graph
+from .geometry import (
+    BilinearForm,
+    _origin_sphere_points,
+    embed_to_standard_norm,
+    is_full_grid,
+    unit_distance_graph,
+)
 
 RETRY_POLY = 20
 RETRY_SUBSAMPLE = 20
@@ -52,9 +59,22 @@ class ConstructionReport:
     counters: dict = field(default_factory=dict)
 
 
-def kss_verdict(graph: BipartiteGraph, s: int, counters: dict) -> dict:
+def kss_verdict(graph, s: int, counters: dict, rooted=None) -> dict:
     """Exact K_{s,s} check as a report's verification block; the probes it
-    spends are added to counters["kss_probes"]."""
+    spends are added to counters["kss_probes"].
+
+    `rooted`, when given, is a subgraph that contains K_{s,s} exactly when
+    the graph does (see unit_distance_instance). Freeness is then certified
+    on it, counted in counters["rooted_searches"], and `graph` is a function
+    that builds the graph: it is called and searched only when the subgraph
+    has a witness, so the witness reported is always the graph's lex-first
+    one.
+    """
+    if rooted is not None:
+        counters["rooted_searches"] += 1
+        if contains_kss(rooted, s, counters=counters) is None:
+            return {"s": s, "outcome": "verified-free", "witness": None}
+        graph = graph()
     witness = contains_kss(graph, s, counters=counters)
     return {
         "s": s,
@@ -341,8 +361,17 @@ def evasive_point_set(p, d, k, strategy, rng, cap: int = ENUM_CAP):
 class UnitDistanceInstance:
     points: list
     form: BilinearForm
-    graph: BipartiteGraph  # unit_distance_graph: the bipartite double
     report: ConstructionReport
+    # the points and form over F_p the graph is built from; they differ from
+    # points and form only when d = 1 (mod 4)
+    prime_points: list
+    prime_form: BilinearForm
+
+    @cached_property
+    def graph(self) -> BipartiteGraph:
+        """unit_distance_graph of the points (the bipartite double), built on
+        first access."""
+        return unit_distance_graph(self.prime_points, self.prime_form)
 
 
 def unit_distance_instance(
@@ -360,6 +389,19 @@ def unit_distance_instance(
     smaller. The graph is always built over F_p under the dimension form;
     when d = 1 (mod 4) the returned points and form are the re-embedding over
     F_{p^2}, where the relation is the standard one and the graph the same.
+
+    For d = 2, 3, U is all of F_p^d. Then every point has the |S| points of
+    x + S as unit neighbours, S being the origin-centered unit sphere, so
+    cross_pairs is |U| |S| and, when no subsample is taken (the final set
+    passes geometry.is_full_grid), unit_distances is n |S| / 2; no pair
+    matrix of all points is built. The graph is then the Cayley graph of
+    F_p^d with connection set S, and any K_{s,s} in it translates onto one
+    through the origin, vertex 0, whose neighbours are S. So the n x |S|
+    block of the graph on the columns S contains K_{s,s} exactly when the
+    graph does, for every s: the verdict and smallest_free_s are decided on
+    that block, and the graph itself (`inst.graph`, built on first access)
+    is only built to find the lex-first witness when the block has one.
+    counters["rooted_searches"] counts the searches run on the block.
     """
     if d < 2:
         raise DomainError("construction needs d >= 2")
@@ -384,7 +426,7 @@ def unit_distance_instance(
 
     report = ConstructionReport(
         kind="unit-distance",
-        counters={"kss_probes": 0},
+        counters={"kss_probes": 0, "rooted_searches": 0},
         params={"n": n, "d": d, "p": p, "k": k, "s": s, "strategy": strategy},
         seed=rng.seed,
         bound={"cross_pairs_min": u_size**2 / (2 * p)},
@@ -395,12 +437,18 @@ def unit_distance_instance(
         ],
     )
 
+    # U = F_p^d: each u has exactly the |S| points u + S as unit partners in
+    # U + x = F_p^d
+    whole = len(set(u_set)) == p**d
     shift = cross = None
     for attempt in range(1, RETRY_SHIFT + 1):
         x = tuple(rng.randbelow(p) for _ in range(d))
         while not any(x):
             x = tuple(rng.randbelow(p) for _ in range(d))
-        count = int(np.count_nonzero(form.unit_pair_matrix(u_arr, (u_arr + x) % p)))
+        if whole:
+            count = u_size * len(_origin_sphere_points(form, ENUM_CAP))
+        else:
+            count = int(np.count_nonzero(form.unit_pair_matrix(u_arr, (u_arr + x) % p)))
         if 2 * p * count >= u_size**2:
             shift, cross = x, count
             report.retries["shift"] = attempt
@@ -420,7 +468,6 @@ def unit_distance_instance(
             idx = rng.sample_indices(len(merged), n)
             merged = [merged[i] for i in idx]
 
-    graph = unit_distance_graph(merged, form)
     pts_final, form_final = merged, form
     if d % 4 == 1:
         # a^2 = -1, so the embedded points under the standard form span the
@@ -429,18 +476,30 @@ def unit_distance_instance(
         pts_final = embed_to_standard_norm(merged, ext)
         form_final = BilinearForm.standard(ext, d)
         report.flags.append("re-embedded over the quadratic extension (d = 1 mod 4)")
-    report.verification = kss_verdict(graph, s, report.counters)
+    inst = UnitDistanceInstance(pts_final, form_final, report, merged, form)
+    block = None
+    if is_full_grid(merged, p):
+        sphere = _origin_sphere_points(form, ENUM_CAP)
+        block = BipartiteGraph.from_bool_matrix(form.unit_pair_matrix(merged, sphere))
+        report.verification = kss_verdict(lambda: inst.graph, s, report.counters, block)
+        edges = len(merged) * len(sphere)
+    else:
+        report.verification = kss_verdict(inst.graph, s, report.counters)
+        edges = inst.graph.edge_count()
     report.achieved = {
         "U_size": u_size,
         "P_size": len(pts_final),
         "cross_pairs": cross,
-        "unit_distances": graph.edge_count() // 2,
+        "unit_distances": edges // 2,
         "shift": list(shift),
     }
     if report.verification["witness"] is not None:
         # the guaranteed freeness level is not numeric; report the smallest
         # s at which the exhaustive check certifies freeness instead
-        report.verification["smallest_free_s"] = smallest_free_s(
-            graph, 4 * s, counters=report.counters
+        free = smallest_free_s(
+            inst.graph if block is None else block, 4 * s, counters=report.counters
         )
-    return UnitDistanceInstance(pts_final, form_final, graph, report)
+        if block is not None:  # one search for each s up to the answer
+            report.counters["rooted_searches"] += 4 * s if free is None else free
+        report.verification["smallest_free_s"] = free
+    return inst

@@ -84,7 +84,9 @@ def contains_kss(g: BipartiteGraph, s: int, probe_cap: int = PROBE_CAP):
     return (cols, rows) if swap else (rows, cols)
 
 
-def find_induced_pattern(g: BipartiteGraph, pat: Pattern, node_cap: int = PROBE_CAP):
+def find_induced_pattern(
+    g: BipartiteGraph, pat: Pattern, node_cap: int = PROBE_CAP, rooted: bool = False
+):
     """Injective class-preserving embedding of `pat` into `g`, or None.
 
     Every '1'-labeled pair must map to an edge and every '0'-labeled pair to a
@@ -92,7 +94,8 @@ def find_induced_pattern(g: BipartiteGraph, pat: Pattern, node_cap: int = PROBE_
     with the most already-assigned non-* constraints (ties: total constraint
     count, then A before B, then index) and scans host candidates in
     increasing index through bitmask filtering, so the result is
-    deterministic. Each candidate attempted counts against node_cap.
+    deterministic. Each candidate attempted counts against node_cap. With
+    rooted=True the first pattern vertex picked may only map to host vertex 0.
     """
     a, b = pat.a, pat.b
     if a > g.m or b > g.n:
@@ -155,7 +158,10 @@ def find_induced_pattern(g: BipartiteGraph, pat: Pattern, node_cap: int = PROBE_
             return True
         side, i = pick()
         mapped = map_a if side == "A" else map_b
-        for h in _bits(candidates(side, i)):
+        cands = candidates(side, i)
+        if rooted and depth == 0:
+            cands &= 1
+        for h in _bits(cands):
             nodes += 1
             if nodes > node_cap:
                 raise ResourceLimitError("pattern search node budget exhausted")

@@ -197,6 +197,19 @@ def test_verification_failure_exit_2(tmp_path):
     assert rep["verification"]["smallest_free_s"] == 3
 
 
+def test_unit_distance_d3_p11_certified_free(tmp_path):
+    # the full grid F_11^3 is certified K_{4,4}-free from the origin; the
+    # plain search over all 1,331 points runs past PROBE_CAP
+    out = tmp_path / "ud.json"
+    r = run_cli("unit-distance", "--d", "3", "--p", "11", "--s", "4", "--seed", "42",
+                "--output", str(out))
+    assert r.returncode == 0, r.stderr
+    rep = load_report(out)
+    assert rep["verification"]["outcome"] == "verified-free"
+    assert rep["counters"]["rooted_searches"] == 1
+    assert rep["achieved"]["P_size"] == 11**3
+
+
 def test_resource_error_exit_3():
     r = run_cli("zero-count", "--p", "101", "--vars", "5", "--degree", "3",
                 "--trials", "1", "--seed", "1")

@@ -12,7 +12,9 @@ from ffil import (
     unit_distance_instance,
     zero_count_experiment,
 )
+from ffil import constructions
 from ffil.constructions import _product_zero_mask, integer_nth_root
+from ffil.geometry import BilinearForm, Sphere, sphere_points
 from ffil.mpoly import domain_points, evaluate_batch, sample_uniform
 from ffil.rng import Rng
 
@@ -213,6 +215,70 @@ def test_unit_distance_d5_extension_branch():
                     d = inst.form.diff(inst.points[i], inst.points[j])
                     assert inst.form.norm_sq(d) == one
             assert ver["smallest_free_s"] is None or ver["smallest_free_s"] > rep.params["s"]
+
+
+# every full-grid host (d = 2, 3 without --n) with p^d <= 400
+FULL_GRIDS = [(2, 3), (2, 7), (2, 11), (2, 19), (3, 3), (3, 7)]
+
+
+@pytest.mark.parametrize("d, p", FULL_GRIDS)
+def test_unit_distance_rooted_matches_plain(monkeypatch, d, p):
+    witnesses = 0
+    for s in range(2, 6):
+        inst = unit_distance_instance(None, d, Rng(42), p=p, s=s)
+        rooted = inst.report
+        with monkeypatch.context() as m:
+            m.setattr(constructions, "is_full_grid", lambda points, p: False)
+            plain = unit_distance_instance(None, d, Rng(42), p=p, s=s).report
+        # same verdict, witness, smallest_free_s and counts
+        assert rooted.verification == plain.verification
+        assert rooted.achieved == plain.achieved
+        assert rooted.counters["rooted_searches"] >= 1
+        assert plain.counters["rooted_searches"] == 0
+        assert rooted.counters["kss_probes"] < plain.counters["kss_probes"]
+        witnesses += rooted.verification["witness"] is not None
+        # the counts read from the sphere table equal the pair-matrix counts
+        grid = domain_points(p, d)
+        form = BilinearForm.for_dim(FieldCtx.prime(p), d)
+        shifted = (grid + np.asarray(rooted.achieved["shift"])) % p
+        assert rooted.achieved["cross_pairs"] == np.count_nonzero(
+            form.unit_pair_matrix(grid, shifted)
+        )
+        assert rooted.achieved["unit_distances"] * 2 == inst.graph.edge_count()
+    assert witnesses >= 1  # s = 2 finds K_{2,2} on every grid
+
+
+def test_unit_distance_full_grid_builds_no_pair_matrix(monkeypatch):
+    cells = []
+    pair_matrix = BilinearForm.unit_pair_matrix
+
+    def spy(form, a, b):
+        out = pair_matrix(form, a, b)
+        cells.append(out.size)
+        return out
+
+    monkeypatch.setattr(BilinearForm, "unit_pair_matrix", spy)
+    for d, p, s in ((2, 47, 3), (3, 7, 4), (3, 11, 4)):
+        cells.clear()
+        inst = unit_distance_instance(None, d, Rng(1), p=p, s=s)
+        assert inst.report.verification["outcome"] == "verified-free"
+        n = p**d
+        size = len(sphere_points(Sphere(BilinearForm.for_dim(FieldCtx.prime(p), d), (0,) * d)))
+        assert cells and max(cells) <= n * size
+        assert "graph" not in vars(inst)  # the n x n graph was never built
+        assert inst.report.achieved["unit_distances"] == n * size // 2
+
+
+def test_unit_distance_d3_scaling_slope():
+    # log-log slope of unit distances against n is 2 - 1/(ceil(d/2) + 1) = 5/3
+    sizes, dists = [], []
+    for p in (7, 11, 19):
+        rep = unit_distance_instance(None, 3, Rng(42), p=p, s=4).report
+        assert rep.verification["outcome"] == "verified-free"
+        sizes.append(rep.achieved["P_size"])
+        dists.append(rep.achieved["unit_distances"])
+    slope = np.polyfit(np.log(sizes), np.log(dists), 1)[0]
+    assert abs(slope - 5 / 3) <= 0.1
 
 
 def test_unit_distance_rejects_bad_p():

@@ -21,9 +21,16 @@ from ffil.bigraph import (
     contains_kss,
     find_induced_pattern,
     prefix_tree_pattern,
+    staircase_pattern,
 )
 from ffil.errors import ResourceLimitError
-from ffil.geometry import BilinearForm, Sphere, flats_in_sphere_check, unit_distance_graph
+from ffil.geometry import (
+    BilinearForm,
+    Sphere,
+    flats_in_sphere_check,
+    point_sphere_incidence,
+    unit_distance_graph,
+)
 from ffil.gf import FieldCtx
 from ffil.mpoly import domain_points
 from ffil.rng import Rng
@@ -94,14 +101,14 @@ def test_kss_probe_count_of_trivial_searches():
     assert counters == {"kss_probes": 1}
 
 
-def check_pattern(g, pat):
+def check_pattern(g, pat, rooted=False):
     counters = {}
-    got = find_induced_pattern(g, pat, counters=counters)
-    assert got == ref.find_induced_pattern(g, pat)
+    got = find_induced_pattern(g, pat, counters=counters, rooted=rooted)
+    assert got == ref.find_induced_pattern(g, pat, rooted=rooted)
     assert_exact_count(
         counters["pattern_nodes"],
-        lambda cap: find_induced_pattern(g, pat, node_cap=cap),
-        lambda cap: ref.find_induced_pattern(g, pat, node_cap=cap),
+        lambda cap: find_induced_pattern(g, pat, node_cap=cap, rooted=rooted),
+        lambda cap: ref.find_induced_pattern(g, pat, node_cap=cap, rooted=rooted),
     )
     return got
 
@@ -135,6 +142,71 @@ def test_pattern_matches_reference_tree_mode():
         check_pattern(sub, pat)
 
 
+def pi_host(grid, p, d):
+    """The `pattern-scan --pattern pi --full-scan` host over a point list."""
+    return point_sphere_incidence(grid, grid, BilinearForm.standard(FieldCtx.prime(p), d))
+
+
+def is_embedding(g, pat, hit):
+    map_a, map_b = hit
+    return len(set(map_a)) == pat.a and len(set(map_b)) == pat.b and all(
+        lbl == "*" or g.has_edge(map_a[i], map_b[j]) == (lbl == "1")
+        for i, row in enumerate(pat.labels)
+        for j, lbl in enumerate(row)
+    )
+
+
+# every full-scan `pi` host with p^d <= 81
+@pytest.mark.parametrize("p, d", [(3, 2), (3, 3), (3, 4), (5, 2), (7, 2)])
+def test_rooted_pattern_search_matches_plain(p, d):
+    host = pi_host(domain_points(p, d).tolist(), p, d)
+    pats = [staircase_pattern(k) for k in range(2, d + 2)]  # the last is pattern-scan's
+    rng = Rng(100 * p + d)
+    if d < 4:
+        for _ in range(20):
+            pa, pb = 2 + rng.randbelow(2), 2 + rng.randbelow(2)
+            pats.append(
+                Pattern(["".join("01*"[rng.randbelow(3)] for _ in range(pb)) for _ in range(pa)])
+            )
+    found = 0
+    for pat in pats:
+        if d < 4:  # the scalar reference takes seconds per search on F_3^4
+            rooted = check_pattern(host, pat, rooted=True)
+        else:
+            rooted = find_induced_pattern(host, pat, rooted=True)
+        plain = find_induced_pattern(host, pat)
+        assert (rooted is None) == (plain is None)
+        if rooted is not None:
+            assert is_embedding(host, pat, rooted)
+            found += 1
+    assert 0 < found < len(pats)  # both answers are exercised
+
+
+@pytest.mark.parametrize("host", ["point-removed", "permuted", "tree"])
+def test_pattern_full_scan_off_the_full_grid_takes_plain_search(monkeypatch, capsys, host):
+    grid = domain_points(3, 3)
+    argv = ["pattern-scan", "--p", "3", "--d", "3", "--full-scan", "--seed", "1"]
+    if host == "tree":
+        argv += ["--pattern", "tree"]
+    else:
+        points = grid[:-1] if host == "point-removed" else grid[[1, 0] + list(range(2, 27))]
+        monkeypatch.setattr(ffil.cli, "domain_points", lambda p, d: points)
+    calls = []
+
+    def spy(g, pat, counters=None, rooted=False):
+        calls.append((g, pat, rooted))
+        return find_induced_pattern(g, pat, counters=counters, rooted=rooted)
+
+    monkeypatch.setattr(ffil.cli, "find_induced_pattern", spy)
+    assert ffil.cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    [(g, pat, rooted)] = calls
+    assert not rooted
+    plain = {}
+    find_induced_pattern(g, pat, counters=plain)
+    assert report["counters"] == {"pattern_nodes": plain["pattern_nodes"], "rooted_searches": 0}
+
+
 SIGNATURES = {
     "plus": lambda d: (1,) * d,
     "mixed": lambda d: (1,) * (d - 1) + (-1,),
@@ -164,30 +236,44 @@ def test_flats_match_reference(p, d, dim_cap, sig):
     [
         ["unit-distance", "--d", "2", "--p", "7", "--s", "3"],
         ["unit-distance", "--d", "2", "--p", "7", "--s", "2"],  # witness, then smallest_free_s
+        ["unit-distance", "--d", "3", "--p", "7", "--s", "4"],
+        ["unit-distance", "--d", "2", "--s", "2", "--n", "100"],  # subsampled grid
         ["zarankiewicz", "--p", "7", "--d1", "1", "--d2", "1", "--m", "7", "--n", "7", "--s", "2"],
         ["point-variety", "--m", "25", "--alpha", "1.0", "--dim", "2"],
         ["pattern-scan", "--p", "3", "--d", "3", "--hosts", "3", "--host-size", "12"],
+        ["pattern-scan", "--full-scan", "--p", "3", "--d", "3"],
     ],
     ids=lambda argv: argv[0] + "-" + argv[-1],
 )
 def test_report_counters_equal_reference_counts(monkeypatch, capsys, argv):
-    """A report's counters block sums the exact work of its searches."""
+    """A report's counters block sums the exact work of its searches, and
+    counts in rooted_searches those run on a rooted host: the n x |S| block
+    of a full-grid unit-distance graph (the graph itself is square), or a
+    rooted pattern search."""
     searches = []  # (reference search with a cap, count the kernel reported)
+    on_root = []  # one entry per search run on a rooted host
 
     def spy_kss(g, s, probe_cap=bigraph.PROBE_CAP, counters=None):
         own = {}
         hit = contains_kss(g, s, probe_cap, own)
         searches.append((lambda cap: ref.contains_kss(g, s, probe_cap=cap), own["kss_probes"]))
         counters["kss_probes"] += own["kss_probes"]
+        if argv[0] == "unit-distance" and g.m != g.n:
+            on_root.append(g)
         return hit
 
-    def spy_pattern(g, pat, node_cap=bigraph.PROBE_CAP, counters=None):
+    def spy_pattern(g, pat, node_cap=bigraph.PROBE_CAP, counters=None, rooted=False):
         own = {}
-        hit = find_induced_pattern(g, pat, node_cap, own)
+        hit = find_induced_pattern(g, pat, node_cap, own, rooted)
         searches.append(
-            (lambda cap: ref.find_induced_pattern(g, pat, node_cap=cap), own["pattern_nodes"])
+            (
+                lambda cap: ref.find_induced_pattern(g, pat, node_cap=cap, rooted=rooted),
+                own["pattern_nodes"],
+            )
         )
         counters["pattern_nodes"] += own["pattern_nodes"]
+        if rooted:
+            on_root.append(g)
         return hit
 
     monkeypatch.setattr(ffil.constructions, "contains_kss", spy_kss)
@@ -197,7 +283,12 @@ def test_report_counters_equal_reference_counts(monkeypatch, capsys, argv):
     report = json.loads(capsys.readouterr().out)
     assert code in (0, 2)
     key = "pattern_nodes" if argv[0] == "pattern-scan" else "kss_probes"
-    assert report["counters"] == {key: sum(count for _, count in searches)}
+    expected = {key: sum(count for _, count in searches)}
+    if argv[0] in ("unit-distance", "pattern-scan"):
+        expected["rooted_searches"] = len(on_root)
+    assert report["counters"] == expected
     assert report["counters"][key] > 0
+    # the full grids (no --n subsample, a full scan) take the rooted search
+    assert bool(on_root) == ("--p" in argv if argv[0] == "unit-distance" else "--full-scan" in argv)
     for search, count in searches:
         assert_exact_count(count, search)
