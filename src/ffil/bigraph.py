@@ -287,11 +287,23 @@ def find_induced_pattern(
     the most non-* constraints to vertices already in the order (ties: total
     constraint count, then A before B, then index). The vertices mapped at
     depth t are always the first t of that order, so each depth also knows
-    in advance which constraints it must check. Host candidates are scanned
-    in increasing index through bitmask filtering, so the result is
-    deterministic. A node is one candidate attempted; each counts against
-    node_cap, and when `counters` is a dict, counters["pattern_nodes"] is
-    increased by the nodes a search that returns has spent.
+    in advance which constraints it must check. Host candidates are taken
+    in increasing index, so the search tree is ordered lexicographically by
+    the host vertices chosen at depths 0, 1, ..., and the embedding returned
+    is the lex-first one.
+
+    The tree is walked depth-first over blocks of lex-consecutive states of
+    one depth rather than one candidate at a time: one step filters every
+    state of a block against packed 64-bit adjacency words and lists the
+    children in lex order, and the block holding the lex-first unexplored
+    state is always expanded next. A node is one candidate attempted, and
+    the count is exactly that of a one-candidate-at-a-time backtracking
+    search: the nodes up to and including the first node at the last depth
+    (the hit) in depth-first order, or all nodes of the tree when there is
+    no hit. The search raises ResourceLimitError exactly when that count
+    exceeds node_cap, after at most one block of work past the cap. When
+    `counters` is a dict, counters["pattern_nodes"] is increased by the
+    count of a search that returns.
 
     With rooted=True the vertex mapped at depth 0 may only go to host vertex 0
     of its class. That is exact for existence on a host whose automorphisms
@@ -311,6 +323,20 @@ def find_induced_pattern(
     for (is_a, i, _), h in zip(steps, hosts):
         (map_a if is_a else map_b)[i] = h
     return map_a, map_b
+
+
+# _pattern_search expands blocks of states of one depth; a block's candidate
+# bits hold at most _PATTERN_CELLS cells (states x host class size), so the
+# states waiting at each depth number at most max(_PATTERN_CELLS, class
+# size), whatever node_cap is.
+_PATTERN_CELLS = 1 << 16
+
+
+def _packed_masks(masks, width: int) -> np.ndarray:
+    """(len(masks), words) uint64 array; bit j of row r is bit j of masks[r]."""
+    words = max(1, -(-width // 64))
+    raw = b"".join(mask.to_bytes(8 * words, "little") for mask in masks)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(masks), words)
 
 
 def _pattern_search(g: BipartiteGraph, pat: Pattern, node_cap: int, rooted: bool):
@@ -335,38 +361,71 @@ def _pattern_search(g: BipartiteGraph, pat: Pattern, node_cap: int, rooted: bool
             (best[0] == "A", best[1], [(order[o], one) for o, one in cons[best] if o in order])
         )
         order[best] = len(order)
-    full_a = (1 << g.m) - 1
-    full_b = (1 << g.n) - 1
-    hosts = [0] * (a + b)  # host vertex chosen at each depth
-    nodes = 0
+    depth_count = a + b
+    # A candidates are filtered by the B host's column over A, and vice versa
+    cols = {True: _packed_masks(g.adj_b, g.m), False: _packed_masks(g.adj_a, g.n)}
+    width = [g.m if is_a else g.n for is_a, _, _ in steps]
+    block = [max(1, _PATTERN_CELLS // max(1, w)) for w in width]
+    # earlier depths of the same class: their hosts are used
+    same = [[u for u in range(t) if steps[u][0] == steps[t][0]] for t in range(depth_count)]
 
-    def rec(depth, used_a, used_b):
-        nonlocal nodes
-        if depth == a + b:
-            return True
-        is_a, _, checks = steps[depth]
-        if is_a:
-            mask, cols = full_a & ~used_a, g.adj_b
+    def expand(hosts, t):
+        """(state, candidate) pairs of depth t below the states `hosts`, lex order."""
+        is_a, _, checks = steps[t]
+        if checks:
+            mask = None
+            for u, one in checks:
+                col = cols[is_a][hosts[:, u]]  # a copy, safe to change
+                if not one:
+                    np.invert(col, out=col)
+                if mask is None:
+                    mask = col
+                else:
+                    mask &= col
+            bits = np.unpackbits(mask.view(np.uint8), axis=1, count=width[t], bitorder="little")
+            bits = bits.view(bool)  # 0/1 bytes; nonzero is much faster on bool
         else:
-            mask, cols = full_b & ~used_b, g.adj_a
-        for t, one in checks:
-            col = cols[hosts[t]]
-            mask &= col if one else ~col
-        if rooted and depth == 0:
-            mask &= 1
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            nodes += 1
-            if nodes > node_cap:
-                raise ResourceLimitError("pattern search node budget exhausted")
-            hosts[depth] = low.bit_length() - 1
-            if rec(depth + 1, used_a | low if is_a else used_a, used_b if is_a else used_b | low):
-                return True
-        return False
+            bits = np.ones((len(hosts), width[t]), dtype=bool)
+        rows = np.arange(len(hosts))
+        for u in same[t]:
+            bits[rows, hosts[:, u]] = False
+        if rooted and t == 0:
+            bits[:, 1:] = False
+        return np.divmod(np.flatnonzero(bits), width[t])
 
-    found = rec(0, 0, 0)
-    return steps, hosts if found else None, nodes
+    def checked(nodes):
+        if nodes > node_cap:
+            raise ResourceLimitError("pattern search node budget exhausted")
+        return nodes
+
+    # The tree is walked depth-first, one block of lex-consecutive states of
+    # one depth at a time. pc of a depth-t node counts the nodes at depths
+    # <= t that come no later in lex order: pc(parent) + serial + 1, serial
+    # being the number of depth-t nodes created before it (creation order is
+    # lex order). When a block is popped, the deeper nodes created so far all
+    # lie under lex-earlier states, so pc plus those is the node number a
+    # one-candidate-at-a-time search gives the block's first state.
+    created = [0] * depth_count  # nodes created at each depth
+    stack = [(np.zeros((1, 0), dtype=np.int32), np.zeros(1, dtype=np.int64))]
+    while stack:
+        hosts, pc = stack.pop()
+        t = hosts.shape[1]
+        checked(int(pc[0]) + sum(created[t:]))
+        parent, cand = expand(hosts, t)
+        if not len(cand):
+            continue
+        if t == depth_count - 1:  # the first node created here is the lex-first hit
+            nodes = checked(int(pc[parent[0]]) + created[t] + 1)
+            return steps, hosts[parent[0]].tolist() + [int(cand[0])], nodes
+        kids_pc = pc[parent] + np.arange(created[t] + 1, created[t] + len(cand) + 1)
+        created[t] += len(cand)
+        kids = np.empty((len(cand), t + 1), dtype=np.int32)
+        kids[:, :t] = hosts[parent]
+        kids[:, t] = cand
+        size = block[t + 1]
+        for lo in reversed(range(0, len(cand), size)):  # the lex-first block on top
+            stack.append((kids[lo : lo + size], kids_pc[lo : lo + size]))
+    return steps, None, checked(sum(created))
 
 
 def prefix_tree_pattern(d: int, delta: int, size_cap: int = 5_000_000) -> Pattern:

@@ -42,6 +42,14 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_EXIT)
 
 
+def nonnegative_int(text: str) -> int:
+    """argparse type of the size, count and degree flags: an int >= 0."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def _loglog_slope(xs, ys):
     """Least-squares slope of log(y) against log(x)."""
     import math
@@ -349,13 +357,13 @@ def cmd_pattern_scan(args, rng):
         host = geo.point_sphere_incidence(grid, grid, form)
         pat = bigraph.staircase_pattern(args.d + 1)
     else:
+        # column (normal, c) holds the points with <point, normal> = c
         normals = [v for v in grid if next((c for c in v if c), None) == 1]
-        mat = [
-            [int(sum(a * b for a, b in zip(pt, nrm)) % args.p == c)
-             for nrm in normals for c in range(args.p)]
-            for pt in grid
-        ]
-        host = BipartiteGraph.from_bool_matrix(mat)
+        nrm = np.array(normals, dtype=np.int64).reshape(len(normals), args.d)
+        dots = domain_points(args.p, args.d) @ nrm.T % args.p
+        host = BipartiteGraph.from_bool_matrix(
+            (dots[:, :, None] == np.arange(args.p)).reshape(len(grid), len(normals) * args.p)
+        )
         pat = bigraph.prefix_tree_pattern(args.d - 1, 1)
     rows = []
     found_any = False
@@ -438,20 +446,20 @@ def build_parser() -> _Parser:
     p = sub.add_parser("zarankiewicz", help="random algebraic K_{s,s}-free graph",
                        epilog="CSV: p,d1,d2,m,n,s,seed,edges,edges_min,outcome")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--d1", type=int, required=True)
-    p.add_argument("--d2", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
+    p.add_argument("--d1", type=nonnegative_int, required=True)
+    p.add_argument("--d2", type=nonnegative_int, required=True)
+    p.add_argument("--m", type=nonnegative_int, required=True)
+    p.add_argument("--n", type=nonnegative_int, required=True)
+    p.add_argument("--s", type=nonnegative_int, required=True)
     common(p)
     p.set_defaults(func=cmd_zarankiewicz)
 
     p = sub.add_parser("zero-patterns", help="enumerate zero-patterns",
                        epilog="CSV: subset,witness")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
+    p.add_argument("--vars", type=nonnegative_int, required=True)
+    p.add_argument("--k", type=nonnegative_int, required=True)
+    p.add_argument("--degree", type=nonnegative_int, required=True)
     p.add_argument("--fixture", help="file of polynomial fixtures, one per line")
     common(p)
     p.set_defaults(func=cmd_zero_patterns)
@@ -459,16 +467,16 @@ def build_parser() -> _Parser:
     p = sub.add_parser("containment-patterns", help="containment patterns of random systems",
                        epilog="CSV: k_prefix,pattern_count")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--degree", type=int, default=2)
-    p.add_argument("--t", type=int, default=2, help="polynomials per system")
+    p.add_argument("--vars", type=nonnegative_int, required=True)
+    p.add_argument("--k", type=nonnegative_int, required=True)
+    p.add_argument("--degree", type=nonnegative_int, default=2)
+    p.add_argument("--t", type=nonnegative_int, default=2, help="polynomials per system")
     common(p)
     p.set_defaults(func=cmd_containment_patterns)
 
     p = sub.add_parser("shatter", help="exact shatter function of a set system",
                        epilog="CSV: k,shatter")
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--k", type=nonnegative_int, required=True)
     p.add_argument("--input", help="JSON {ground, members}")
     p.add_argument("--graph", help="graph fixture; use neighborhoods as members")
     p.add_argument("--side", choices=["a", "b"], default="a")
@@ -478,27 +486,27 @@ def build_parser() -> _Parser:
     p = sub.add_parser("zero-count", help="zero-count statistics of random polynomials",
                        epilog="CSV: trial,zeros,success")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--vars", type=int, required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--trials", type=int, required=True)
+    p.add_argument("--vars", type=nonnegative_int, required=True)
+    p.add_argument("--degree", type=nonnegative_int, required=True)
+    p.add_argument("--trials", type=nonnegative_int, required=True)
     common(p)
     p.set_defaults(func=cmd_zero_count)
 
     p = sub.add_parser("point-variety", help="point/hypersurface incidence instance",
                        epilog="CSV: variety,section_degree,incident_points")
-    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--m", type=nonnegative_int, required=True)
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--dim", type=int, required=True)
+    p.add_argument("--dim", type=nonnegative_int, required=True)
     common(p)
     p.set_defaults(func=cmd_point_variety)
 
     p = sub.add_parser("unit-distance", help="unit-distance point-set construction",
                        epilog="CSV: p,d,U_size,P_size,cross_pairs,unit_distances,"
                               "cross_pairs_min,outcome")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--n", type=int)
+    p.add_argument("--d", type=nonnegative_int, required=True)
+    p.add_argument("--n", type=nonnegative_int)
     p.add_argument("--p", type=int, help="drive the modulus directly")
-    p.add_argument("--s", type=int, default=4)
+    p.add_argument("--s", type=nonnegative_int, default=4)
     p.add_argument("--strategy", choices=["map-image", "random"], default="map-image")
     common(p)
     p.set_defaults(func=cmd_unit_distance)
@@ -506,29 +514,29 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sphere-geometry", help="sphere intersection/isotropy sweeps",
                        epilog="CSV: family,k,identity_ok,orthogonal_ok")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--families", type=int, default=50)
-    p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--flat-dim-cap", type=int, default=1)
+    p.add_argument("--d", type=nonnegative_int, required=True)
+    p.add_argument("--families", type=nonnegative_int, default=50)
+    p.add_argument("--kmax", type=nonnegative_int, default=4)
+    p.add_argument("--flat-dim-cap", type=nonnegative_int, default=1)
     common(p)
     p.set_defaults(func=cmd_sphere_geometry)
 
     p = sub.add_parser("pattern-scan", help="forbidden-pattern absence scan",
                        epilog="CSV: host,found")
     p.add_argument("--p", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--d", type=nonnegative_int, required=True)
     p.add_argument("--pattern", choices=["pi", "tree"], default="pi")
     p.add_argument("--full-scan", action="store_true")
-    p.add_argument("--hosts", type=int, default=0, help="random sub-hosts to scan")
-    p.add_argument("--host-size", type=int, default=25)
+    p.add_argument("--hosts", type=nonnegative_int, default=0, help="random sub-hosts to scan")
+    p.add_argument("--host-size", type=nonnegative_int, default=25)
     common(p)
     p.set_defaults(func=cmd_pattern_scan)
 
     p = sub.add_parser("indep-set", help="hypergraph independent set procedure",
                        epilog="CSV: n,m,k,size,size_min")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--n", type=nonnegative_int, required=True)
+    p.add_argument("--m", type=nonnegative_int, required=True)
+    p.add_argument("--k", type=nonnegative_int, required=True)
     p.add_argument("--hypergraph", help="JSON {n, k, edges}; must agree with --n, --k and --m")
     common(p)
     p.set_defaults(func=cmd_indep_set)

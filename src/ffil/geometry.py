@@ -214,8 +214,9 @@ class AffineFlat:
 _ORIGIN_CACHE = {}
 
 
-def _origin_sphere_points(form: BilinearForm, cap: int):
-    """Points of the origin-centered unit sphere, lexicographic order.
+def _origin_sphere_points(form: BilinearForm, cap: int) -> np.ndarray:
+    """Points of the origin-centered unit sphere, lexicographic order: a
+    memoized, read-only int64 array with one row per point.
 
     x_1..x_{d-1} range over the grid and sigma_d * x_d^2 = 1 - (partial norm)
     is solved with a square-root table: each head gives 0, 1 or 2 points, in
@@ -237,8 +238,8 @@ def _origin_sphere_points(form: BilinearForm, cap: int):
     r = root[target]
     last = np.stack([r, p - r], axis=1).reshape(-1, 1)
     keep = np.stack([r >= 0, r > 0], axis=1).reshape(-1)
-    rows = np.hstack([np.repeat(head, 2, axis=0), last])[keep]
-    pts = [tuple(row) for row in rows.tolist()]
+    pts = np.hstack([np.repeat(head, 2, axis=0), last])[keep]
+    pts.flags.writeable = False
     _ORIGIN_CACHE[key] = pts
     return pts
 
@@ -252,9 +253,10 @@ def sphere_points(sphere: Sphere, cap: int = ENUM_CAP):
     if form.ctx.kind != "prime":
         raise DomainError("sphere enumeration is supported over prime fields only")
     p = form.ctx.p
-    origin = _origin_sphere_points(form, cap)
-    w = sphere.center
-    return sorted(tuple((x + c) % p for x, c in zip(pt, w)) for pt in origin)
+    w = np.array([c % p for c in sphere.center], dtype=np.int64)
+    pts = (_origin_sphere_points(form, cap) + w) % p
+    pts = pts[np.lexsort(pts.T[::-1])]  # the first coordinate is the primary key
+    return [tuple(row) for row in pts.tolist()]
 
 
 # -- sphere intersections and isotropy -------------------------------------
@@ -435,7 +437,7 @@ def isotropic_unit_pair_search(form: BilinearForm, cap: int = ENUM_CAP):
         raise DomainError("search runs over prime fields only")
     p = form.ctx.p
     k = (d - 1) // 2
-    units = np.asarray(_origin_sphere_points(form, cap), dtype=np.int64).reshape(-1, d)
+    units = _origin_sphere_points(form, cap)
     if k == 0:
         if units.shape[0]:
             w = tuple(int(v) for v in units[0])

@@ -150,6 +150,30 @@ def test_sphere_geometry_rejects_kmax_below_2():
     assert_usage_error(r, "--kmax")
 
 
+PS = ("pattern-scan", "--p", "3", "--d", "3")
+SG = ("sphere-geometry", "--p", "5", "--d", "3")
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (PS + ("--hosts", "1", "--host-size", "-3"), "--host-size"),
+        (PS + ("--hosts", "-1"), "--hosts"),
+        (("indep-set", "--n", "-3", "--m", "2", "--k", "2"), "--n"),
+        (("unit-distance", "--d", "2", "--n", "-5"), "--n"),
+        (SG + ("--families", "-2"), "--families"),
+        (SG + ("--flat-dim-cap", "-1"), "--flat-dim-cap"),
+    ],
+    ids=["host-size", "hosts", "indep-set-n", "unit-distance-n", "families", "flat-dim-cap"],
+)
+def test_negative_count_exit_1(args, flag):
+    # before, the first four ended in a ValueError traceback and the rest
+    # exited 0 with a vacuous report
+    r = run_cli(*args, "--seed", "1")
+    assert_usage_error(r, flag)
+    assert "nonnegative" in r.stderr
+
+
 def test_readme_cli_examples(tmp_path, monkeypatch):
     with open(os.path.join(ROOT, "README.md")) as fh:
         block = fh.read().split("## CLI", 1)[1].split("```")[1]

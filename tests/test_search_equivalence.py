@@ -102,15 +102,32 @@ def test_kss_probe_count_of_trivial_searches():
 
 
 def check_pattern(g, pat, rooted=False):
+    """The kernel's witness and node count c are the reference's: the
+    reference returns the same result at cap c, and both searches raise at
+    cap c - 1 and not at c."""
     counters = {}
     got = find_induced_pattern(g, pat, counters=counters, rooted=rooted)
-    assert got == ref.find_induced_pattern(g, pat, rooted=rooted)
-    assert_exact_count(
-        counters["pattern_nodes"],
-        lambda cap: find_induced_pattern(g, pat, node_cap=cap, rooted=rooted),
-        lambda cap: ref.find_induced_pattern(g, pat, node_cap=cap, rooted=rooted),
-    )
+    count = counters["pattern_nodes"]
+    assert find_induced_pattern(g, pat, node_cap=count, rooted=rooted) == got
+    assert ref.find_induced_pattern(g, pat, node_cap=count, rooted=rooted) == got
+    if count:
+        for search in (find_induced_pattern, ref.find_induced_pattern):
+            with pytest.raises(ResourceLimitError):
+                search(g, pat, node_cap=count - 1, rooted=rooted)
     return got
+
+
+def random_pattern(r, max_a, max_b):
+    pa, pb = 1 + r.randbelow(max_a), 1 + r.randbelow(max_b)
+    return Pattern(["".join("01*"[r.randbelow(3)] for _ in range(pb)) for _ in range(pa)])
+
+
+# Bounds of the pattern kernel's block working set (states x class size).
+# A bound only chooses how many states are expanded at once; every choice
+# must give the reference's witness and nodes. 1 expands one state at a
+# time; 300 expands two to four states of a class of 65 to 140 vertices, or
+# 30 or more of a class of up to 10.
+SMALL_BLOCKS = {"one-state": 1, "few-states": 300}
 
 
 def test_pattern_matches_reference():
@@ -119,27 +136,114 @@ def test_pattern_matches_reference():
     for trial in range(300):
         r = rng.derive(trial)
         g = random_graph(r, 10, (0.2, 0.5, 0.8)[r.randbelow(3)])
-        pa, pb = 1 + r.randbelow(4), 1 + r.randbelow(4)
-        pat = Pattern(["".join("01*"[r.randbelow(3)] for _ in range(pb)) for _ in range(pa)])
-        found += check_pattern(g, pat) is not None
+        pat = random_pattern(r, 4, 4)
+        found += check_pattern(g, pat, rooted=trial % 5 == 4) is not None
     assert 30 < found < 270
+
+
+def wide_graph(r, density):
+    """Random host whose classes take 2 or 3 64-bit words each."""
+    m, n = 65 + r.randbelow(76), 65 + r.randbelow(76)
+    edges = [(i, j) for i in range(m) for j in range(n) if r.bernoulli(density)]
+    return BipartiteGraph(m, n, edges)
+
+
+@pytest.mark.parametrize(
+    "density, pat",
+    [
+        (0.06, Pattern(["111"] * 3)),  # mostly absent: the whole tree, ~6,000 nodes
+        (0.94, Pattern(["000"] * 3)),  # the same on complemented words
+        (0.05, staircase_pattern(3)),  # both verdicts
+        (0.5, None),  # random 3 x 3 patterns, found early
+    ],
+    ids=["sparse-k33", "dense-co-k33", "staircase", "random"],
+)
+@pytest.mark.parametrize(
+    "cells", [*SMALL_BLOCKS.values(), bigraph._PATTERN_CELLS], ids=[*SMALL_BLOCKS, "default"]
+)
+def test_pattern_matches_reference_on_wide_hosts(monkeypatch, cells, density, pat):
+    monkeypatch.setattr(bigraph, "_PATTERN_CELLS", cells)
+    rng = Rng(int(100 * density))
+    for trial in range(3):
+        r = rng.derive(trial)
+        g = wide_graph(r, density)
+        for rooted in (False, True):
+            check_pattern(g, pat or random_pattern(r, 3, 3), rooted)
+
+
+def tree_host(p, d):
+    """The `pattern-scan --pattern tree` host, built point by point: column
+    (normal, c) holds the points x with <x, normal> = c."""
+    grid = domain_points(p, d).tolist()
+    normals = [v for v in grid if next((c for c in v if c), None) == 1]
+    return BipartiteGraph.from_bool_matrix(
+        [[sum(a * b for a, b in zip(pt, nrm)) % p == c for nrm in normals for c in range(p)]
+         for pt in grid]
+    )
+
+
+@pytest.mark.parametrize("p, d", [(3, 3), (5, 3), (7, 3), (3, 4)])
+def test_pattern_scan_tree_host_matches_loop(monkeypatch, capsys, p, d):
+    hosts = []
+
+    def spy(g, pat, counters=None, rooted=False):
+        hosts.append(g)
+        raise ResourceLimitError("host captured; the search is not needed")
+
+    monkeypatch.setattr(ffil.cli, "find_induced_pattern", spy)
+    argv = ["pattern-scan", "--p", str(p), "--d", str(d), "--pattern", "tree", "--full-scan"]
+    assert ffil.cli.main(argv + ["--seed", "1"]) == 3
+    capsys.readouterr()
+    [g] = hosts
+    ref_host = tree_host(p, d)
+    assert (g.m, g.n, g.adj_a, g.adj_b) == (ref_host.m, ref_host.n, ref_host.adj_a, ref_host.adj_b)
 
 
 def test_pattern_matches_reference_tree_mode():
     # the host and sub-hosts of `pattern-scan --p 3 --d 3 --pattern tree`
     p, d = 3, 3
-    grid = domain_points(p, d).tolist()
-    normals = [v for v in grid if next((c for c in v if c), None) == 1]
-    host = BipartiteGraph.from_bool_matrix(
-        [[sum(a * b for a, b in zip(pt, nrm)) % p == c for nrm in normals for c in range(p)]
-         for pt in grid]
-    )
+    host = tree_host(p, d)
     pat = prefix_tree_pattern(d - 1, 1)
     rng = Rng(5)
     for i in range(4):
         r = rng.derive(i)
         sub = host.induced(r.sample_indices(host.m, 15), r.sample_indices(host.n, 15))
         check_pattern(sub, pat)
+
+
+@pytest.mark.parametrize("cells", SMALL_BLOCKS.values(), ids=SMALL_BLOCKS)
+@pytest.mark.parametrize(
+    "check",
+    [test_pattern_matches_reference, test_pattern_matches_reference_tree_mode],
+    ids=["random", "tree"],
+)
+def test_pattern_matches_reference_in_small_blocks(monkeypatch, cells, check):
+    monkeypatch.setattr(bigraph, "_PATTERN_CELLS", cells)
+    check()
+
+
+# the --seed that perfbench/workloads.py gives the `incidence` workload's
+# pattern-scan command at workload seed 1
+INCIDENCE_SCAN_SEED = 455211955
+
+
+def test_pattern_matches_reference_on_incidence_sub_hosts(monkeypatch, capsys):
+    # the ten 40 x 40 sub-hosts of the benchmark's pattern-scan: 520,607
+    # nodes in all, none holds the pattern
+    searches = []
+
+    def spy(g, pat, counters=None):
+        searches.append((g, pat))
+        return find_induced_pattern(g, pat, counters=counters)
+
+    monkeypatch.setattr(ffil.cli, "find_induced_pattern", spy)
+    argv = ["pattern-scan", "--p", "5", "--d", "3", "--hosts", "10", "--host-size", "40"]
+    assert ffil.cli.main(argv + ["--seed", str(INCIDENCE_SCAN_SEED)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["counters"]["pattern_nodes"] == 520_607
+    assert len(searches) == 10
+    for g, pat in searches:
+        assert check_pattern(g, pat) is None
 
 
 def pi_host(grid, p, d):
