@@ -45,9 +45,9 @@ from .geometry import (
     flats_in_sphere_check,
     intersect_spheres_to_flat,
     is_full_grid,
-    is_totally_isotropic,
     isotropic_unit_pair_search,
     point_sphere_incidence,
+    sphere_family_check,
     sphere_points,
     unit_distance_graph,
 )

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConstructionFailure, DomainError, ResourceLimitError
 from .rng import Rng
 from .gf import FieldCtx
-from .mpoly import domain_points, parse_poly, sample_uniform
+from .mpoly import ENUM_CAP, _check_enum_cap, domain_points, parse_poly, sample_uniform
 from . import bigraph
 from .bigraph import BipartiteGraph, find_induced_pattern
 from . import patterns as patmod
@@ -294,28 +294,18 @@ def cmd_sphere_geometry(args, rng):
         raise DomainError("--kmax must be >= 2: each family intersects at least two spheres")
     ctx = FieldCtx.prime(args.p)
     form = geo.BilinearForm.standard(ctx, args.d)
-    grid = [tuple(int(v) for v in r) for r in domain_points(args.p, args.d)]
+    p, d = args.p, args.d
+    _check_enum_cap(p, d, ENUM_CAP)  # the sphere tables' cap, before any draw
     rows = []
     failures = 0
     for fi in range(args.families):
         r = rng.derive(fi)
         k = 2 + r.randbelow(args.kmax - 1)
-        centers = [grid[r.randbelow(len(grid))] for _ in range(k)]
-        spheres = [geo.Sphere(form, c) for c in centers]
-        flat = geo.intersect_spheres_to_flat(spheres)
-        first = set(geo.sphere_points(spheres[0]))
-        inter = set(first)
-        for sph in spheres[1:]:
-            inter &= set(geo.sphere_points(sph))
-        flat_pts = set() if flat.is_empty else set(flat.points())
-        identity_ok = (first & flat_pts) == inter
-        orth_ok = True
-        base = centers[0]
-        for b in flat.basis:
-            for c in centers[1:]:
-                dv = tuple((x - y) % args.p for x, y in zip(c, base))
-                if form.inner(b, dv) != 0:
-                    orth_ok = False
+        # each center is a row of domain_points(p, d), drawn by its index and
+        # decoded without the grid
+        drawn = [r.randbelow(p**d) for _ in range(k)]
+        spheres = [geo.Sphere(form, tuple(i // p ** (d - 1 - j) % p for j in range(d))) for i in drawn]
+        identity_ok, orth_ok = geo.sphere_family_check(spheres, geo.intersect_spheres_to_flat(spheres))
         failures += 0 if (identity_ok and orth_ok) else 1
         rows.append([fi, k, int(identity_ok), int(orth_ok)])
     flats_report = geo.flats_in_sphere_check(
@@ -351,6 +341,9 @@ def cmd_sphere_geometry(args, rng):
 
 def cmd_pattern_scan(args, rng):
     ctx = FieldCtx.prime(args.p)
+    if args.pattern == "tree" and args.d < 3:
+        raise DomainError(f"--pattern tree needs --d >= 3, got --d {args.d}")
+    _check_enum_cap(args.p, args.d, ENUM_CAP)
     grid = [tuple(int(v) for v in r) for r in domain_points(args.p, args.d)]
     if args.pattern == "pi":
         form = geo.BilinearForm.standard(ctx, args.d)

@@ -5,7 +5,11 @@ probabilistic shortcuts. Grid sweeps (sphere tables, pairwise norms) and
 every graph are computed with numpy over prime fields. Extension-field
 points only relabel prime-field ones (the F_{p^2} re-embedding); the scalar
 context operations in `inner` are their reference. Sphere point tables for
-origin-centered spheres are memoized in memory.
+origin-centered spheres are memoized in memory. Point sets on spheres are
+compared as sorted int64 lexicographic codes (a point's row index in
+`domain_points`), so sphere intersections, the family identity of
+`sphere_family_check` and the flats of `flats_in_sphere_check` are array
+operations that never list the grid.
 """
 
 from dataclasses import dataclass, field
@@ -259,6 +263,19 @@ def sphere_points(sphere: Sphere, cap: int = ENUM_CAP):
     return [tuple(row) for row in pts.tolist()]
 
 
+def _lex_weights(p: int, d: int) -> np.ndarray:
+    """Weights of the lexicographic code sum_i x_i p^(d-1-i) of a point of
+    F_p^d: its row index in `domain_points(p, d)`, so code order is lex
+    order. Codes stay below p^d, which the sphere-table cap bounds."""
+    return p ** np.arange(d - 1, -1, -1, dtype=np.int64)
+
+
+def _is_member(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Elementwise test of `codes` against `table`: sorted codes followed by
+    one sentinel larger than every code."""
+    return table[np.searchsorted(table, codes)] == codes
+
+
 # -- sphere intersections and isotropy -------------------------------------
 
 
@@ -301,17 +318,39 @@ def intersect_spheres_to_flat(spheres) -> AffineFlat:
     return AffineFlat(ctx, d, x0, basis)
 
 
-def is_totally_isotropic(form: BilinearForm, flat: AffineFlat) -> bool:
-    """True iff every difference of flat points has self-inner-product zero.
+def sphere_family_check(spheres, flat: AffineFlat):
+    """Check a flat U against a family of unit spheres S_1, .., S_k (prime
+    ctx only): the identity S_1 & ... & S_k = S_1 & U, and the orthogonality
+    <u, w_j - w_1> = 0 of every basis vector u of U to every center
+    difference. Returns (identity_ok, orth_ok).
 
-    Equivalent (char != 2) to all basis pairs having inner product zero;
-    empty and 0-dimensional flats qualify vacuously.
+    Each sphere is the memoized origin table translated to its center, as
+    lex codes; a code lies on every sphere iff it occurs k times among them.
+    S_1 & U is S_1 filtered by linear equations that cut out U, so neither
+    the grid nor the points of U are listed: memory is O(k |S|), |S| the
+    sphere size.
     """
-    for i, bi in enumerate(flat.basis):
-        for bj in flat.basis[i:]:
-            if form.inner(bi, bj) != 0:
-                return False
-    return True
+    form = spheres[0].form
+    if form.ctx.kind != "prime":
+        raise DomainError("sphere families are checked over prime fields only")
+    p, d = form.ctx.p, form.dim
+    origin = _origin_sphere_points(form, ENUM_CAP)
+    centers = np.array([s.center for s in spheres], dtype=np.int64) % p
+    pts = (origin + centers[:, None, :]) % p
+    codes = pts @ _lex_weights(p, d)
+    common, count = np.unique(codes, return_counts=True)
+    if flat.is_empty:
+        on_flat = np.zeros(len(origin), dtype=bool)
+    else:
+        # x - base lies in the span of U's basis iff every vector that is
+        # dot-orthogonal to that span is dot-orthogonal to x - base too
+        eqs = linalg.nullspace([list(b) for b in flat.basis], d, p)
+        eqs = np.array(eqs, dtype=np.int64).reshape(len(eqs), d)
+        on_flat = ~((pts[0] - np.array(flat.base, dtype=np.int64)) % p @ eqs.T % p).any(axis=1)
+    identity_ok = np.array_equal(np.sort(codes[0][on_flat]), common[count == len(spheres)])
+    dirs = np.array(flat.basis, dtype=np.int64).reshape(len(flat.basis), d)
+    orth_ok = not ((dirs * form.sig_array()) % p @ (centers[1:] - centers[0]).T % p).any()
+    return identity_ok, orth_ok
 
 
 def _affine_closure(ctx: FieldCtx, pts):
@@ -345,64 +384,95 @@ class SphereFlatsReport:
         return [e for e in self.entries if e.dim == d]
 
 
+# Cells per block in `flats_in_sphere_check`: closure points of one flat's
+# pass, or Gram entries of one level's identity checks. The int64
+# temporaries are then O(_FLAT_CELLS * d) whatever the number of q, plus
+# O(d) per point index that a level already holds.
+_FLAT_CELLS = 1 << 16
+
+
 def flats_in_sphere_check(sphere: Sphere, dim_cap: int, cap: int = ENUM_CAP) -> SphereFlatsReport:
     """Enumerate every flat of dimension <= dim_cap contained in the sphere
     and check two identities on each: total isotropy of the flat, and
     <x - w, x - y> = 0 for all flat points x, y (w the center).
 
-    Flats are built bottom-up: points, then closures of (flat, extra sphere
-    point) pairs, deduplicated by their full point sets. Two kinds of q are
-    skipped before their closure is computed, because the closure would be
-    rejected anyway: every flat through the base point x and q contains
-    x + 2(q - x), so a q for which that point is off the sphere gives a flat
-    outside it; and a q on an already found flat that contains the current
-    flat spans that same flat again.
+    Flats are built bottom-up: the sphere points, then for each flat F of
+    level r - 1 (in discovery order, base x) the closures F + F_p (q - x) of
+    the sphere points q off F, deduplicated by their point sets, which are
+    kept as sorted lex codes. Each F takes one array pass: the q for which
+    x + 2(q - x) is off the sphere are dropped (every closure through x and q
+    contains that point), the p^r closure points of all other q are tested
+    against the sphere codes at once, and a closure contained in the sphere
+    is recorded at its first q unless an earlier F found it. Only recorded
+    flats get a basis (`_affine_closure`). Both identities are Gram-matrix
+    reductions, over the basis and over all point pairs, for every flat of
+    a level at once.
     """
     form = sphere.form
-    ctx = form.ctx
-    p = ctx.p
+    ctx, p, d = form.ctx, form.ctx.p, form.dim
     pts = sphere_points(sphere, cap)
-    pt_set = set(pts)
-    report = SphereFlatsReport()
-    levels = {0: {frozenset((q,)): AffineFlat(ctx, form.dim, q, []) for q in pts}}
+    arr = np.array(pts, dtype=np.int64).reshape(len(pts), d)
+    weights = _lex_weights(p, d)
+    codes = arr @ weights  # sorted: pts are in lex order
+    table = np.append(codes, p**d)
+    twice = 2 * arr
+    steps = np.arange(p, dtype=np.int64)[:, None, None]
+    # one dict per level: sorted point codes -> (flat, indices of its points)
+    levels = [{(c,): (AffineFlat(ctx, d, q, []), np.array([i])) for i, (c, q) in
+               enumerate(zip(codes.tolist(), pts))}]
     for r in range(1, dim_cap + 1):
         nxt = {}
-        through = {}  # point -> point sets in nxt that contain it
-        for key, flat in levels[r - 1].items():
-            base = flat.base
-            covered = set().union(*(g for g in through.get(base, ()) if key <= g))
-            for q in pts:
-                if q in key or q in covered:
-                    continue
-                if tuple((2 * b - x) % p for x, b in zip(base, q)) not in pt_set:
-                    continue
-                closure = _affine_closure(ctx, [flat.base] + [q] + sorted(key - {flat.base}))
-                if closure.dim != r:
-                    continue
-                cl_pts = frozenset(closure.points())
-                if cl_pts in nxt or not cl_pts <= pt_set:
-                    continue
-                nxt[cl_pts] = closure
-                covered |= cl_pts
-                for x in cl_pts:
-                    through.setdefault(x, []).append(cl_pts)
-        levels[r] = nxt
+        block = max(1, _FLAT_CELLS // p**r)
+        for flat, members in levels[-1].values():
+            x = np.array(flat.base, dtype=np.int64)
+            off = _is_member(table, (twice - x) % p @ weights)
+            off[members] = False
+            cand = np.flatnonzero(off)
+            span = [pts[i] for i in members.tolist() if pts[i] != flat.base]
+            for lo in range(0, len(cand), block):
+                qs = cand[lo : lo + block]
+                # cl[i, t] holds the codes of F + t (q_i - x), t in F_p
+                cl = (arr[members] + steps * (arr[qs] - x)[:, None, None, :]) % p @ weights
+                inside = _is_member(table, cl).all(axis=(1, 2))
+                qs, cl = qs[inside], cl[inside]
+                # two closures through F meet only in F, so the least code
+                # off F names the closure; keep the first q of each
+                seen = set()
+                for j, least in enumerate(cl[:, 1:].min(axis=(1, 2)).tolist()):
+                    if least in seen:
+                        continue
+                    seen.add(least)
+                    key = np.sort(cl[j], axis=None)
+                    name = tuple(key.tolist())
+                    if name not in nxt:
+                        closure = _affine_closure(ctx, [flat.base, pts[qs[j]]] + span)
+                        nxt[name] = (closure, np.searchsorted(codes, key))
+        levels.append(nxt)
         if not nxt:
             break
-    w = sphere.center
-    for r in sorted(levels):
-        for cl_pts, flat in sorted(levels[r].items(), key=lambda kv: sorted(kv[0])):
-            iso = is_totally_isotropic(form, flat)
-            radial = True
-            members = sorted(cl_pts)
-            for x in members:
-                for y in members:
-                    if form.inner(form.diff(x, w), form.diff(x, y)) != 0:
-                        radial = False
-                        break
-                if not radial:
-                    break
-            report.entries.append(FlatRecord(flat.dim, flat.base, flat.basis, iso, radial))
+    report = SphereFlatsReport()
+    w = np.array(sphere.center, dtype=np.int64)
+    sig = form.sig_array()
+    for r, level in enumerate(levels):
+        names = sorted(level)
+        if not names:
+            continue
+        flats = [level[name][0] for name in names]
+        members = np.array([level[name][1] for name in names])
+        # <x - w, x - y> = G[x, x] - G[x, y], G the Gram matrix of the x - w;
+        # it is built for all flats of the level at once, in blocks of rows
+        rel = (arr[members] - w) % p
+        srel = rel * sig % p
+        diag = (srel * rel).sum(axis=2) % p
+        radial = np.ones(len(names), dtype=bool)
+        rows = max(1, _FLAT_CELLS // members.size)
+        for lo in range(0, members.shape[1], rows):
+            gram = srel[:, lo : lo + rows] @ rel.transpose(0, 2, 1) % p
+            radial &= (gram == diag[:, lo : lo + rows, None]).all(axis=(1, 2))
+        basis = np.array([f.basis for f in flats], dtype=np.int64).reshape(len(flats), r, d)
+        iso = ~((basis * sig % p) @ basis.transpose(0, 2, 1) % p).any(axis=(1, 2))
+        for f, f_iso, f_radial in zip(flats, iso.tolist(), radial.tolist()):
+            report.entries.append(FlatRecord(f.dim, f.base, f.basis, f_iso, f_radial))
     return report
 
 

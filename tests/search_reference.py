@@ -2,9 +2,12 @@
 
 `contains_kss`, `find_induced_pattern` and `flats_in_sphere_check` are kept
 here verbatim as they were before the search kernels were vectorized (scalar
-probe loop, per-node `pick()`, closure of every point pair). The fast kernels
-in `ffil` must return the same witness, raise `ResourceLimitError` at the
-same caps and list the same flats. Do not optimize this module.
+probe loop, per-node `pick()`, closure of every point pair), and with them
+the scalar `is_totally_isotropic` and the per-family loop of the
+`sphere-geometry` command as `sphere_family_check` (point sets of tuples
+over the whole grid). The fast kernels in `ffil` must return the same
+witness, raise `ResourceLimitError` at the same caps, list the same flats
+and give the same family verdicts. Do not optimize this module.
 """
 
 from ffil.bigraph import BipartiteGraph, Pattern
@@ -15,7 +18,6 @@ from ffil.geometry import (
     Sphere,
     SphereFlatsReport,
     _affine_closure,
-    is_totally_isotropic,
     sphere_points,
 )
 from ffil.mpoly import ENUM_CAP
@@ -182,6 +184,42 @@ def find_induced_pattern(
     if rec(0):
         return list(map_a), list(map_b)
     return None
+
+
+def is_totally_isotropic(form, flat) -> bool:
+    """True iff every difference of flat points has self-inner-product zero.
+
+    Equivalent (char != 2) to all basis pairs having inner product zero;
+    empty and 0-dimensional flats qualify vacuously.
+    """
+    for i, bi in enumerate(flat.basis):
+        for bj in flat.basis[i:]:
+            if form.inner(bi, bj) != 0:
+                return False
+    return True
+
+
+def sphere_family_check(spheres, flat):
+    """(identity_ok, orth_ok) of one `sphere-geometry` family, with the
+    centers taken from the spheres and `flat` in place of the intersection
+    flat the command computes."""
+    form = spheres[0].form
+    p = form.ctx.p
+    centers = [s.center for s in spheres]
+    first = set(sphere_points(spheres[0]))
+    inter = set(first)
+    for sph in spheres[1:]:
+        inter &= set(sphere_points(sph))
+    flat_pts = set() if flat.is_empty else set(flat.points())
+    identity_ok = (first & flat_pts) == inter
+    orth_ok = True
+    base = centers[0]
+    for b in flat.basis:
+        for c in centers[1:]:
+            dv = tuple((x - y) % p for x, y in zip(c, base))
+            if form.inner(b, dv) != 0:
+                orth_ok = False
+    return identity_ok, orth_ok
 
 
 def flats_in_sphere_check(sphere: Sphere, dim_cap: int, cap: int = ENUM_CAP) -> SphereFlatsReport:

@@ -241,6 +241,24 @@ def test_resource_error_exit_3():
     assert "resource" in r.stderr.lower()
 
 
+@pytest.mark.parametrize("d", ["3", "5"])
+@pytest.mark.parametrize("command", ["sphere-geometry", "pattern-scan"])
+def test_grid_over_cap_exit_3_before_any_grid(command, d):
+    # 10007^d points: both commands used to build the grid first and die in
+    # a numpy error (exit 1, traceback); past 2^64 points the center draw of
+    # sphere-geometry fails too, so the cap is checked before it
+    r = run_cli(command, "--p", "10007", "--d", d, "--seed", "1")
+    assert r.returncode == 3, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("resource error:")
+
+
+@pytest.mark.parametrize("d", ["1", "2"])
+def test_pattern_scan_tree_needs_d_3(d):
+    r = run_cli("pattern-scan", "--p", "3", "--d", d, "--pattern", "tree", "--seed", "1")
+    assert_usage_error(r, "--d")
+
+
 def test_construction_failure_exit_3_with_best_report(tmp_path):
     # s = 1 freeness demands an edgeless graph while the edge target demands
     # edges: every retry fails, exercising the retry-cap path

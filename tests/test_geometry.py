@@ -14,7 +14,6 @@ from ffil import (
     flats_in_sphere_check,
     intersect_spheres_to_flat,
     is_full_grid,
-    is_totally_isotropic,
     isotropic_unit_pair_search,
     point_sphere_incidence,
     sphere_points,
@@ -22,6 +21,7 @@ from ffil import (
 )
 from ffil.mpoly import domain_points
 from ffil.rng import Rng
+from search_reference import is_totally_isotropic
 
 
 def grid(p, d):

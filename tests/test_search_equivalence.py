@@ -1,10 +1,11 @@
 """The vectorized search kernels against their scalar reference copies.
 
 `search_reference` holds the K_{s,s}, induced-pattern and sphere-flat
-searches as they were written before vectorization. Here the fast kernels
-must give the same witness or None, spend exactly as many probes or nodes
-(the reference raises at cap c - 1 and not at c, c being the count the fast
-kernel reports), and list the same flats in the same order.
+searches and the sphere-family check as they were written before
+vectorization. Here the fast kernels must give the same witness or None,
+spend exactly as many probes or nodes (the reference raises at cap c - 1
+and not at c, c being the count the fast kernel reports), list the same
+flats in the same order, and give the same family verdicts.
 """
 
 import json
@@ -13,6 +14,7 @@ import pytest
 
 import ffil.cli
 import ffil.constructions
+import ffil.geometry
 import search_reference as ref
 from ffil import bigraph
 from ffil.bigraph import (
@@ -25,10 +27,14 @@ from ffil.bigraph import (
 )
 from ffil.errors import ResourceLimitError
 from ffil.geometry import (
+    AffineFlat,
     BilinearForm,
     Sphere,
     flats_in_sphere_check,
+    intersect_spheres_to_flat,
     point_sphere_incidence,
+    sphere_family_check,
+    sphere_points,
     unit_distance_graph,
 )
 from ffil.gf import FieldCtx
@@ -320,9 +326,9 @@ FLAT_CASES = [
     (p, d, cap)
     for p in (3, 5, 7, 11, 13)
     for d in (2, 3, 4)
-    for cap in (1, 2)
-    if p**d <= (343 if cap == 1 else 125) or (d == 2 and p**d <= 169)
-]
+    for cap in (0, 1, 2)
+    if cap == 0 or p**d <= (343 if cap == 1 else 125) or (d == 2 and p**d <= 169)
+] + [(3, 4, 3)]
 
 
 @pytest.mark.parametrize("p, d, dim_cap", FLAT_CASES)
@@ -333,6 +339,93 @@ def test_flats_match_reference(p, d, dim_cap, sig):
         sphere = Sphere(form, center)
         got = flats_in_sphere_check(sphere, dim_cap).entries
         assert got == ref.flats_in_sphere_check(sphere, dim_cap).entries
+
+
+def test_flats_match_reference_through_level_3():
+    # the unit sphere of F_3^4 holds no planes, so the search stops before
+    # level 3 there; the one of F_3^5 holds 80, and level 3 is searched
+    sphere = Sphere(BilinearForm.standard(FieldCtx.prime(3), 5), (0,) * 5)
+    got = flats_in_sphere_check(sphere, 3)
+    assert [len(got.by_dim(r)) for r in range(4)] == [90, 480, 80, 0]
+    assert got.entries == ref.flats_in_sphere_check(sphere, 3).entries
+
+
+def test_flat_checks_match_reference_off_the_sphere(monkeypatch):
+    # every flat inside a sphere passes both checks; on a point set that is
+    # not a sphere, the plane x_3 = 0 of F_5^3, most lines and the plane
+    # fail them, and the verdicts must agree all the same
+    plane = [tuple(int(v) for v in pt) for pt in domain_points(5, 3) if pt[2] == 0]
+    for module in (ffil.geometry, ref):
+        monkeypatch.setattr(module, "sphere_points", lambda sphere, cap=None: plane)
+    sphere = Sphere(BilinearForm.standard(FieldCtx.prime(5), 3), (0, 0, 1))
+    got = flats_in_sphere_check(sphere, 2)
+    assert [len(got.by_dim(r)) for r in range(3)] == [25, 30, 1]
+    assert {(e.isotropic_ok, e.radial_ok) for e in got.by_dim(1)} == {
+        (False, False), (True, False), (True, True)
+    }
+    assert got.entries == ref.flats_in_sphere_check(sphere, 2).entries
+
+
+def _translated(flat):
+    """`flat` moved by the first unit vector off its directions (None for the
+    empty and the full flat)."""
+    if flat.is_empty or flat.dim == flat.ambient:
+        return None
+    for j in range(flat.ambient):
+        e = tuple(int(i == j) for i in range(flat.ambient))
+        if not flat.contains(tuple(b + v for b, v in zip(flat.base, e))):
+            return AffineFlat(flat.ctx, flat.ambient, tuple(b + v for b, v in zip(flat.base, e)),
+                              flat.basis)
+
+
+@pytest.mark.parametrize("p", (3, 5, 7, 13))
+@pytest.mark.parametrize("d", (1, 2, 3, 4))
+def test_sphere_family_rows_match_reference(monkeypatch, tmp_path, p, d):
+    """The sphere-geometry CSV rows and centers against the reference family
+    loop, with every center drawn as a row of the grid and k from 2 to 5;
+    then two wrong flats in place of the intersection flat U: the full space
+    and a translate of U."""
+    seed, families = 100 * p + d, 20
+    csv_path = tmp_path / "sg.csv"
+    drawn = []
+
+    def spy(spheres, flat):
+        drawn.append([s.center for s in spheres])
+        return sphere_family_check(spheres, flat)
+
+    monkeypatch.setattr(ffil.geometry, "sphere_family_check", spy)
+    ffil.cli.main(["sphere-geometry", "--p", str(p), "--d", str(d), "--families", str(families),
+                   "--kmax", "5", "--flat-dim-cap", "0", "--seed", str(seed),
+                   "--output", str(tmp_path / "sg.json"), "--csv", str(csv_path)])
+    got = [[int(v) for v in ln.split(",")] for ln in csv_path.read_text().splitlines()[1:]]
+    ctx = FieldCtx.prime(p)
+    form = BilinearForm.standard(ctx, d)
+    grid = [tuple(int(v) for v in r) for r in domain_points(p, d)]
+    rng = Rng(seed)
+    want = []
+    rejected = 0
+    for fi in range(families):
+        r = rng.derive(fi)
+        k = 2 + r.randbelow(4)
+        spheres = [Sphere(form, grid[r.randbelow(len(grid))]) for _ in range(k)]
+        assert drawn[fi] == [s.center for s in spheres]
+        flat = intersect_spheres_to_flat(spheres)
+        ok = ref.sphere_family_check(spheres, flat)
+        assert sphere_family_check(spheres, flat) == ok
+        want.append([fi, k, int(ok[0]), int(ok[1])])
+        meet = any(all(s.contains(x) for s in spheres) for x in sphere_points(spheres[0]))
+        # the full space is wrong unless the centers agree; a translate of
+        # the flat misses the common points, if there are any
+        for wrong, is_wrong in ((AffineFlat.full(ctx, d), flat.dim < d),
+                                (_translated(flat), meet)):
+            if wrong is not None:
+                verdict = sphere_family_check(spheres, wrong)
+                assert verdict == ref.sphere_family_check(spheres, wrong)
+                assert not (is_wrong and verdict[0])
+                rejected += is_wrong
+    assert got == want
+    assert all(row[2:] == [1, 1] for row in want)
+    assert rejected > 0
 
 
 @pytest.mark.parametrize(
