@@ -238,13 +238,15 @@ def cmd_shatter(args, rng):
             system = patmod.SetSystem(g.m, list(g.adj_b))
     else:
         raise DomainError("shatter needs --input or --graph")
-    value = patmod.shatter_function(system, args.k)
+    counters = {"shatter_subsets": 0}
+    value = patmod.shatter_function(system, args.k, counters=counters)
     body = {
         "achieved": {"shatter": value},
         "bound": {"trivial_max": min(2**args.k, len(system.members) + 1)},
         "verification": {},
         "retries": {},
         "flags": [],
+        "counters": counters,
     }
     return body, (["k", "shatter"], [[args.k, value]]), 0
 
@@ -304,7 +306,7 @@ def cmd_sphere_geometry(args, rng):
         # each center is a row of domain_points(p, d), drawn by its index and
         # decoded without the grid
         drawn = [r.randbelow(p**d) for _ in range(k)]
-        spheres = [geo.Sphere(form, tuple(i // p ** (d - 1 - j) % p for j in range(d))) for i in drawn]
+        spheres = [geo.Sphere(form, tuple(c)) for c in geo.lex_points(drawn, p, d).tolist()]
         identity_ok, orth_ok = geo.sphere_family_check(spheres, geo.intersect_spheres_to_flat(spheres))
         failures += 0 if (identity_ok and orth_ok) else 1
         rows.append([fi, k, int(identity_ok), int(orth_ok)])
@@ -341,45 +343,65 @@ def cmd_sphere_geometry(args, rng):
 
 def cmd_pattern_scan(args, rng):
     ctx = FieldCtx.prime(args.p)
-    if args.pattern == "tree" and args.d < 3:
-        raise DomainError(f"--pattern tree needs --d >= 3, got --d {args.d}")
-    _check_enum_cap(args.p, args.d, ENUM_CAP)
-    grid = [tuple(int(v) for v in r) for r in domain_points(args.p, args.d)]
+    p, d = args.p, args.d
+    if args.pattern == "tree" and d < 3:
+        raise DomainError(f"--pattern tree needs --d >= 3, got --d {d}")
+    npoints = _check_enum_cap(p, d, ENUM_CAP)
+    # rows are the points of F_p^d in lex order; host_block builds the rows
+    # `points` against the columns with the given indices, so a sub-host
+    # never needs the whole host
     if args.pattern == "pi":
-        form = geo.BilinearForm.standard(ctx, args.d)
-        host = geo.point_sphere_incidence(grid, grid, form)
-        pat = bigraph.staircase_pattern(args.d + 1)
+        form = geo.BilinearForm.standard(ctx, d)
+        ncols = npoints
+
+        def host_block(points, cols):  # unit spheres centered on grid points
+            return geo.point_sphere_incidence(points, geo.lex_points(cols, p, d), form)
+
+        pat = bigraph.staircase_pattern(d + 1)
     else:
-        # column (normal, c) holds the points with <point, normal> = c
-        normals = [v for v in grid if next((c for c in v if c), None) == 1]
-        nrm = np.array(normals, dtype=np.int64).reshape(len(normals), args.d)
-        dots = domain_points(args.p, args.d) @ nrm.T % args.p
-        host = BipartiteGraph.from_bool_matrix(
-            (dots[:, :, None] == np.arange(args.p)).reshape(len(grid), len(normals) * args.p)
-        )
-        pat = bigraph.prefix_tree_pattern(args.d - 1, 1)
+        # column (normal, c) holds the points with <point, normal> = c; the
+        # normals are the points whose first nonzero coordinate is 1, in lex
+        # order: before[e] = (p^e - 1) / (p - 1) of them have fewer than e
+        # free coordinates, and the i-th with e free ones has lex code p^e + i
+        ncols = (npoints - 1) // (p - 1) * p
+        before = np.array([(p**e - 1) // (p - 1) for e in range(d)], dtype=np.int64)
+
+        def host_block(points, cols):
+            cols = np.asarray(cols, dtype=np.int64)
+            nidx, col_normal = np.unique(cols // p, return_inverse=True)
+            free = np.searchsorted(before, nidx, side="right") - 1
+            normals = geo.lex_points(nidx - before[free] + p**free, p, d)
+            # one product per distinct normal, spread to its columns in the
+            # smallest dtype that holds the residues
+            dots = (points @ normals.T % p).astype(np.min_scalar_type(p))
+            return BipartiteGraph.from_bool_matrix(dots[:, col_normal] == cols % p)
+
+        pat = bigraph.prefix_tree_pattern(d - 1, 1)
     rows = []
     found_any = False
     counters = {"pattern_nodes": 0, "rooted_searches": 0}
     if args.full_scan:
+        grid = domain_points(p, d)
+        host = host_block(grid, np.arange(ncols))
         # points against unit spheres centered on the same full grid: every
         # translation of F_p^d maps the host onto itself, so an embedding
         # exists iff one maps the first pattern vertex to the origin
-        rooted = args.pattern == "pi" and geo.is_full_grid(grid, args.p)
+        rooted = args.pattern == "pi" and geo.is_full_grid(grid, p)
         counters["rooted_searches"] += rooted
         hit = find_induced_pattern(host, pat, counters=counters, rooted=rooted)
         found_any |= hit is not None
         rows.append(["full", int(hit is not None)])
     for hi in range(args.hosts):
         r = rng.derive(hi)
-        ridx = r.sample_indices(host.m, min(args.host_size, host.m))
-        cidx = r.sample_indices(host.n, min(args.host_size, host.n))
-        hit = find_induced_pattern(host.induced(ridx, cidx), pat, counters=counters)
+        ridx = r.sample_indices(npoints, min(args.host_size, npoints))
+        cidx = r.sample_indices(ncols, min(args.host_size, ncols))
+        hit = find_induced_pattern(host_block(geo.lex_points(ridx, p, d), cidx), pat,
+                                   counters=counters)
         found_any |= hit is not None
         rows.append([hi, int(hit is not None)])
     body = {
         "achieved": {"pattern": args.pattern, "pattern_shape": [pat.a, pat.b],
-                     "host_shape": [host.m, host.n], "found": found_any},
+                     "host_shape": [npoints, ncols], "found": found_any},
         "bound": {},
         "verification": {"pattern_absent": not found_any},
         "retries": {},

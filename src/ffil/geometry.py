@@ -270,6 +270,12 @@ def _lex_weights(p: int, d: int) -> np.ndarray:
     return p ** np.arange(d - 1, -1, -1, dtype=np.int64)
 
 
+def lex_points(codes, p: int, d: int) -> np.ndarray:
+    """The rows of `domain_points(p, d)` at the given lex codes, decoded
+    without the grid."""
+    return np.asarray(codes, dtype=np.int64).reshape(-1, 1) // _lex_weights(p, d) % p
+
+
 def _is_member(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     """Elementwise test of `codes` against `table`: sorted codes followed by
     one sentinel larger than every code."""

@@ -10,15 +10,24 @@ in D variables: C(k*delta + D, D), which holds on every instance we can test,
 and the tighter C(k*delta, D), which already fails at k=2, delta=1, D=1
 (three realized patterns versus a bound of two). Assertions therefore use the
 former; both are carried in reports.
+
+Both kernels work on 0/1 matrices rather than per-point sets: a family is
+collected from the first occurrence of each distinct bit-packed row of the
+point x index matrix, and the shatter function scores all extensions of a
+block of (k-1)-prefixes with one matrix product of trace labels against the
+members x ground matrix. Witnesses, answers and caps are those of the
+point-by-point and subset-by-subset loops they replace.
 """
 
 import math
 from dataclasses import dataclass
+from itertools import combinations, islice
 
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from . import linalg
+from .bigraph import _incidence_rows
 from .mpoly import ENUM_CAP, domain_points, evaluate_batch
 
 
@@ -97,12 +106,26 @@ def _zero_matrix(polys, cap):
 
 
 def _collect(pts, member_matrix) -> PatternFamily:
+    """Family of the distinct rows of `member_matrix`, each witnessed by the
+    point of its first row, in order of first occurrence.
+
+    The rows are compared bit-packed; `np.unique` sorts stably, so
+    `return_index` gives each distinct row's first occurrence, and only one
+    frozenset is built per distinct row.
+    """
+    mat = np.asarray(member_matrix, dtype=bool)
+    packed = np.packbits(mat, axis=1)
+    rows = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    first = np.sort(np.unique(rows, return_index=True)[1])
+    row_of, cols = np.nonzero(mat[first])
+    ends = np.searchsorted(row_of, np.arange(1, first.size + 1)).tolist()
+    cols = cols.tolist()
     fam = {}
-    for idx in range(member_matrix.shape[0]):
-        key = frozenset(int(i) for i in np.nonzero(member_matrix[idx])[0])
-        if key not in fam:
-            fam[key] = tuple(int(x) for x in pts[idx])
-    return PatternFamily(member_matrix.shape[1], fam)
+    start = 0
+    for end, pt in zip(ends, pts[first].tolist()):
+        fam[frozenset(cols[start:end])] = tuple(pt)
+        start = end
+    return PatternFamily(mat.shape[1], fam)
 
 
 def zero_patterns(polys, cap: int = ENUM_CAP) -> PatternFamily:
@@ -132,27 +155,85 @@ def containment_patterns(systems, cap: int = ENUM_CAP) -> PatternFamily:
     return _collect(pts, np.stack(cols, axis=1))
 
 
-def shatter_function(system: SetSystem, k: int, cap: int = ENUM_CAP) -> int:
-    """pi_F(k): max over k-subsets A of the ground set of |{A & B : B in F}|."""
+# shatter_function scores its (k-1)-prefixes in blocks whose one-hot and
+# count arrays hold at most _SHATTER_CELLS cells each.
+_SHATTER_CELLS = 1 << 17
+
+
+def shatter_function(system: SetSystem, k: int, cap: int = ENUM_CAP, counters=None) -> int:
+    """pi_F(k): max over k-subsets A of the ground set of |{A & B : B in F}|.
+
+    The k-subsets are taken in lexicographic order, and the scan stops at the
+    first one with min(2^k, |F|) traces, which no subset can beat. When
+    `counters` is a dict, counters["shatter_subsets"] is increased by the
+    number of subsets visited up to and including that one (all C(n, k) when
+    no subset reaches it).
+
+    A k-subset is a (k-1)-prefix P followed by an extension a > max(P), and
+    prefix-then-extension order is lexicographic order. The prefixes are
+    walked in blocks of lex-consecutive ones. Each member is labelled by its
+    trace on P, built one column at a time as 2 * label + bit and, once that
+    could reach |F|, replaced by the rank of (label, bit) within the prefix,
+    so labels stay below min(2^(k-1), |F|) for every k. With c[l, a] the
+    number of members of label l that contain a and size[l] the number of
+    members of label l, P + {a} has sum_l [c[l, a] > 0] + [c[l, a] < size[l]]
+    traces, and one matrix product of one-hot labels against the members x
+    ground 0/1 matrix gives c for every extension of every prefix in a block
+    (exact: counts are <= |F|).
+    """
     n = system.ground_size
     if not 0 <= k <= n:
         raise DomainError("k must be between 0 and the ground set size")
-    if math.comb(n, k) > cap:
+    total = math.comb(n, k)
+    if total > cap:
         raise ResourceLimitError(f"C({n}, {k}) subsets exceed cap {cap}")
-    from itertools import combinations
-
-    ceiling = min(2**k, len(system.members))
-    best = 0
-    for subset in combinations(range(n), k):
-        amask = 0
-        for v in subset:
-            amask |= 1 << v
-        traces = {amask & b for b in system.members}
-        if len(traces) > best:
-            best = len(traces)
-            if best >= ceiling:
-                break
+    best, visited = _shatter_scan(system.members, n, k, total)
+    if counters is not None:
+        counters["shatter_subsets"] = counters.get("shatter_subsets", 0) + visited
     return best
+
+
+def _shatter_scan(members, n: int, k: int, total: int):
+    """(pi_F(k), subsets visited) for 0 <= k <= n; see shatter_function."""
+    nmem = len(members)
+    ceiling = min(2**k, nmem)
+    if k == 0 or nmem == 0:  # the first subset has min(1, |F|) traces, every subset has 0
+        return ceiling, 1 if ceiling else total
+    inc = _incidence_rows(members, n)  # members x ground
+    cols = np.ascontiguousarray(inc.T)
+    # a last column of ones makes the product carry size[l] after c[l, :]
+    inc = np.hstack([inc, np.ones((nmem, 1), dtype=np.uint8)]).astype(np.float64)
+    j = k - 1
+    width = min(2**j, nmem)  # labels on a j-prefix lie below this
+    block = max(1, _SHATTER_CELLS // (width * max(nmem, n + 1)))
+    label = np.arange(width)[:, None]
+    ground = np.arange(n)
+    prefixes = combinations(range(n - 1), j)  # the j-prefixes that have an extension
+    best = visited = 0
+    while True:
+        pre = np.array(list(islice(prefixes, block)), dtype=np.int64)
+        if not len(pre):
+            return best, visited
+        nb = len(pre)
+        row = np.arange(nb)[:, None]
+        labels = np.zeros((nb, nmem), dtype=np.int64)
+        for t in range(j):
+            labels = 2 * labels + cols[pre[:, t]]
+            if 2 ** (t + 1) > nmem:  # rank the (label, bit) pairs back below |F|
+                present = np.zeros((nb, 2 * min(2**t, nmem)), dtype=bool)
+                present[row, labels] = True
+                labels = (np.cumsum(present, axis=1) - 1)[row, labels]
+        onehot = (labels[:, None, :] == label).astype(np.float64)
+        c = (onehot.reshape(nb * width, nmem) @ inc).reshape(nb, width, n + 1)
+        size = c[:, :, n:]
+        c = c[:, :, :n]
+        counts = (c > 0).sum(axis=1) + (c < size).sum(axis=1)
+        valid = ground > (pre[:, -1:] if j else np.full((nb, 1), -1))
+        hits = np.flatnonzero(valid & (counts == ceiling))
+        if hits.size:
+            return ceiling, visited + int(valid.ravel()[: hits[0] + 1].sum())
+        best = max(best, int(counts[valid].max()))
+        visited += int(valid.sum())
 
 
 def witness_rank_check(polys, points) -> bool:

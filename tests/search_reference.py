@@ -5,10 +5,17 @@ here verbatim as they were before the search kernels were vectorized (scalar
 probe loop, per-node `pick()`, closure of every point pair), and with them
 the scalar `is_totally_isotropic` and the per-family loop of the
 `sphere-geometry` command as `sphere_family_check` (point sets of tuples
-over the whole grid). The fast kernels in `ffil` must return the same
-witness, raise `ResourceLimitError` at the same caps, list the same flats
-and give the same family verdicts. Do not optimize this module.
+over the whole grid), and the pattern-layer loops `_collect` (one frozenset
+per point) and `shatter_function` (one set of traces per k-subset). The
+fast kernels in `ffil` must return the same witness, raise
+`ResourceLimitError` at the same caps, list the same flats and patterns and
+give the same family verdicts and shatter values. Do not optimize this
+module.
 """
+
+import math
+
+import numpy as np
 
 from ffil.bigraph import BipartiteGraph, Pattern
 from ffil.errors import DomainError, ResourceLimitError
@@ -21,6 +28,7 @@ from ffil.geometry import (
     sphere_points,
 )
 from ffil.mpoly import ENUM_CAP
+from ffil.patterns import PatternFamily, SetSystem
 
 PROBE_CAP = 10**8
 
@@ -267,3 +275,35 @@ def flats_in_sphere_check(sphere: Sphere, dim_cap: int, cap: int = ENUM_CAP) -> 
                     break
             report.entries.append(FlatRecord(flat.dim, flat.base, flat.basis, iso, radial))
     return report
+
+
+def _collect(pts, member_matrix) -> PatternFamily:
+    fam = {}
+    for idx in range(member_matrix.shape[0]):
+        key = frozenset(int(i) for i in np.nonzero(member_matrix[idx])[0])
+        if key not in fam:
+            fam[key] = tuple(int(x) for x in pts[idx])
+    return PatternFamily(member_matrix.shape[1], fam)
+
+
+def shatter_function(system: SetSystem, k: int, cap: int = ENUM_CAP) -> int:
+    """pi_F(k): max over k-subsets A of the ground set of |{A & B : B in F}|."""
+    n = system.ground_size
+    if not 0 <= k <= n:
+        raise DomainError("k must be between 0 and the ground set size")
+    if math.comb(n, k) > cap:
+        raise ResourceLimitError(f"C({n}, {k}) subsets exceed cap {cap}")
+    from itertools import combinations
+
+    ceiling = min(2**k, len(system.members))
+    best = 0
+    for subset in combinations(range(n), k):
+        amask = 0
+        for v in subset:
+            amask |= 1 << v
+        traces = {amask & b for b in system.members}
+        if len(traces) > best:
+            best = len(traces)
+            if best >= ceiling:
+                break
+    return best

@@ -253,6 +253,31 @@ def test_grid_over_cap_exit_3_before_any_grid(command, d):
     assert r.stderr.startswith("resource error:")
 
 
+def test_pattern_scan_samples_sub_hosts_without_the_whole_host(tmp_path):
+    # F_1009^2 has 1,018,081 points: the whole point-sphere host would be a
+    # 965 GiB matrix, a 1 x 25 x 25 sample needs only its own block
+    out = tmp_path / "scan.json"
+    r = run_cli("pattern-scan", "--p", "1009", "--d", "2", "--hosts", "1", "--seed", "1",
+                "--output", str(out))
+    assert r.returncode == 0, r.stderr
+    achieved = load_report(out)["achieved"]
+    assert achieved["host_shape"] == [1009**2, 1009**2]
+    assert achieved["found"] is False
+
+
+@pytest.mark.parametrize(
+    "k, code, prefix", [("5", 3, "resource error:"), ("201", 1, "error:")], ids=["over-cap", "k>n"]
+)
+def test_shatter_cap_and_k_exit_codes(tmp_path, k, code, prefix):
+    # C(200, 5) > ENUM_CAP subsets
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps({"ground": 200, "members": [[0, 1], [2, 3, 199]]}))
+    r = run_cli("shatter", "--k", k, "--input", str(sets), "--seed", "1")
+    assert r.returncode == code, r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith(prefix)
+
+
 @pytest.mark.parametrize("d", ["1", "2"])
 def test_pattern_scan_tree_needs_d_3(d):
     r = run_cli("pattern-scan", "--p", "3", "--d", d, "--pattern", "tree", "--seed", "1")

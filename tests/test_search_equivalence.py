@@ -1,22 +1,28 @@
 """The vectorized search kernels against their scalar reference copies.
 
 `search_reference` holds the K_{s,s}, induced-pattern and sphere-flat
-searches and the sphere-family check as they were written before
-vectorization. Here the fast kernels must give the same witness or None,
-spend exactly as many probes or nodes (the reference raises at cap c - 1
-and not at c, c being the count the fast kernel reports), list the same
-flats in the same order, and give the same family verdicts.
+searches, the sphere-family check and the pattern-family and shatter loops
+as they were written before vectorization. Here the fast kernels must give
+the same witness or None, spend exactly as many probes or nodes (the
+reference raises at cap c - 1 and not at c, c being the count the fast
+kernel reports), list the same flats in the same order, give the same
+family verdicts, collect the same patterns with the same witnesses in the
+same order, and give the same shatter values after visiting as many
+subsets.
 """
 
+import itertools
 import json
+import math
 
+import numpy as np
 import pytest
 
 import ffil.cli
 import ffil.constructions
 import ffil.geometry
 import search_reference as ref
-from ffil import bigraph
+from ffil import bigraph, patterns
 from ffil.bigraph import (
     BipartiteGraph,
     Pattern,
@@ -25,7 +31,7 @@ from ffil.bigraph import (
     prefix_tree_pattern,
     staircase_pattern,
 )
-from ffil.errors import ResourceLimitError
+from ffil.errors import DomainError, ResourceLimitError
 from ffil.geometry import (
     AffineFlat,
     BilinearForm,
@@ -38,7 +44,8 @@ from ffil.geometry import (
     unit_distance_graph,
 )
 from ffil.gf import FieldCtx
-from ffil.mpoly import domain_points
+from ffil.mpoly import ENUM_CAP, domain_points
+from ffil.patterns import SetSystem, _collect, shatter_function
 from ffil.rng import Rng
 
 
@@ -203,6 +210,29 @@ def test_pattern_scan_tree_host_matches_loop(monkeypatch, capsys, p, d):
     [g] = hosts
     ref_host = tree_host(p, d)
     assert (g.m, g.n, g.adj_a, g.adj_b) == (ref_host.m, ref_host.n, ref_host.adj_a, ref_host.adj_b)
+
+
+@pytest.mark.parametrize("pattern, p, d", [("pi", 5, 2), ("pi", 3, 3), ("tree", 3, 3), ("tree", 5, 3)])
+def test_pattern_scan_sub_hosts_are_induced_from_the_host(monkeypatch, capsys, pattern, p, d):
+    # sub-hosts are built from their sampled rows and columns alone; they
+    # must be the induced subgraphs of the whole host on the same draws
+    hosts = []
+
+    def spy(g, pat, counters=None, rooted=False):
+        hosts.append(g)
+
+    monkeypatch.setattr(ffil.cli, "find_induced_pattern", spy)
+    argv = ["pattern-scan", "--p", str(p), "--d", str(d), "--pattern", pattern, "--full-scan",
+            "--hosts", "4", "--host-size", "20", "--seed", "7"]
+    assert ffil.cli.main(argv) == 0
+    capsys.readouterr()
+    host, *subs = hosts
+    rng = Rng(7)
+    for hi, sub in enumerate(subs):
+        r = rng.derive(hi)
+        want = host.induced(r.sample_indices(host.m, min(20, host.m)),
+                            r.sample_indices(host.n, min(20, host.n)))
+        assert (sub.m, sub.n, sub.adj_a, sub.adj_b) == (want.m, want.n, want.adj_a, want.adj_b)
 
 
 def test_pattern_matches_reference_tree_mode():
@@ -489,3 +519,133 @@ def test_report_counters_equal_reference_counts(monkeypatch, capsys, argv):
     assert bool(on_root) == ("--p" in argv if argv[0] == "unit-distance" else "--full-scan" in argv)
     for search, count in searches:
         assert_exact_count(count, search)
+
+
+# -- pattern layer ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 7, 8, 9, 40, 65])
+def test_collect_matches_reference(k):
+    # packed rows of 1 to 9 bytes, one row to many, with repeated rows and
+    # all-true and all-false rows
+    r = np.random.default_rng(k)
+    for nrows in (1, 6, 300):
+        for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+            mat = r.random((nrows, k)) < density
+            if nrows > 2:
+                mat[1], mat[2] = True, False
+                mat[r.integers(0, nrows, nrows // 2)] = mat[r.integers(0, nrows, nrows // 2)]
+            pts = r.integers(0, 97, size=(nrows, 3))
+            fast, slow = _collect(pts, mat), ref._collect(pts, mat)
+            assert fast.k == slow.k == k
+            assert list(fast.witnesses.items()) == list(slow.witnesses.items())
+            assert all(type(x) is int for w in fast.witnesses.values() for x in w)
+
+
+def reference_shatter(monkeypatch, system, k, cap=ENUM_CAP):
+    """(reference pi_F(k), number of k-subsets its loop visits)."""
+    visited = 0
+    combinations = itertools.combinations
+
+    def counting(*args):
+        nonlocal visited
+        for subset in combinations(*args):
+            visited += 1
+            yield subset
+
+    with monkeypatch.context() as m:
+        m.setattr(itertools, "combinations", counting)  # imported by the reference per call
+        value = ref.shatter_function(system, k, cap)
+    return value, visited
+
+
+def check_shatter(monkeypatch, system, k, cap=ENUM_CAP):
+    """Value and visited-subset count of the kernel against the reference, or
+    the same error; returns the reference's (value, visited) or None."""
+    counters = {}
+    try:
+        want = reference_shatter(monkeypatch, system, k, cap)
+    except (DomainError, ResourceLimitError) as exc:
+        with pytest.raises(type(exc)):
+            shatter_function(system, k, cap, counters)
+        return None
+    assert (shatter_function(system, k, cap, counters), counters["shatter_subsets"]) == want
+    return want
+
+
+def random_system(r):
+    """At most 10 ground elements and 14 members, duplicate and empty ones included."""
+    n = int(r.integers(0, 11))
+    density = r.random()
+    members = [
+        int(sum(1 << int(v) for v in np.flatnonzero(r.random(n) < density)))
+        for _ in range(int(r.integers(0, 15)))
+    ]
+    if len(members) > 2:
+        members[-1], members[1] = members[0], 0
+    return SetSystem(n, members)
+
+
+SHATTER_BLOCKS = {"one-prefix": 1, "few-prefixes": 200, "default": patterns._SHATTER_CELLS}
+
+
+@pytest.mark.parametrize("cells", SHATTER_BLOCKS.values(), ids=SHATTER_BLOCKS)
+def test_shatter_matches_reference(monkeypatch, cells):
+    monkeypatch.setattr(patterns, "_SHATTER_CELLS", cells)
+    r = np.random.default_rng(cells)
+    systems = [SetSystem(0, []), SetSystem(6, []), SetSystem(4, [0, 0]), SetSystem(3, [7, 7, 0])]
+    systems += [random_system(r) for _ in range(80)]
+    stops = {"first": 0, "later": 0, "none": 0}
+    for system in systems:
+        n = system.ground_size
+        for k in range(n + 2):  # k = n + 1 raises
+            got = check_shatter(monkeypatch, system, k)
+            if got is not None and system.members:
+                visited = got[1]
+                stops["none" if got[0] < min(2**k, len(system.members)) else
+                      "first" if visited == 1 else "later"] += 1
+        k = n // 2
+        for cap in (math.comb(n, k) - 1, math.comb(n, k)):  # raises at the first only
+            check_shatter(monkeypatch, system, k, cap)
+    assert min(stops.values()) > 0, stops
+
+
+def test_shatter_matches_reference_on_benchmark_shaped_system(monkeypatch):
+    # ground 40, 150 members of 2 to 4 elements, as the pattern-enum
+    # benchmark draws them: no 4-subset is shattered, so k = 4 visits all
+    # C(40, 4) = 91,390 subsets
+    r = np.random.default_rng(1)
+    members = [r.choice(40, size=int(r.integers(2, 5)), replace=False).tolist()
+               for _ in range(150)]
+    system = SetSystem(40, members)
+    visits = [check_shatter(monkeypatch, system, k)[1] for k in (2, 3, 4)]
+    assert visits[0] < visits[1] < visits[2] == math.comb(40, 4)
+
+
+def test_shatter_checks_k_and_cap_before_any_matrix(monkeypatch):
+    def no_matrix(*args):
+        raise AssertionError("the member matrix was built before the checks")
+
+    monkeypatch.setattr(patterns, "_incidence_rows", no_matrix)
+    system = SetSystem(200, [0b11, 0b1100 | 1 << 199])
+    with pytest.raises(ResourceLimitError):
+        shatter_function(system, 5)  # C(200, 5) > ENUM_CAP
+    with pytest.raises(DomainError):
+        shatter_function(system, 201)
+
+
+# the sparse system never reaches 16 traces (all 495 subsets are visited),
+# the dense one stops at its 54th subset
+@pytest.mark.parametrize("density", [0.2, 0.6])
+def test_shatter_report_counts_reference_subsets(monkeypatch, capsys, tmp_path, density):
+    r = np.random.default_rng(int(10 * density))
+    members = [np.flatnonzero(r.random(12) < density).tolist() for _ in range(30)]
+    sets = tmp_path / "sets.json"
+    sets.write_text(json.dumps({"ground": 12, "members": members}))
+    reports = []
+    for _ in range(2):
+        assert ffil.cli.main(["shatter", "--k", "4", "--input", str(sets), "--seed", "1"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    value, visited = reference_shatter(monkeypatch, SetSystem(12, members), 4)
+    assert reports[0]["achieved"]["shatter"] == value
+    assert reports[0]["counters"] == reports[1]["counters"] == {"shatter_subsets": visited}
