@@ -270,8 +270,8 @@ def cmd_zero_count(args, rng):
 def cmd_point_variety(args, rng):
     inst = cons.point_variety_instance(args.m, args.alpha, args.dim, rng)
     rows = [
-        [qi, system[0].total_degree, zc]
-        for qi, (system, zc) in enumerate(zip(inst.systems, inst.incident_points))
+        [qi, deg, zc]
+        for qi, (deg, zc) in enumerate(zip(inst.section_degrees, inst.incident_points))
     ]
     header = ["variety", "section_degree", "incident_points"]
     return _construction_outputs(inst.report, header, rows)

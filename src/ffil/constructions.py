@@ -26,7 +26,6 @@ from .mpoly import (
     grid_slabs,
     sample_uniform,
     section_tensors,
-    tensor_poly,
     zero_mask,
 )
 from .bigraph import BipartiteGraph, contains_kss, smallest_free_s
@@ -246,7 +245,7 @@ def random_algebraic_graph(p, d1, d2, m, n, s, rng) -> AlgebraicGraphInstance:
 @dataclass
 class PointVarietyInstance:
     points: list
-    systems: list  # one defining-polynomial list per variety
+    section_degrees: list  # per variety, total degree of its defining section
     graph: BipartiteGraph
     poly: MultiPoly
     report: ConstructionReport
@@ -277,7 +276,9 @@ def point_variety_instance(m, alpha, dim, rng) -> PointVarietyInstance:
 
     cidx = np.ravel_multi_index(tuple(np.asarray(inst.cols).T), (p,) * dim2)
     sections = section_tensors(inst.poly, dim2)[cidx]
-    systems = [[tensor_poly(inst.poly.ctx, sec)] for sec in sections]
+    # a section's degree is the largest index sum of its nonzero coefficients
+    index_sum = sum(np.indices(sections.shape[1:]))
+    degrees = np.where(sections != 0, index_sum, 0).reshape(len(sections), -1).max(axis=1).tolist()
     # Column j of `zeros` is the zero set of section j over F_p^dim.
     grid = np.arange(p, dtype=np.int64)
     per_col = np.moveaxis(sections, 0, -1)
@@ -315,7 +316,7 @@ def point_variety_instance(m, alpha, dim, rng) -> PointVarietyInstance:
             "factorization, freeness verified exactly on the emitted graph"
         ],
     )
-    return PointVarietyInstance(inst.rows, systems, inst.graph, inst.poly, report, incident)
+    return PointVarietyInstance(inst.rows, degrees, inst.graph, inst.poly, report, incident)
 
 
 # -- evasive point sets ----------------------------------------------------------

@@ -13,6 +13,8 @@ contracting only the trailing axes yields every section's coefficients at
 once (Kronecker-structured evaluation, as in Yates' algorithm).
 `evaluate_batch` vectorizes the term-by-term arithmetic for scattered
 points. The test suite cross-checks every path against `evaluate`.
+`sample_uniform` draws all its coefficients in one block
+(`Rng.randbelow_many`), the same stream as one scalar draw per monomial.
 
 Supported arithmetic is deliberately small: add, multiply, substitute. No
 GCDs, no factorization.
@@ -42,10 +44,10 @@ class MultiPoly:
         p = ctx.p
         clean = {}
         for exps, c in dict(terms).items():
-            exps = tuple(int(e) for e in exps)
+            exps = tuple(map(int, exps))
             if len(exps) != nvars:
                 raise DomainError(f"exponent vector {exps} has length != {nvars}")
-            if any(e < 0 for e in exps):
+            if nvars and min(exps) < 0:
                 raise DomainError("exponents must be nonnegative")
             c %= p
             if c:
@@ -144,19 +146,9 @@ class MultiPoly:
 
 def monomials_upto(nvars: int, degcap: int):
     """All exponent vectors of length nvars with sum <= degcap, lex order."""
-    if nvars == 0:
-        return [()]
-    out = []
-
-    def rec(prefix, remaining, left):
-        if left == 1:
-            for e in range(remaining + 1):
-                out.append(prefix + (e,))
-            return
-        for e in range(remaining + 1):
-            rec(prefix + (e,), remaining - e, left - 1)
-
-    rec((), degcap, nvars)
+    out = [()]
+    for _ in range(nvars):
+        out = [m + (e,) for m in out for e in range(degcap + 1 - sum(m))]
     return out
 
 
@@ -168,19 +160,15 @@ def sample_uniform(ctx: FieldCtx, nvars: int, degcap: int, rng) -> MultiPoly:
     """Uniformly random polynomial of total degree <= degcap.
 
     Each of the C(nvars + degcap, nvars) monomial coefficients is drawn
-    i.i.d. uniform in F_p; zero coefficients are dropped from storage.
+    i.i.d. uniform in F_p, in lex order of `monomials_upto`, by one
+    `randbelow_many` call; zero coefficients are dropped from storage.
     """
     if nvars < 1:
         raise DomainError("sample_uniform needs nvars >= 1")
     if degcap < 0:
         raise DomainError("degree cap must be nonnegative")
-    p = ctx.p
-    terms = {}
-    for exps in monomials_upto(nvars, degcap):
-        c = rng.randbelow(p)
-        if c:
-            terms[exps] = c
-    return MultiPoly(ctx, nvars, terms)
+    coeffs = rng.randbelow_many(ctx.p, monomial_count(nvars, degcap)).tolist()
+    return MultiPoly(ctx, nvars, {e: c for e, c in zip(monomials_upto(nvars, degcap), coeffs) if c})
 
 
 _GRID_CACHE = {}
@@ -263,14 +251,6 @@ def coefficient_tensor(f: MultiPoly, fold: bool = False) -> np.ndarray:
     coef = np.zeros(shape, dtype=np.int64)
     np.add.at(coef, tuple(exps.T), list(f.terms.values()))
     return coef % p
-
-
-def tensor_poly(ctx: FieldCtx, coef: np.ndarray) -> MultiPoly:
-    """The polynomial whose dense coefficient tensor is `coef`; inverts
-    `coefficient_tensor` up to trailing zero slices."""
-    exps = np.argwhere(coef)
-    coeffs = coef[tuple(exps.T)].tolist()
-    return MultiPoly(ctx, coef.ndim, dict(zip(map(tuple, exps.tolist()), coeffs)))
 
 
 def _power_table(x, k: int, p: int) -> np.ndarray:
@@ -385,7 +365,14 @@ def zero_set(f: MultiPoly, cap: int = ENUM_CAP):
 
 
 def count_zeros(f: MultiPoly, cap: int = ENUM_CAP) -> int:
-    return int(np.count_nonzero(zero_mask(f, cap)))
+    """Number of zeros of f in F_p^nvars, counted slab by slab (no full mask)."""
+    if f.nvars == 0:
+        return int(zero_mask(f, cap))
+    p = f.ctx.p
+    _check_enum_cap(p, f.nvars, cap)
+    grid = np.arange(p, dtype=np.int64)
+    slabs = grid_slabs(coefficient_tensor(f, fold=True), p, [grid] * f.nvars)
+    return sum(int(np.count_nonzero(slab == 0)) for slab in slabs)
 
 
 def bivariate_section(f: MultiPoly, q) -> MultiPoly:

@@ -6,6 +6,8 @@ platform and in any language with a SplitMix64 implementation. No global
 state, no OS entropy.
 """
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -43,6 +45,30 @@ class Rng:
             if r < n:
                 return r
 
+    def randbelow_many(self, n: int, count: int) -> np.ndarray:
+        """`count` draws of `randbelow(n)` (n <= 2^63) as an int64 array, mixed on
+        uint64 arrays (uint64 operands only, so NumPy 1.x never promotes to
+        float64); the counter ends where `count` scalar calls leave it."""
+        if not 1 <= n <= 1 << 63:
+            raise ValueError("randbelow_many needs 1 <= n <= 2^63")
+        if n == 1 or count <= 0:
+            return np.zeros(max(count, 0), dtype=np.int64)
+        shift, bound = np.uint64(64 - (n - 1).bit_length()), np.uint64(n)
+        out = []
+        while count:
+            block = 2 * count + 8  # a candidate is accepted with probability > 1/2
+            z = np.arange(1, block + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
+            z += np.uint64((self.seed + self._counter * _GOLDEN) & MASK64)
+            for s, mul in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+                z ^= z >> np.uint64(s)
+                z *= np.uint64(mul)
+            z = (z ^ (z >> np.uint64(31))) >> shift
+            hits = np.flatnonzero(z < bound)[:count]
+            self._counter += int(hits[-1]) + 1 if len(hits) == count else block
+            out.append(z[hits])
+            count -= len(hits)
+        return np.concatenate(out).astype(np.int64)
+
     def bernoulli(self, q: float) -> bool:
         """True with probability q (q quantized to 64-bit resolution)."""
         if q <= 0.0:
@@ -50,9 +76,6 @@ class Rng:
         if q >= 1.0:
             return True
         return self.next_u64() < int(q * 2.0**64)
-
-    def choice(self, seq):
-        return seq[self.randbelow(len(seq))]
 
     def sample_indices(self, n: int, k: int) -> list:
         """k distinct indices from range(n), sorted ascending.
@@ -68,11 +91,6 @@ class Rng:
             out.append(moved.get(j, j))
             moved[j] = moved.get(i, i)
         return sorted(out)
-
-    def shuffle(self, xs: list) -> None:
-        for i in range(len(xs) - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            xs[i], xs[j] = xs[j], xs[i]
 
     def derive(self, index: int) -> "Rng":
         """Independent child stream for trial `index`; deterministic in (seed, index)."""

@@ -9,8 +9,11 @@ over the whole grid), and the pattern-layer loops `_collect` (one frozenset
 per point) and `shatter_function` (one set of traces per k-subset). The
 fast kernels in `ffil` must return the same witness, raise
 `ResourceLimitError` at the same caps, list the same flats and patterns and
-give the same family verdicts and shatter values. Do not optimize this
-module.
+give the same family verdicts and shatter values. The polynomial layer keeps
+`sample_uniform` (one scalar `randbelow` per monomial), which the block
+sampler must match term for term and counter for counter, and `tensor_poly`,
+which turns a dense coefficient tensor back into a `MultiPoly`. Do not
+optimize this module.
 """
 
 import math
@@ -27,7 +30,7 @@ from ffil.geometry import (
     _affine_closure,
     sphere_points,
 )
-from ffil.mpoly import ENUM_CAP
+from ffil.mpoly import ENUM_CAP, MultiPoly, monomials_upto
 from ffil.patterns import PatternFamily, SetSystem
 
 PROBE_CAP = 10**8
@@ -307,3 +310,22 @@ def shatter_function(system: SetSystem, k: int, cap: int = ENUM_CAP) -> int:
             if best >= ceiling:
                 break
     return best
+
+
+def sample_uniform(ctx, nvars: int, degcap: int, rng) -> MultiPoly:
+    """Uniform polynomial of total degree <= degcap, one scalar draw per
+    monomial in `monomials_upto` order; zero coefficients are dropped."""
+    terms = {}
+    for exps in monomials_upto(nvars, degcap):
+        c = rng.randbelow(ctx.p)
+        if c:
+            terms[exps] = c
+    return MultiPoly(ctx, nvars, terms)
+
+
+def tensor_poly(ctx, coef: np.ndarray) -> MultiPoly:
+    """The polynomial whose dense coefficient tensor is `coef`; inverts
+    `coefficient_tensor` up to trailing zero slices."""
+    exps = np.argwhere(coef)
+    coeffs = coef[tuple(exps.T)].tolist()
+    return MultiPoly(ctx, coef.ndim, dict(zip(map(tuple, exps.tolist()), coeffs)))

@@ -15,10 +15,17 @@ from ffil import (
 from ffil import constructions
 from ffil.constructions import _product_zero_mask, integer_nth_root
 from ffil.geometry import BilinearForm, Sphere, sphere_points
-from ffil.mpoly import domain_points, evaluate_batch, sample_uniform
+from ffil.mpoly import (
+    bivariate_section,
+    domain_points,
+    evaluate_batch,
+    sample_uniform,
+    section_tensors,
+)
 from ffil.rng import Rng
 
 from oracles import brute_kss
+from search_reference import tensor_poly
 
 
 def test_integer_nth_root():
@@ -123,7 +130,7 @@ def test_point_variety_instance():
     assert 7 < rep.params["p"] <= 14
     assert rep.params["s"] == 16
     assert len(inst.points) == 49
-    assert len(inst.systems) == 49
+    assert len(inst.section_degrees) == 49
     # incidences equal graph edges: every edge (x, q) is an incidence
     assert rep.achieved["incidences"] == rep.achieved["edges"]
     assert rep.achieved["incidences"] >= rep.bound["incidences_min"]
@@ -131,11 +138,48 @@ def test_point_variety_instance():
     assert rep.verification["outcome"] == "verified-free"
     # per-variety incidence counts are the graph's column degrees
     assert inst.incident_points == [bin(col).count("1") for col in inst.graph.adj_b]
-    # spot-check: section zero sets agree with graph adjacency
+    # section degrees read off the tensors equal those of the section polynomials,
+    # and (spot-check) section zero sets agree with graph adjacency
+    p = rep.params["p"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        cols = random_algebraic_graph(p, 2, 2, 49, 49, 16, Rng(42)).cols  # the same draw
+    cidx = np.ravel_multi_index(tuple(np.asarray(cols).T), (p,) * 2)
+    sections = section_tensors(inst.poly, 2)[cidx]
+    ctx = inst.poly.ctx
+    assert inst.section_degrees == [tensor_poly(ctx, sec).total_degree for sec in sections]
+    assert all(0 <= deg <= rep.params["delta"] for deg in inst.section_degrees)
     for j in (0, 7, 23):
-        fq = inst.systems[j][0]
+        fq = tensor_poly(ctx, sections[j])
+        assert fq == bivariate_section(inst.poly, cols[j])
         for i in (0, 11, 48):
             assert (fq.evaluate(inst.points[i]) == 0) == inst.graph.has_edge(i, j)
+
+
+def test_point_variety_section_degrees_of_truncated_sections(monkeypatch):
+    # every section of the random polynomial has its full degree, so cut them
+    # to degrees -1..16 (-1: the zero section), keeping only x0^a x1^b with
+    # |a - b| <= 1, where the largest exponent and the exponent sum differ
+    full = constructions.section_tensors
+
+    def truncated(f, d2):
+        secs = full(f, d2)
+        idx = np.indices(secs.shape[1:])
+        for j, sec in enumerate(secs):
+            sec[(idx.sum(axis=0) > j % 18 - 1) | (np.ptp(idx, axis=0) > 1)] = 0
+        return secs
+
+    monkeypatch.setattr(constructions, "section_tensors", truncated)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        inst = point_variety_instance(49, 1.0, 2, Rng(42))
+        cols = random_algebraic_graph(11, 2, 2, 49, 49, 16, Rng(42)).cols
+    assert inst.report.params["p"] == 11
+    cidx = np.ravel_multi_index(tuple(np.asarray(cols).T), (11, 11))
+    sections = truncated(inst.poly, 2)[cidx]
+    want = [tensor_poly(inst.poly.ctx, sec).total_degree for sec in sections]
+    assert inst.section_degrees == want
+    assert len(set(want)) > 10 and 0 in want
 
 
 def test_evasive_set_map_image():

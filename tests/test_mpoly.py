@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -24,11 +25,11 @@ from ffil.mpoly import (
     domain_points,
     grid_slabs,
     section_tensors,
-    tensor_poly,
     zero_mask,
 )
 from ffil.rng import Rng
 
+import search_reference as ref
 from oracles import scalar_zero_points
 
 
@@ -53,6 +54,11 @@ def test_monomial_counts():
     assert monomial_count(3, 9) == 220
     assert len(monomials_upto(2, 2)) == 6
     assert len(monomials_upto(3, 9)) == 220
+    # lex order is what the sampler's coefficient stream follows
+    for nvars, degcap in ((1, 3), (3, 4), (4, 2)):
+        box = itertools.product(range(degcap + 1), repeat=nvars)
+        assert monomials_upto(nvars, degcap) == sorted(e for e in box if sum(e) <= degcap)
+    assert monomials_upto(0, 5) == [()]
 
 
 def test_sampler_uniformity_chi_square():
@@ -72,6 +78,32 @@ def test_sampler_uniformity_chi_square():
         assert abs(c - expected) <= 5 * sigma, (pair, c)
     chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
     assert chi2 < 80  # 24 dof; generous ceiling
+
+
+@pytest.mark.parametrize("p", [3, 13, 2**31 - 1])
+def test_sample_uniform_matches_scalar_reference(p):
+    # one stream feeds several draws, so the counter must also match
+    ctx = FieldCtx.prime(p)
+    for seed in (0, 9):
+        fast, slow = Rng(seed), Rng(seed)
+        for nvars in (1, 2, 4):
+            for degcap in (0, 2, 16):
+                f = sample_uniform(ctx, nvars, degcap, fast)
+                g = ref.sample_uniform(ctx, nvars, degcap, slow)
+                assert f.terms == g.terms and list(f.terms) == list(g.terms)
+                assert fast._counter == slow._counter
+
+
+def test_multipoly_validates_exponents():
+    ctx = FieldCtx.prime(5)
+    assert MultiPoly(ctx, 0, {(): 7}).terms == {(): 2}
+    assert MultiPoly(ctx, 2, {(np.int64(1), 2): 3}).terms == {(1, 2): 3}
+    with pytest.raises(DomainError, match="length"):
+        MultiPoly(ctx, 2, {(1,): 1})
+    with pytest.raises(DomainError, match="length"):
+        MultiPoly(ctx, 0, {(0,): 1})
+    with pytest.raises(DomainError, match="nonnegative"):
+        MultiPoly(ctx, 3, {(1, -1, 0): 1})
 
 
 def test_zero_set_examples():
@@ -202,12 +234,30 @@ def test_grid_kernel_slabs_and_full_grid(monkeypatch):
     assert np.array_equal(zero_mask(f).ravel(), want.ravel() == 0)
 
 
+def test_count_zeros_by_slabs_matches_mask(monkeypatch):
+    rng = Rng(33)
+    polys = [sample_uniform(FieldCtx.prime(p), d, deg, rng.derive(p * d))
+             for p, d, deg in ((2, 3, 4), (5, 3, 6), (7, 2, 9), (3, 4, 5), (11, 1, 3))]
+    polys.append(MultiPoly.variable(FieldCtx.prime(7), 3, 1))
+    want = [int(np.count_nonzero(zero_mask(f))) for f in polys]
+    monkeypatch.setattr(mpoly, "_SLAB_ELEMS", 7)
+    for f, w in zip(polys, want):
+        if f.nvars > 1:
+            grid = [range(f.ctx.p)] * f.nvars
+            assert len(list(grid_slabs(coefficient_tensor(f, fold=True), f.ctx.p, grid))) > 1
+        assert count_zeros(f) == w
+    for c, w in ((0, 1), (3, 0)):
+        assert count_zeros(MultiPoly(FieldCtx.prime(5), 0, {(): c})) == w
+    with pytest.raises(ResourceLimitError):
+        count_zeros(polys[-1], cap=300)
+
+
 def test_coefficient_tensor_round_trip():
     ctx = FieldCtx.prime(11)
     rng = Rng(4)
     for trial in range(20):
         f = sample_uniform(ctx, 1 + trial % 3, 5, rng.derive(trial))
-        assert tensor_poly(ctx, coefficient_tensor(f)) == f
+        assert ref.tensor_poly(ctx, coefficient_tensor(f)) == f
 
 
 def test_zero_set_with_exponents_above_p():
@@ -229,7 +279,7 @@ def test_section_tensors_match_bivariate_section():
         qs = domain_points(p, d2)
         assert sections.shape[0] == len(qs)
         for q, sec in zip(qs, sections):
-            assert tensor_poly(ctx, sec) == bivariate_section(f, tuple(int(x) for x in q))
+            assert ref.tensor_poly(ctx, sec) == bivariate_section(f, tuple(int(x) for x in q))
     with pytest.raises(DomainError):
         section_tensors(f, 0)
 
