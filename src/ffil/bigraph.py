@@ -1,13 +1,14 @@
 """Bipartite graphs with exact search kernels.
 
-Adjacency is stored as per-vertex int bitmasks over the opposite class, which
-keeps the complete-bipartite and induced-pattern searches exact and fast at
-desk scale. Searches never approximate: when a probe budget runs out they
+Adjacency is held as packed 64-bit bitsets over the opposite class, and the
+searches unpack only the blocks they count, which keeps the complete-bipartite
+and induced-pattern searches exact and fast at desk scale. Searches never approximate: when a probe budget runs out they
 raise ResourceLimitError rather than return a possibly-wrong verdict.
 """
 
 import bisect
 import math
+from itertools import product
 
 import numpy as np
 
@@ -16,40 +17,53 @@ from .errors import ConstructionFailure, DomainError, ResourceLimitError
 PROBE_CAP = 10**8
 
 
-def bool_rows_to_masks(mat) -> list:
-    """Int bitmask of each row of a 2-D boolean matrix: bit j of entry i is
-    mat[i][j]."""
-    packed = np.packbits(np.asarray(mat, dtype=bool), axis=1, bitorder="little")
-    raw, width = packed.tobytes(), packed.shape[1]
-    return [
-        int.from_bytes(raw[i * width : (i + 1) * width], "little")
-        for i in range(packed.shape[0])
-    ]
+def _pack(mat) -> np.ndarray:
+    """(rows, ceil(cols / 64)) uint64 words of a 2-D boolean matrix: bit j of
+    row i is mat[i, j], and the padding bits are zero. Read-only."""
+    mat = np.asarray(mat, dtype=bool)
+    words = np.zeros((mat.shape[0], -(-mat.shape[1] // 64)), dtype="<u8")
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    words.view(np.uint8)[:, : packed.shape[1]] = packed
+    words.flags.writeable = False
+    return words
+
+
+def _unpack(words, cols) -> np.ndarray:
+    """Boolean block of packed rows (a 1-D row or a 2-D array of rows):
+    entry [..., k] is bit cols[k] of each row, or bit k for k < cols when
+    cols is an int."""
+    raw = words.view(np.uint8)
+    if isinstance(cols, int):
+        return np.unpackbits(raw, axis=-1, count=cols, bitorder="little").view(bool)
+    return (raw[..., cols >> 3] >> (cols & 7).astype(np.uint8) & 1).view(bool)
+
+
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _popcount(words) -> np.ndarray:
+    """Set bits of each packed row, as int64."""
+    return _POPCOUNT[words.view(np.uint8)].sum(axis=-1, dtype=np.int64)
 
 
 class BipartiteGraph:
     """Bipartite graph on classes A (size m) and B (size n).
 
-    adj_a[i] is a bitmask over B, adj_b[j] the mirror over A; the two stay
-    consistent by construction. Immutable once built.
+    rows[i] packs the neighbours of A-vertex i over B, an (m, ceil(n / 64))
+    uint64 array, and cols is its transpose. Immutable once built.
     """
 
-    __slots__ = ("m", "n", "adj_a", "adj_b")
+    __slots__ = ("m", "n", "rows", "cols")
 
     def __init__(self, m: int, n: int, edges=()):
         if m < 0 or n < 0:
             raise DomainError("class sizes must be nonnegative")
-        adj_a = [0] * m
-        adj_b = [0] * n
+        mat = np.zeros((m, n), dtype=bool)
         for i, j in edges:
             if not (0 <= i < m and 0 <= j < n):
                 raise DomainError(f"edge ({i}, {j}) out of range")
-            adj_a[i] |= 1 << j
-            adj_b[j] |= 1 << i
-        self.m = m
-        self.n = n
-        self.adj_a = adj_a
-        self.adj_b = adj_b
+            mat[i, j] = True
+        self.m, self.n, self.rows, self.cols = m, n, _pack(mat), _pack(mat.T)
 
     @classmethod
     def from_bool_matrix(cls, mat) -> "BipartiteGraph":
@@ -59,35 +73,24 @@ class BipartiteGraph:
             mat = mat.reshape(0, 0)
         g = cls.__new__(cls)
         g.m, g.n = mat.shape
-        g.adj_a = bool_rows_to_masks(mat)
-        g.adj_b = bool_rows_to_masks(mat.T)
+        g.rows, g.cols = _pack(mat), _pack(mat.T)
         return g
 
     def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.adj_a[i] >> j & 1)
+        return bool(self.rows.view(np.uint8)[i, j >> 3] >> (j & 7) & 1)
 
     def edge_count(self) -> int:
-        return sum(mask.bit_count() for mask in self.adj_a)
+        return int(_popcount(self.rows).sum())
 
     def induced(self, a_idx, b_idx) -> "BipartiteGraph":
         """Induced subgraph on the given A- and B-index lists (reindexed)."""
-        rows = _incidence_rows([self.adj_a[i] for i in a_idx], self.n)
-        return BipartiteGraph.from_bool_matrix(rows[:, list(b_idx)])
+        a, b = (np.asarray(idx, dtype=np.int64) for idx in (a_idx, b_idx))
+        return BipartiteGraph.from_bool_matrix(_unpack(self.rows[a], b))
 
 
-# contains_kss filters a node's candidates in numpy once there are more than
-# _SMALL_NODE of them; its float32 pair-count blocks and uint8 column-sum
-# blocks hold at most _PAIR_CELLS cells, whatever the graph size.
-_SMALL_NODE = 16
+# contains_kss counts pair survivors in float32 pair-count blocks and uint8
+# column-sum blocks of at most _PAIR_CELLS cells, whatever the graph size.
 _PAIR_CELLS = 1 << 18
-
-
-def _incidence_rows(masks, width: int) -> np.ndarray:
-    """uint8 0/1 matrix whose row r is the bitmask masks[r] over `width` bits."""
-    nbytes = (width + 7) // 8
-    raw = b"".join(mask.to_bytes(nbytes, "little") for mask in masks)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), nbytes)
-    return np.unpackbits(packed, axis=1, count=width, bitorder="little")
 
 
 def contains_kss(g: BipartiteGraph, s: int, probe_cap: int = PROBE_CAP, counters=None):
@@ -107,10 +110,10 @@ def contains_kss(g: BipartiteGraph, s: int, probe_cap: int = PROBE_CAP, counters
     The candidates are filtered a whole node at a time. A child's surviving
     candidates (v with |N(v) & common| >= s) are among its parent's, so each
     node finds which of its survivors survive at each of its children at
-    once: one product of 0/1 incidence rows over its common neighborhood,
-    per-child column sums when that block would exceed _PAIR_CELLS, or int
-    bitmask tests at nodes with at most _SMALL_NODE survivors. A child with
-    no survivor is charged its probes without being visited. Probes are
+    once: one product of the 0/1 block of its common neighborhood against its
+    survivors, or per-child column sums when that block would exceed
+    _PAIR_CELLS; only these blocks are unpacked from the packed rows. A child
+    with no survivor is charged its probes without being visited. Probes are
     charged in bulk, so the count at return, and whether probe_cap is
     exceeded, equal those of the loop that tries one candidate at a time.
     """
@@ -125,10 +128,9 @@ def contains_kss(g: BipartiteGraph, s: int, probe_cap: int = PROBE_CAP, counters
 def _kss_search(g: BipartiteGraph, s: int, probe_cap: int):
     """(witness or None, probes) for 1 <= s <= min(g.m, g.n); see contains_kss."""
     swap = g.n < g.m
-    adj = g.adj_b if swap else g.adj_a
-    size = g.n if swap else g.m
+    adj, inc = (g.cols, g.rows) if swap else (g.rows, g.cols)  # inc: the other class's rows
+    size, other = (g.n, g.m) if swap else (g.m, g.n)
     probes = 0
-    inc = None  # inc[x, v] = 1 iff x ~ v, for x in the other class; built on first use
 
     def charge(count):
         nonlocal probes
@@ -140,21 +142,14 @@ def _kss_search(g: BipartiteGraph, s: int, probe_cap: int):
         """(i, survivors of kid cand[i]) for the kids i < nkids whose
         survivors (later candidates w with |N(kid) & N(w) & common| >= s)
         include one below `limit`, in order."""
-        if len(cand) <= _SMALL_NODE:
-            for i in range(nkids):
-                cu = common & adj[cand[i]]
-                nxt = [w for w in cand[i + 1 :] if (cu & adj[w]).bit_count() >= s]
-                if nxt and nxt[0] < limit:
-                    yield i, nxt
+        if not nkids or len(cand) < 2:  # a kid's survivors come after it
             return
-        nonlocal inc
-        if inc is None:
-            inc = _incidence_rows(g.adj_a if swap else g.adj_b, size)
         arr = np.asarray(cand, dtype=np.int64)
         block = max(1, _PAIR_CELLS // arr.size)
-        dense = common.bit_count() * arr.size <= _PAIR_CELLS
+        idx = np.flatnonzero(_unpack(common, other))
+        dense = idx.size * arr.size <= _PAIR_CELLS
         if dense:  # one product gives the pair counts of all kids
-            sub = inc[_mask_indices(common)[:, None], arr].astype(np.float32)
+            sub = _unpack(inc[idx], arr).astype(np.float32)
         for lo in range(0, nkids, block):
             kids = arr[lo : min(nkids, lo + block)]
             if dense:
@@ -162,8 +157,8 @@ def _kss_search(g: BipartiteGraph, s: int, probe_cap: int):
             else:
                 surv = np.zeros((kids.size, arr.size), dtype=bool)
                 for i, u in enumerate(kids.tolist()):
-                    later = arr[lo + i + 1 :]
-                    surv[i, lo + i + 1 :] = _later_counts(inc, common & adj[u], u, later) >= s
+                    rows = np.flatnonzero(_unpack(common & adj[u], other))
+                    surv[i, lo + i + 1 :] = _later_counts(inc, rows, arr[lo + i + 1 :]) >= s
             surv &= arr[None, :] > kids[:, None]
             live = surv.any(axis=1) if limit > arr[-1] else (surv & (arr < limit)).any(axis=1)
             for i in np.flatnonzero(live).tolist():
@@ -191,42 +186,36 @@ def _kss_search(g: BipartiteGraph, s: int, probe_cap: int):
             if last:
                 charge(nxt[0] - u)
                 rows = chosen + [u, nxt[0]]
-                cols = _mask_indices(common & adj[u] & adj[nxt[0]])[:s].tolist()
-                return (cols, rows) if swap else (rows, cols)
+                cols = np.flatnonzero(_unpack(common & adj[u] & adj[nxt[0]], other))
+                return (cols[:s].tolist(), rows) if swap else (rows, cols[:s].tolist())
             hit = node(chosen + [u], common & adj[u], nxt)
             if hit is not None:
                 return hit
         charge(hi - pos + unvisited(nkids))
         return None
 
-    survivors = [v for v in range(size) if adj[v].bit_count() >= s]
+    survivors = np.flatnonzero(_popcount(adj) >= s).tolist()
     if s == 1:
         if not survivors:
             charge(size)
             return None, probes
         v = survivors[0]
         charge(v + 1)
-        rows, cols = [v], _mask_indices(adj[v])[:1].tolist()
+        rows, cols = [v], np.flatnonzero(_unpack(adj[v], other))[:1].tolist()
         return ((cols, rows) if swap else (rows, cols)), probes
-    other = g.m if swap else g.n
-    return node([], (1 << other) - 1, survivors), probes
+    return node([], _pack(np.ones((1, other), dtype=bool))[0], survivors), probes
 
 
-def _later_counts(inc, common: int, u: int, later) -> np.ndarray:
-    """|N(w) & common| for each w in `later` (all > u), from column sums of
-    the rows of inc over common; uint8 sums of at most 255 rows are exact."""
-    idx = _mask_indices(common)
-    per = min(255, max(1, _PAIR_CELLS // inc.shape[1]))
-    counts = np.zeros(inc.shape[1] - u - 1, dtype=np.int64)
-    for c0 in range(0, idx.size, per):
-        counts += inc[idx[c0 : c0 + per], u + 1 :].sum(axis=0, dtype=np.uint8)
-    return counts[later - (u + 1)]
-
-
-def _mask_indices(mask: int) -> np.ndarray:
-    """Ascending bit positions of a nonnegative int bitmask."""
-    raw = mask.to_bytes((mask.bit_length() + 7) // 8, "little")
-    return np.flatnonzero(np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little"))
+def _later_counts(inc, rows, later) -> np.ndarray:
+    """|N(w) & rows| for each w in `later`: column sums of the packed rows
+    inc[rows], unpacked in blocks of at most _PAIR_CELLS cells; uint8 sums
+    of at most 255 rows are exact."""
+    width = 64 * inc.shape[1]
+    per = min(255, max(1, _PAIR_CELLS // width))
+    counts = np.zeros(width, dtype=np.int64)
+    for r0 in range(0, rows.size, per):
+        counts += _unpack(inc[rows[r0 : r0 + per]], width).sum(axis=0, dtype=np.uint8)
+    return counts[later]
 
 
 def smallest_free_s(g: BipartiteGraph, s_cap: int, probe_cap: int = PROBE_CAP, counters=None):
@@ -262,15 +251,6 @@ class Pattern:
         self.a = len(rows)
         self.b = b
         self.labels = tuple(rows)
-
-    def label(self, i, j) -> str:
-        return self.labels[i][j]
-
-    def count(self, ch: str) -> int:
-        return sum(r.count(ch) for r in self.labels)
-
-    def __eq__(self, other):
-        return isinstance(other, Pattern) and self.labels == other.labels
 
     def __repr__(self):
         return f"Pattern({self.a}x{self.b})"
@@ -332,13 +312,6 @@ def find_induced_pattern(
 _PATTERN_CELLS = 1 << 16
 
 
-def _packed_masks(masks, width: int) -> np.ndarray:
-    """(len(masks), words) uint64 array; bit j of row r is bit j of masks[r]."""
-    words = max(1, -(-width // 64))
-    raw = b"".join(mask.to_bytes(8 * words, "little") for mask in masks)
-    return np.frombuffer(raw, dtype="<u8").reshape(len(masks), words)
-
-
 def _pattern_search(g: BipartiteGraph, pat: Pattern, node_cap: int, rooted: bool):
     """(steps, host vertex per step or None, nodes); see find_induced_pattern."""
     a, b = pat.a, pat.b
@@ -363,7 +336,7 @@ def _pattern_search(g: BipartiteGraph, pat: Pattern, node_cap: int, rooted: bool
         order[best] = len(order)
     depth_count = a + b
     # A candidates are filtered by the B host's column over A, and vice versa
-    cols = {True: _packed_masks(g.adj_b, g.m), False: _packed_masks(g.adj_a, g.n)}
+    cols = {True: g.cols, False: g.rows}
     width = [g.m if is_a else g.n for is_a, _, _ in steps]
     block = [max(1, _PATTERN_CELLS // max(1, w)) for w in width]
     # earlier depths of the same class: their hosts are used
@@ -382,8 +355,7 @@ def _pattern_search(g: BipartiteGraph, pat: Pattern, node_cap: int, rooted: bool
                     mask = col
                 else:
                     mask &= col
-            bits = np.unpackbits(mask.view(np.uint8), axis=1, count=width[t], bitorder="little")
-            bits = bits.view(bool)  # 0/1 bytes; nonzero is much faster on bool
+            bits = _unpack(mask, width[t])  # nonzero is much faster on bool than on 0/1 bytes
         else:
             bits = np.ones((len(hosts), width[t]), dtype=bool)
         rows = np.arange(len(hosts))
@@ -442,23 +414,16 @@ def prefix_tree_pattern(d: int, delta: int, size_cap: int = 5_000_000) -> Patter
     if d < 2:
         raise DomainError("pattern is defined for d >= 2 (left class empty below)")
     k = 2 ** (delta**d) + 1
-    b_index = {}
-    order = []
-    for name in (("root", 1), ("root", 2)):
-        b_index[name] = len(order)
-        order.append(name)
+    b_index = {("root", 1): 0, ("root", 2): 1}  # right vertex -> column
     for layer in range(3, d + 2):
-        for seq in _sequences(k, layer - 2):
-            b_index[("v", layer, seq)] = len(order)
-            order.append(("v", layer, seq))
-    n_b = len(order)
+        for seq in product(range(1, k + 1), repeat=layer - 2):
+            b_index[("v", layer, seq)] = len(b_index)
+    n_b = len(b_index)
     a_rows = []
     for layer in range(3, d + 2):
-        for seq in _sequences(k, layer - 2):
-            nbrs = [b_index[("root", 1)], b_index[("root", 2)]]
-            nbrs += [b_index[("v", l2, seq[: l2 - 2])] for l2 in range(3, layer + 1)]
-            for _ in range(k):
-                a_rows.append(nbrs)
+        for seq in product(range(1, k + 1), repeat=layer - 2):
+            nbrs = [0, 1] + [b_index[("v", l2, seq[: l2 - 2])] for l2 in range(3, layer + 1)]
+            a_rows.extend([nbrs] * k)
     if len(a_rows) * n_b > size_cap:
         raise ResourceLimitError(
             f"pattern with {len(a_rows)}x{n_b} labels exceeds size cap"
@@ -470,16 +435,6 @@ def prefix_tree_pattern(d: int, delta: int, size_cap: int = 5_000_000) -> Patter
             row[j] = "1"
         rows.append("".join(row))
     return Pattern(rows)
-
-
-def _sequences(k: int, length: int):
-    """All sequences in [k]^length (1-based entries), lexicographic."""
-    if length == 0:
-        yield ()
-        return
-    for head in range(1, k + 1):
-        for tail in _sequences(k, length - 1):
-            yield (head,) + tail
 
 
 def staircase_pattern(d: int) -> Pattern:

@@ -233,9 +233,9 @@ def cmd_shatter(args, rng):
     elif args.graph:
         g = bigraph.parse_graph(_read_input(args.graph))
         if args.side == "a":
-            system = patmod.SetSystem(g.n, list(g.adj_a))
+            system = patmod.SetSystem(g.n, g.rows)
         else:
-            system = patmod.SetSystem(g.m, list(g.adj_b))
+            system = patmod.SetSystem(g.m, g.cols)
     else:
         raise DomainError("shatter needs --input or --graph")
     counters = {"shatter_subsets": 0}

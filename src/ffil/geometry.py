@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 from .gf import FieldCtx
 from . import linalg
-from .bigraph import BipartiteGraph, bool_rows_to_masks
+from .bigraph import BipartiteGraph, _pack
 from .mpoly import ENUM_CAP, domain_points
 
 # Rows of the left point array per block of the pairwise-norm sweep, so the
@@ -584,8 +584,8 @@ def unit_distance_graph(points, form: BilinearForm) -> BipartiteGraph:
     """Unit-distance graph of a point list under `form` (prime ctx only), as
     its bipartite double: both classes are the point list, and (i, j) is an
     edge iff norm_sq(points[i] - points[j]) = 1. The relation is symmetric,
-    so the two classes share one list of bitmasks. A point is never adjacent
-    to itself: the difference has norm zero, not one.
+    so the two classes share one packed array (rows is cols). A point is
+    never adjacent to itself: the difference has norm zero, not one.
     """
     if form.ctx.kind != "prime":
         raise DomainError("unit-distance graphs are built over prime fields only")
@@ -594,7 +594,7 @@ def unit_distance_graph(points, form: BilinearForm) -> BipartiteGraph:
         raise DomainError("point dimension mismatch")
     g = BipartiteGraph.__new__(BipartiteGraph)
     g.m = g.n = len(points)
-    g.adj_a = g.adj_b = bool_rows_to_masks(form.unit_pair_matrix(points, points))
+    g.rows = g.cols = _pack(form.unit_pair_matrix(points, points))
     return g
 
 

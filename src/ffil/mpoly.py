@@ -22,6 +22,7 @@ GCDs, no factorization.
 
 import math
 import re
+from itertools import chain
 
 import numpy as np
 
@@ -244,7 +245,9 @@ def coefficient_tensor(f: MultiPoly, fold: bool = False) -> np.ndarray:
     grid it is evaluated on.
     """
     p = f.ctx.p
-    exps = np.array(list(f.terms), dtype=np.int64).reshape(len(f.terms), f.nvars)
+    count = len(f.terms) * f.nvars
+    exps = np.fromiter(chain.from_iterable(f.terms), dtype=np.int64, count=count)
+    exps = exps.reshape(len(f.terms), f.nvars)
     if fold:
         exps = np.where(exps >= p, 1 + (exps - 1) % (p - 1), exps)
     shape = tuple(exps.max(axis=0) + 1) if f.terms else (1,) * f.nvars

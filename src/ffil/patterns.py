@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from . import linalg
-from .bigraph import _incidence_rows
+from .bigraph import _pack, _unpack
 from .mpoly import ENUM_CAP, domain_points, evaluate_batch
 
 
@@ -50,24 +50,25 @@ class PatternFamily:
 
 
 class SetSystem:
-    """Family of subsets of a ground set, stored as bitmasks."""
+    """Family of subsets of a ground set, held as packed rows over it (see
+    bigraph). `members` is such an array, or a list of int bitmasks or of
+    iterables of ground elements."""
 
     __slots__ = ("ground_size", "members")
 
     def __init__(self, ground_size: int, members):
         self.ground_size = ground_size
-        masks = []
-        for mem in members:
-            if isinstance(mem, int):
-                mask = mem
-            else:
-                mask = 0
-                for v in mem:
-                    mask |= 1 << v
-            if mask >> ground_size:
-                raise DomainError("member is not a subset of the ground set")
-            masks.append(mask)
-        self.members = masks
+        if not isinstance(members, np.ndarray):
+            mat = np.zeros((len(members), ground_size), dtype=bool)
+            for row, mem in zip(mat, members):
+                if isinstance(mem, int):  # a negative one has bits past the ground set
+                    mem = [v for v in range(max(mem.bit_length(), ground_size + 1)) if mem >> v & 1]
+                mem = list(mem)
+                if not all(0 <= v < ground_size for v in mem):
+                    raise DomainError("member is not a subset of the ground set")
+                row[mem] = True
+            members = _pack(mat)
+        self.members = members
 
     def __len__(self):
         return len(self.members)
@@ -199,10 +200,10 @@ def _shatter_scan(members, n: int, k: int, total: int):
     ceiling = min(2**k, nmem)
     if k == 0 or nmem == 0:  # the first subset has min(1, |F|) traces, every subset has 0
         return ceiling, 1 if ceiling else total
-    inc = _incidence_rows(members, n)  # members x ground
+    inc = _unpack(members, n)  # members x ground
     cols = np.ascontiguousarray(inc.T)
     # a last column of ones makes the product carry size[l] after c[l, :]
-    inc = np.hstack([inc, np.ones((nmem, 1), dtype=np.uint8)]).astype(np.float64)
+    inc = np.hstack([inc, np.ones((nmem, 1), dtype=bool)]).astype(np.float64)
     j = k - 1
     width = min(2**j, nmem)  # labels on a j-prefix lie below this
     block = max(1, _SHATTER_CELLS // (width * max(nmem, n + 1)))

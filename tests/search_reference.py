@@ -12,8 +12,9 @@ fast kernels in `ffil` must return the same witness, raise
 give the same family verdicts and shatter values. The polynomial layer keeps
 `sample_uniform` (one scalar `randbelow` per monomial), which the block
 sampler must match term for term and counter for counter, and `tensor_poly`,
-which turns a dense coefficient tensor back into a `MultiPoly`. Do not
-optimize this module.
+which turns a dense coefficient tensor back into a `MultiPoly`. The scalar
+searches read adjacency and set-system members as Python int bitmasks,
+converted from the packed rows by `int_masks`. Do not optimize this module.
 """
 
 import math
@@ -34,6 +35,18 @@ from ffil.mpoly import ENUM_CAP, MultiPoly, monomials_upto
 from ffil.patterns import PatternFamily, SetSystem
 
 PROBE_CAP = 10**8
+
+
+def int_masks(words) -> list:
+    """Python int bitmask of each packed row: bit j of entry r is bit j of words[r]."""
+    return [int.from_bytes(row.tobytes(), "little") for row in words]
+
+
+def same_graph(g, h) -> bool:
+    """Equal class sizes and equal packed rows and columns."""
+    return (g.m, g.n) == (h.m, h.n) and all(
+        np.array_equal(x, y) for x, y in ((g.rows, h.rows), (g.cols, h.cols))
+    )
 
 
 def _bits(mask: int):
@@ -66,7 +79,7 @@ def contains_kss(g: BipartiteGraph, s: int, probe_cap: int = PROBE_CAP):
     if s > g.m or s > g.n:
         return None
     swap = g.n < g.m
-    adj = g.adj_b if swap else g.adj_a
+    adj = int_masks(g.cols if swap else g.rows)
     size = g.n if swap else g.m
     other = g.m if swap else g.n
     full = (1 << other) - 1
@@ -125,6 +138,7 @@ def find_induced_pattern(
     map_b = [-1] * b
     used_a = 0
     used_b = 0
+    adj_a, adj_b = int_masks(g.rows), int_masks(g.cols)
     full_a = (1 << g.m) - 1
     full_b = (1 << g.n) - 1
     nodes = 0
@@ -153,7 +167,7 @@ def find_induced_pattern(
                 h = map_b[o]
                 if h == -1:
                     continue
-                col = g.adj_b[h]
+                col = adj_b[h]
                 mask &= col if lbl == "1" else full_a & ~col
         else:
             mask = full_b & ~used_b
@@ -161,7 +175,7 @@ def find_induced_pattern(
                 h = map_a[o]
                 if h == -1:
                     continue
-                col = g.adj_a[h]
+                col = adj_a[h]
                 mask &= col if lbl == "1" else full_b & ~col
         return mask
 
@@ -298,13 +312,14 @@ def shatter_function(system: SetSystem, k: int, cap: int = ENUM_CAP) -> int:
         raise ResourceLimitError(f"C({n}, {k}) subsets exceed cap {cap}")
     from itertools import combinations
 
-    ceiling = min(2**k, len(system.members))
+    members = int_masks(system.members)
+    ceiling = min(2**k, len(members))
     best = 0
     for subset in combinations(range(n), k):
         amask = 0
         for v in subset:
             amask |= 1 << v
-        traces = {amask & b for b in system.members}
+        traces = {amask & b for b in members}
         if len(traces) > best:
             best = len(traces)
             if best >= ceiling:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,12 @@ from ffil import (
     prefix_tree_pattern,
     staircase_pattern,
 )
+from ffil import bigraph
 from ffil.bigraph import parse_graph, smallest_free_s
 from ffil.rng import Rng
 
 from oracles import brute_kss, brute_pattern
+from search_reference import int_masks, same_graph
 
 
 def random_host(r, max_side=6):
@@ -26,6 +30,10 @@ def random_host(r, max_side=6):
     n = 2 + r.randbelow(max_side - 1)
     edges = [(i, j) for i in range(m) for j in range(n) if r.bernoulli(0.5)]
     return BipartiteGraph(m, n, edges)
+
+
+def count(pat, ch):
+    return sum(row.count(ch) for row in pat.labels)
 
 
 def test_kss_examples():
@@ -171,14 +179,14 @@ def test_prefix_tree_pattern_rejects_low_dim():
 
 def test_staircase_pattern_counts():
     p5 = staircase_pattern(5)
-    assert (p5.count("1"), p5.count("0")) == (19, 3)
+    assert (count(p5, "1"), count(p5, "0")) == (19, 3)
     p2 = staircase_pattern(2)
     # rule evaluation: every pair has i >= j - 1, no zero diagonal fits
-    assert (p2.count("1"), p2.count("0"), p2.count("*")) == (4, 0, 0)
+    assert (count(p2, "1"), count(p2, "0"), count(p2, "*")) == (4, 0, 0)
     assert sum(min(i + 1, 5) for i in range(1, 6)) == 19
     for d in (3, 4, 6):
-        assert staircase_pattern(d).label(0, 2) == "0"  # (1,3) zero for d >= 3
-        assert staircase_pattern(d).count("0") == d - 2
+        assert staircase_pattern(d).labels[0][2] == "0"  # (1,3) zero for d >= 3
+        assert count(staircase_pattern(d), "0") == d - 2
     with pytest.raises(DomainError):
         staircase_pattern(1)
 
@@ -233,7 +241,7 @@ def test_from_bool_matrix_matches_edge_list():
         )
         for mat in (rows, np.array(rows, dtype=bool).reshape(m, n)):
             g = BipartiteGraph.from_bool_matrix(mat)
-            assert (g.m, g.n, g.adj_a, g.adj_b) == (want.m, want.n, want.adj_a, want.adj_b)
+            assert same_graph(g, want)
 
 
 def test_independent_set_random_instances():
@@ -260,9 +268,9 @@ def test_fixture_round_trips():
     g = BipartiteGraph(3, 4, [(0, 1), (0, 3), (2, 0)])
     for text in ("3 4\n1 3\n\n0\n", "3 4\n1 3\n\n0"):
         g2 = parse_graph(text)
-        assert (g2.m, g2.n, g2.adj_a, g2.adj_b) == (g.m, g.n, g.adj_a, g.adj_b)
+        assert same_graph(g2, g)
     g3 = parse_graph("2 2\n1\n")
-    assert g3.adj_a == [0b10, 0]
+    assert g3.rows.tolist() == [[0b10], [0]]
 
 
 def test_induced_subgraph():
@@ -282,8 +290,50 @@ def test_induced_subgraph():
             a_idx, b_idx = a_idx[::-1], b_idx[::-1]
         sub = g.induced(a_idx, b_idx)
         assert (sub.m, sub.n) == (len(a_idx), len(b_idx))
-        assert len(sub.adj_a) == sub.m and len(sub.adj_b) == sub.n
         for row, i in enumerate(a_idx):
             for col, j in enumerate(b_idx):
                 assert sub.has_edge(row, col) == g.has_edge(i, j)
-                assert bool(sub.adj_b[col] >> row & 1) == g.has_edge(i, j)
+                assert int(sub.cols[col, row // 64]) >> row % 64 & 1 == g.has_edge(i, j)
+
+
+@pytest.mark.parametrize("m, n", [(63, 64), (64, 65), (65, 129), (129, 63), (1, 130)])
+def test_packed_rows_at_word_boundaries(m, n):
+    # rows and cols hold exactly the matrix bits, with zero padding bits, on
+    # the graph and on an induced subgraph in a shuffled order
+    mat = np.random.default_rng(m * n).random((m, n)) < 0.5
+    g = BipartiteGraph.from_bool_matrix(mat)
+    a_idx, b_idx = Rng(m).sample_indices(m, m // 2 + 1), list(range(n - 1, -1, -3))
+    for h, want in ((g, mat), (g.induced(a_idx, b_idx), mat[np.ix_(a_idx, b_idx)])):
+        hm, hn = want.shape
+        assert (h.m, h.n) == (hm, hn)
+        assert h.rows.shape == (hm, -(-hn // 64)) and h.cols.shape == (hn, -(-hm // 64))
+        assert int_masks(h.rows) == [sum(1 << int(j) for j in np.flatnonzero(r)) for r in want]
+        assert int_masks(h.cols) == [sum(1 << int(i) for i in np.flatnonzero(c)) for c in want.T]
+        assert h.edge_count() == int(want.sum())
+        assert [[h.has_edge(i, j) for j in range(hn)] for i in range(hm)] == want.tolist()
+
+
+def test_searches_on_a_tall_host_stay_within_packed_memory():
+    # the shape of a full-grid unit-distance block: 32,768 x 512 cells, 4 MB
+    # packed both ways, 16 MB as one byte per cell. Each search may allocate
+    # the packed size once more plus a few of its own blocks, never a dense
+    # copy of the host.
+    mat = np.random.default_rng(0).integers(0, 64, size=(1 << 15, 512), dtype=np.uint8) == 0
+    g = BipartiteGraph.from_bool_matrix(mat)
+    del mat
+    packed = g.rows.nbytes + g.cols.nbytes
+    searches = [
+        (bigraph._PAIR_CELLS, lambda: contains_kss(g, 3)),
+        (bigraph._PAIR_CELLS, lambda: contains_kss(g, 4, probe_cap=10**6)),
+        (bigraph._PATTERN_CELLS, lambda: find_induced_pattern(g, Pattern(["10", "01"]))),
+        (bigraph._PATTERN_CELLS, lambda: find_induced_pattern(g, staircase_pattern(4), 10**5)),
+    ]
+    for cells, search in searches:
+        tracemalloc.start()
+        try:
+            search()
+        except ResourceLimitError:
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < packed + 16 * cells

@@ -326,6 +326,19 @@ def test_shatter_graph_input(tmp_path):
     assert load_report(out)["achieved"]["shatter"] == 3
 
 
+@pytest.mark.parametrize("side, shatter", [("a", 3), ("b", 2)])
+def test_shatter_graph_input_sides(tmp_path, side, shatter):
+    # side a: the rows {0, 1}, {0}, {} over B = {0, 1} give three traces;
+    # side b: the two columns {0, 1}, {0} over A give at most two
+    g = tmp_path / "g.txt"
+    g.write_text("3 2\n0 1\n0\n\n")
+    out = tmp_path / "sh.json"
+    r = run_cli("shatter", "--k", "2", "--graph", str(g), "--side", side,
+                "--seed", "1", "--output", str(out))
+    assert r.returncode == 0
+    assert load_report(out)["achieved"]["shatter"] == shatter
+
+
 def test_containment_csv_series(tmp_path):
     out, csvp = tmp_path / "c.json", tmp_path / "c.csv"
     r = run_cli("containment-patterns", "--p", "5", "--vars", "2", "--k", "4",

@@ -261,7 +261,7 @@ def test_unit_distance_graph_examples():
     for i in range(full.n):
         for j in range(full.n):
             assert full.has_edge(i, j) == full.has_edge(j, i)
-    assert full.adj_a == full.adj_b
+    assert full.rows is full.cols
     with pytest.raises(DomainError):
         unit_distance_graph([(0, 0, 0)], form)
 

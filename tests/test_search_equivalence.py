@@ -22,6 +22,7 @@ import ffil.cli
 import ffil.constructions
 import ffil.geometry
 import search_reference as ref
+from search_reference import same_graph
 from ffil import bigraph, patterns
 from ffil.bigraph import (
     BipartiteGraph,
@@ -78,15 +79,16 @@ def check_kss(g, s):
     return got
 
 
+# class sizes just below, on and past 64-bit word boundaries
+WORD_SHAPES = [(63, 64), (64, 65), (65, 129), (129, 63), (1, 130)]
+
+
 @pytest.mark.parametrize(
-    "small_node, pair_cells",
-    [(16, 1 << 18), (0, 1 << 18), (0, 1), (0, 40), (3, 7)],
-    ids=["default", "numpy-nodes", "column-sums", "small-blocks", "mixed"],
+    "pair_cells", [1 << 18, 1, 40, 7], ids=["default", "column-sums", "small-blocks", "mixed"]
 )
-def test_kss_matches_reference(monkeypatch, small_node, pair_cells):
-    # the node-size and block-size thresholds only choose how survivors are
-    # counted; every choice must give the reference's witness and probes
-    monkeypatch.setattr(bigraph, "_SMALL_NODE", small_node)
+def test_kss_matches_reference(monkeypatch, pair_cells):
+    # the block-size threshold only chooses how survivors are counted; every
+    # choice must give the reference's witness and probes
     monkeypatch.setattr(bigraph, "_PAIR_CELLS", pair_cells)
     rng = Rng(2024)
     found = 0
@@ -95,6 +97,13 @@ def test_kss_matches_reference(monkeypatch, small_node, pair_cells):
         g = random_graph(r, 24, (0.25, 0.5, 0.75, 0.9)[r.randbelow(4)])
         found += check_kss(g, 1 + r.randbelow(5)) is not None
     assert 10 < found < 110  # both verdicts are exercised
+    found = 0
+    for m, n in WORD_SHAPES:
+        r = rng.derive(m * n)
+        for density, s in ((0.05, 3), (0.1, 3), (0.3, 4)):
+            edges = [(i, j) for i in range(m) for j in range(n) if r.bernoulli(density)]
+            found += check_kss(BipartiteGraph(m, n, edges), min(s, m)) is not None
+    assert 0 < found < 3 * len(WORD_SHAPES)
 
 
 def test_kss_matches_reference_on_unit_distance_graphs():
@@ -209,7 +218,7 @@ def test_pattern_scan_tree_host_matches_loop(monkeypatch, capsys, p, d):
     capsys.readouterr()
     [g] = hosts
     ref_host = tree_host(p, d)
-    assert (g.m, g.n, g.adj_a, g.adj_b) == (ref_host.m, ref_host.n, ref_host.adj_a, ref_host.adj_b)
+    assert same_graph(g, ref_host)
 
 
 @pytest.mark.parametrize("pattern, p, d", [("pi", 5, 2), ("pi", 3, 3), ("tree", 3, 3), ("tree", 5, 3)])
@@ -232,7 +241,7 @@ def test_pattern_scan_sub_hosts_are_induced_from_the_host(monkeypatch, capsys, p
         r = rng.derive(hi)
         want = host.induced(r.sample_indices(host.m, min(20, host.m)),
                             r.sample_indices(host.n, min(20, host.n)))
-        assert (sub.m, sub.n, sub.adj_a, sub.adj_b) == (want.m, want.n, want.adj_a, want.adj_b)
+        assert same_graph(sub, want)
 
 
 def test_pattern_matches_reference_tree_mode():
@@ -600,7 +609,7 @@ def test_shatter_matches_reference(monkeypatch, cells):
         n = system.ground_size
         for k in range(n + 2):  # k = n + 1 raises
             got = check_shatter(monkeypatch, system, k)
-            if got is not None and system.members:
+            if got is not None and len(system.members):
                 visited = got[1]
                 stops["none" if got[0] < min(2**k, len(system.members)) else
                       "first" if visited == 1 else "later"] += 1
@@ -626,7 +635,7 @@ def test_shatter_checks_k_and_cap_before_any_matrix(monkeypatch):
     def no_matrix(*args):
         raise AssertionError("the member matrix was built before the checks")
 
-    monkeypatch.setattr(patterns, "_incidence_rows", no_matrix)
+    monkeypatch.setattr(patterns, "_unpack", no_matrix)
     system = SetSystem(200, [0b11, 0b1100 | 1 << 199])
     with pytest.raises(ResourceLimitError):
         shatter_function(system, 5)  # C(200, 5) > ENUM_CAP
