@@ -1,12 +1,14 @@
 """Bipartite graphs with exact search kernels.
 
-Adjacency is held as packed 64-bit bitsets over the opposite class, and the
-searches unpack only the blocks they count, which keeps the complete-bipartite
-and induced-pattern searches exact and fast at desk scale. Searches never approximate: when a probe budget runs out they
-raise ResourceLimitError rather than return a possibly-wrong verdict.
+Adjacency is held as packed 64-bit bitsets over the opposite class. The
+complete-bipartite and induced-pattern searches both run on _lex_walk, one
+depth-first walk of a lex-ordered search tree that expands blocks of states
+of one depth at a time and unpacks only the blocks it counts. They report
+and cap the work of the search that tries one candidate at a time, and never
+approximate: when a probe or node budget runs out they raise
+ResourceLimitError rather than return a possibly-wrong verdict.
 """
 
-import bisect
 import math
 from itertools import product
 
@@ -88,9 +90,9 @@ class BipartiteGraph:
         return BipartiteGraph.from_bool_matrix(_unpack(self.rows[a], b))
 
 
-# contains_kss counts pair survivors in float32 pair-count blocks and uint8
-# column-sum blocks of at most _PAIR_CELLS cells, whatever the graph size.
-_PAIR_CELLS = 1 << 18
+# Both searches expand blocks of states whose working set (states x candidates,
+# or a slice of a K_{s,s} count product) holds at most _BLOCK_CELLS cells.
+_BLOCK_CELLS = 1 << 16
 
 
 def contains_kss(g: BipartiteGraph, s: int, probe_cap: int = PROBE_CAP, counters=None):
@@ -99,123 +101,95 @@ def contains_kss(g: BipartiteGraph, s: int, probe_cap: int = PROBE_CAP, counters
     Searches s-subsets of the smaller class in increasing lexicographic
     order, carrying the common neighborhood, and prunes any branch whose
     common neighborhood falls below s, so the first witness found is the
-    lexicographically least. The search node for a chosen prefix considers
-    the candidates v from one past its last vertex up to the last index that
-    leaves room for the rest of the subset; a probe is one candidate v
-    considered at one node, and exhausting probe_cap raises
-    ResourceLimitError (never a silent approximation). When `counters` is a
-    dict, counters["kss_probes"] is increased by the probes a search that
-    returns has spent.
+    lexicographically least. A depth-t state is an increasing tuple of t
+    rows; it considers the candidates v from one past its last row up to the
+    last index that leaves room for the rest of the subset, and its children
+    are the v with |N(v) & common| >= s. A probe is one candidate considered
+    at one state. The count is that of the search that tries one candidate
+    at a time, and exhausting probe_cap raises ResourceLimitError (never a
+    silent approximation). When `counters` is a dict, counters["kss_probes"]
+    is increased by the probes a search that returns has spent.
 
-    The candidates are filtered a whole node at a time. A child's surviving
-    candidates (v with |N(v) & common| >= s) are among its parent's, so each
-    node finds which of its survivors survive at each of its children at
-    once: one product of the 0/1 block of its common neighborhood against its
-    survivors, or per-child column sums when that block would exceed
-    _PAIR_CELLS; only these blocks are unpacked from the packed rows. A child
-    with no survivor is charged its probes without being visited. Probes are
-    charged in bulk, so the count at return, and whether probe_cap is
-    exceeded, equal those of the loop that tries one candidate at a time.
+    _lex_walk expands blocks of states: depth 0 reads its children off the
+    degrees, deeper blocks count theirs with one float32 product of their
+    unpacked common neighborhoods against the candidates' columns, and below
+    depth 1 the candidates are the first row's depth-1 children, kept while
+    the descendants of their depth-1 block are walked.
     """
     if s < 1:
         raise DomainError("s must be >= 1")
-    hit, probes = _kss_search(g, s, probe_cap) if s <= min(g.m, g.n) else (None, 0)
-    if counters is not None:
-        counters["kss_probes"] = counters.get("kss_probes", 0) + probes
-    return hit
-
-
-def _kss_search(g: BipartiteGraph, s: int, probe_cap: int):
-    """(witness or None, probes) for 1 <= s <= min(g.m, g.n); see contains_kss."""
     swap = g.n < g.m
     adj, inc = (g.cols, g.rows) if swap else (g.rows, g.cols)  # inc: the other class's rows
     size, other = (g.n, g.m) if swap else (g.m, g.n)
-    probes = 0
+    deg_ok = _popcount(adj) >= s
+    first = None  # (first rows, their depth-1 children) of the current depth-1 block
 
-    def charge(count):
-        nonlocal probes
-        probes += count
-        if probes > probe_cap:
-            raise ResourceLimitError("K_{s,s} search probe budget exhausted")
+    def expand(hosts, t):
+        nonlocal first
+        hi = size - s + t + 1  # the last candidate leaves room for the rest
+        last = hosts[:, -1] if t else np.full(1, -1)
+        if t < 2:
+            cols, ok = np.flatnonzero(deg_ok), True
+        else:  # the children of the block's first rows, a run of rows of `first`
+            r = np.searchsorted(first[0], hosts[:, 0])
+            kids = first[2][r[0] : r[-1] + 1]
+            keep = kids.any(axis=0)
+            cols, ok = first[1][keep], kids[:, keep][r - r[0]]
+        end = size if t == 1 else hi  # depth 1 keeps children past hi: deeper states take them
+        span = slice(np.searchsorted(cols, last.min() + 1), np.searchsorted(cols, end))
+        cols, ok = cols[span], (cols[span] > last[:, None]) & (ok if t < 2 else ok[:, span])
+        if t:
+            common = adj[hosts[:, 0]]
+            for u in range(1, t):
+                common = common & adj[hosts[:, u]]
+            ok &= _pair_counts(common, inc, cols, hosts[:, 0]) >= s
+        if t == 1:
+            first = (hosts[:, 0], cols, ok)
+            ok = ok & (cols < hi)
+        parent, k = np.nonzero(ok)
+        cand = cols[k]
+        spend = hi - 1 - last  # probes of each state
+        before = np.cumsum(spend) - spend
+        return parent, cand, before[parent] + cand - last[parent], int(spend.sum())
 
-    def live_kids(common, cand, nkids, limit):
-        """(i, survivors of kid cand[i]) for the kids i < nkids whose
-        survivors (later candidates w with |N(kid) & N(w) & common| >= s)
-        include one below `limit`, in order."""
-        if not nkids or len(cand) < 2:  # a kid's survivors come after it
-            return
-        arr = np.asarray(cand, dtype=np.int64)
-        block = max(1, _PAIR_CELLS // arr.size)
-        idx = np.flatnonzero(_unpack(common, other))
-        dense = idx.size * arr.size <= _PAIR_CELLS
-        if dense:  # one product gives the pair counts of all kids
-            sub = _unpack(inc[idx], arr).astype(np.float32)
-        for lo in range(0, nkids, block):
-            kids = arr[lo : min(nkids, lo + block)]
-            if dense:
-                surv = sub[:, lo : lo + kids.size].T @ sub >= s  # exact: < 2^24 ones
-            else:
-                surv = np.zeros((kids.size, arr.size), dtype=bool)
-                for i, u in enumerate(kids.tolist()):
-                    rows = np.flatnonzero(_unpack(common & adj[u], other))
-                    surv[i, lo + i + 1 :] = _later_counts(inc, rows, arr[lo + i + 1 :]) >= s
-            surv &= arr[None, :] > kids[:, None]
-            live = surv.any(axis=1) if limit > arr[-1] else (surv & (arr < limit)).any(axis=1)
-            for i in np.flatnonzero(live).tolist():
-                yield lo + i, arr[surv[i]].tolist()
-
-    def node(chosen, common, cand):
-        # cand: this node's survivors in [start, size), ascending. Its kids
-        # are those below hi; a kid scans up to hi_kid, and one with no
-        # survivor below that is charged its probes without a visit.
-        t = len(chosen)
-        hi = size - (s - t) + 1
-        hi_kid = hi + 1
-        last = t + 2 == s  # the kids are last-level nodes: any survivor is a witness
-        pos = chosen[-1] + 1 if chosen else 0
-        nkids = bisect.bisect_left(cand, hi)
-        prev = 0  # kids before prev are settled
-
-        def unvisited(end):  # probes of the kids cand[prev:end], none visited
-            return (end - prev) * (hi_kid - 1) - sum(cand[prev:end])
-
-        for i, nxt in live_kids(common, cand, nkids, hi_kid):
-            u = cand[i]
-            charge(u + 1 - pos + unvisited(i))
-            pos, prev = u + 1, i + 1
-            if last:
-                charge(nxt[0] - u)
-                rows = chosen + [u, nxt[0]]
-                cols = np.flatnonzero(_unpack(common & adj[u] & adj[nxt[0]], other))
-                return (cols[:s].tolist(), rows) if swap else (rows, cols[:s].tolist())
-            hit = node(chosen + [u], common & adj[u], nxt)
-            if hit is not None:
-                return hit
-        charge(hi - pos + unvisited(nkids))
+    block = [max(1, _BLOCK_CELLS // size)] * s
+    rows, probes = _lex_walk(expand, s, block, probe_cap) if s <= min(g.m, g.n) else (None, 0)
+    if counters is not None:
+        counters["kss_probes"] = counters.get("kss_probes", 0) + probes
+    if rows is None:
         return None
-
-    survivors = np.flatnonzero(_popcount(adj) >= s).tolist()
-    if s == 1:
-        if not survivors:
-            charge(size)
-            return None, probes
-        v = survivors[0]
-        charge(v + 1)
-        rows, cols = [v], np.flatnonzero(_unpack(adj[v], other))[:1].tolist()
-        return ((cols, rows) if swap else (rows, cols)), probes
-    return node([], _pack(np.ones((1, other), dtype=bool))[0], survivors), probes
+    cols = np.flatnonzero(_unpack(np.bitwise_and.reduce(adj[rows], axis=0), other))[:s].tolist()
+    return (cols, rows) if swap else (rows, cols)
 
 
-def _later_counts(inc, rows, later) -> np.ndarray:
-    """|N(w) & rows| for each w in `later`: column sums of the packed rows
-    inc[rows], unpacked in blocks of at most _PAIR_CELLS cells; uint8 sums
-    of at most 255 rows are exact."""
-    width = 64 * inc.shape[1]
-    per = min(255, max(1, _PAIR_CELLS // width))
-    counts = np.zeros(width, dtype=np.int64)
-    for r0 in range(0, rows.size, per):
-        counts += _unpack(inc[rows[r0 : r0 + per]], width).sum(axis=0, dtype=np.uint8)
-    return counts[later]
+def _pair_counts(common, inc, cols, firsts) -> np.ndarray:
+    """(states, len(cols)) float32 counts |common[i] & N(cols[k])|, exact
+    below 2^24: products of 0/1 blocks of at most _BLOCK_CELLS cells over
+    slices of states that unpack only the vertices in their common rows and
+    end where the first row changes if they can (the common rows of one first
+    row's states lie in its neighbourhood, so they unpack few vertices)."""
+
+    def used(rows):
+        return np.flatnonzero(_unpack(np.bitwise_or.reduce(rows, axis=0), len(inc)))
+
+    counts = np.zeros((len(common), cols.size), dtype=np.float32)
+    idx = used(common)
+    per = max(1, _BLOCK_CELLS // max(1, idx.size))  # states per slice
+    step = max(1, _BLOCK_CELLS // max(per, cols.size))
+    runs = np.flatnonzero(firsts[1:] != firsts[:-1]) + 1  # where the first row changes
+    r0 = 0
+    while r0 < len(common):
+        r1 = min(len(common), r0 + per)
+        j = np.searchsorted(runs, r1, side="right")
+        if r1 < len(common) and j and runs[j - 1] > r0:
+            r1 = runs[j - 1]
+        idx = idx if per >= len(common) else used(common[r0:r1])
+        for lo in range(0, idx.size, step):
+            part = idx[lo : lo + step]
+            c, x = _unpack(common[r0:r1], part), _unpack(inc[part], cols)
+            counts[r0:r1] += c.astype(np.float32) @ x.astype(np.float32)
+        r0 = r1
+    return counts
 
 
 def smallest_free_s(g: BipartiteGraph, s_cap: int, probe_cap: int = PROBE_CAP, counters=None):
@@ -272,18 +246,12 @@ def find_induced_pattern(
     the host vertices chosen at depths 0, 1, ..., and the embedding returned
     is the lex-first one.
 
-    The tree is walked depth-first over blocks of lex-consecutive states of
-    one depth rather than one candidate at a time: one step filters every
-    state of a block against packed 64-bit adjacency words and lists the
-    children in lex order, and the block holding the lex-first unexplored
-    state is always expanded next. A node is one candidate attempted, and
-    the count is exactly that of a one-candidate-at-a-time backtracking
-    search: the nodes up to and including the first node at the last depth
-    (the hit) in depth-first order, or all nodes of the tree when there is
-    no hit. The search raises ResourceLimitError exactly when that count
-    exceeds node_cap, after at most one block of work past the cap. When
-    `counters` is a dict, counters["pattern_nodes"] is increased by the
-    count of a search that returns.
+    _lex_walk expands blocks of lex-consecutive states, filtering a whole
+    block against packed 64-bit adjacency words at once. A node is one
+    candidate attempted; the count is that of the backtracking search that
+    tries one candidate at a time, and exceeding node_cap raises
+    ResourceLimitError. When `counters` is a dict, counters["pattern_nodes"]
+    is increased by the count of a search that returns.
 
     With rooted=True the vertex mapped at depth 0 may only go to host vertex 0
     of its class. That is exact for existence on a host whose automorphisms
@@ -293,27 +261,6 @@ def find_induced_pattern(
     depth-0 vertex lands on the origin gives another embedding. The
     embedding returned is then not the one the plain search would return.
     """
-    fits = pat.a <= g.m and pat.b <= g.n
-    steps, hosts, nodes = _pattern_search(g, pat, node_cap, rooted) if fits else (None, None, 0)
-    if counters is not None:
-        counters["pattern_nodes"] = counters.get("pattern_nodes", 0) + nodes
-    if hosts is None:
-        return None
-    map_a, map_b = [-1] * pat.a, [-1] * pat.b
-    for (is_a, i, _), h in zip(steps, hosts):
-        (map_a if is_a else map_b)[i] = h
-    return map_a, map_b
-
-
-# _pattern_search expands blocks of states of one depth; a block's candidate
-# bits hold at most _PATTERN_CELLS cells (states x host class size), so the
-# states waiting at each depth number at most max(_PATTERN_CELLS, class
-# size), whatever node_cap is.
-_PATTERN_CELLS = 1 << 16
-
-
-def _pattern_search(g: BipartiteGraph, pat: Pattern, node_cap: int, rooted: bool):
-    """(steps, host vertex per step or None, nodes); see find_induced_pattern."""
     a, b = pat.a, pat.b
     # non-* constraints of each pattern vertex: [(other vertex, is_edge)]
     cons = {("A", i): [] for i in range(a)} | {("B", j): [] for j in range(b)}
@@ -334,16 +281,15 @@ def _pattern_search(g: BipartiteGraph, pat: Pattern, node_cap: int, rooted: bool
             (best[0] == "A", best[1], [(order[o], one) for o, one in cons[best] if o in order])
         )
         order[best] = len(order)
-    depth_count = a + b
     # A candidates are filtered by the B host's column over A, and vice versa
     cols = {True: g.cols, False: g.rows}
     width = [g.m if is_a else g.n for is_a, _, _ in steps]
-    block = [max(1, _PATTERN_CELLS // max(1, w)) for w in width]
+    block = [max(1, _BLOCK_CELLS // max(1, w)) for w in width]
     # earlier depths of the same class: their hosts are used
-    same = [[u for u in range(t) if steps[u][0] == steps[t][0]] for t in range(depth_count)]
+    same = [[u for u in range(t) if steps[u][0] == steps[t][0]] for t in range(a + b)]
 
     def expand(hosts, t):
-        """(state, candidate) pairs of depth t below the states `hosts`, lex order."""
+        """Children of the states `hosts` of depth t, in lex order; each is a node."""
         is_a, _, checks = steps[t]
         if checks:
             mask = None
@@ -363,41 +309,68 @@ def _pattern_search(g: BipartiteGraph, pat: Pattern, node_cap: int, rooted: bool
             bits[rows, hosts[:, u]] = False
         if rooted and t == 0:
             bits[:, 1:] = False
-        return np.divmod(np.flatnonzero(bits), width[t])
+        parent, cand = np.divmod(np.flatnonzero(bits), width[t])
+        return parent, cand, np.arange(1, len(cand) + 1), len(cand)
 
-    def checked(nodes):
-        if nodes > node_cap:
-            raise ResourceLimitError("pattern search node budget exhausted")
-        return nodes
+    hosts, nodes = _lex_walk(expand, a + b, block, node_cap) if a <= g.m and b <= g.n else (None, 0)
+    if counters is not None:
+        counters["pattern_nodes"] = counters.get("pattern_nodes", 0) + nodes
+    if hosts is None:
+        return None
+    map_a, map_b = [-1] * a, [-1] * b
+    for (is_a, i, _), h in zip(steps, hosts):
+        (map_a if is_a else map_b)[i] = h
+    return map_a, map_b
 
-    # The tree is walked depth-first, one block of lex-consecutive states of
-    # one depth at a time. pc of a depth-t node counts the nodes at depths
-    # <= t that come no later in lex order: pc(parent) + serial + 1, serial
-    # being the number of depth-t nodes created before it (creation order is
-    # lex order). When a block is popped, the deeper nodes created so far all
-    # lie under lex-earlier states, so pc plus those is the node number a
-    # one-candidate-at-a-time search gives the block's first state.
-    created = [0] * depth_count  # nodes created at each depth
+
+def _lex_walk(expand, depth: int, block, cap: int):
+    """(hosts of the lex-first state at the last depth, or None; work) of a
+    depth-first walk, in lex order, of a tree with `depth` levels of states
+    below an empty root, one block of lex-consecutive states of one depth at
+    a time; a depth-t block holds at most block[t] states.
+
+    expand(hosts, t) takes a block of depth-t states, one row of t host
+    vertices each, and returns (parent, cand, pos, total): the children in
+    lex order (the index of the parent in `hosts`, the new vertex), each
+    child's 1-based position among the units of work (nodes or probes) the
+    expansion spends in the order a one-at-a-time search spends them, and
+    the units spent. The work returned is that search's: the units up to and
+    including the first child at the last depth, or the whole tree's when
+    there is none. ResourceLimitError is raised exactly when it exceeds cap,
+    after at most one block of work past it.
+    """
+
+    def checked(count):
+        if count > cap:
+            raise ResourceLimitError(f"search budget of {cap} exhausted")
+        return count
+
+    # pc of a depth-t state counts the units spent by depths < t that come
+    # no later in lex order: pc(parent) + charged[t - 1] + pos, charged[t]
+    # being the units spent so far by depth-t expansions (all lex-earlier).
+    # When a block is popped, the deeper units spent so far all lie under
+    # lex-earlier states, so pc plus those is the count a one-at-a-time
+    # search has reached at the block's first state.
+    charged = [0] * depth
     stack = [(np.zeros((1, 0), dtype=np.int32), np.zeros(1, dtype=np.int64))]
     while stack:
         hosts, pc = stack.pop()
         t = hosts.shape[1]
-        checked(int(pc[0]) + sum(created[t:]))
-        parent, cand = expand(hosts, t)
+        checked(int(pc[0]) + sum(charged[t:]))
+        parent, cand, pos, total = expand(hosts, t)
+        if len(cand) and t == depth - 1:  # the first child is the lex-first hit
+            count = checked(int(pc[parent[0]]) + charged[t] + int(pos[0]))
+            return hosts[parent[0]].tolist() + [int(cand[0])], count
+        kids_pc = pc[parent] + charged[t] + pos
+        charged[t] += total
         if not len(cand):
             continue
-        if t == depth_count - 1:  # the first node created here is the lex-first hit
-            nodes = checked(int(pc[parent[0]]) + created[t] + 1)
-            return steps, hosts[parent[0]].tolist() + [int(cand[0])], nodes
-        kids_pc = pc[parent] + np.arange(created[t] + 1, created[t] + len(cand) + 1)
-        created[t] += len(cand)
-        kids = np.empty((len(cand), t + 1), dtype=np.int32)
-        kids[:, :t] = hosts[parent]
-        kids[:, t] = cand
+        kids = np.hstack((hosts[parent], cand[:, None].astype(np.int32)))
+        del parent, cand, pos  # not kept while the blocks below are expanded
         size = block[t + 1]
-        for lo in reversed(range(0, len(cand), size)):  # the lex-first block on top
+        for lo in reversed(range(0, len(kids), size)):  # the lex-first block on top
             stack.append((kids[lo : lo + size], kids_pc[lo : lo + size]))
-    return steps, None, checked(sum(created))
+    return None, checked(sum(charged))
 
 
 def prefix_tree_pattern(d: int, delta: int, size_cap: int = 5_000_000) -> Pattern:
@@ -413,27 +386,20 @@ def prefix_tree_pattern(d: int, delta: int, size_cap: int = 5_000_000) -> Patter
     """
     if d < 2:
         raise DomainError("pattern is defined for d >= 2 (left class empty below)")
+    if delta**d >= size_cap.bit_length():  # k > size_cap, and so is the label count
+        raise ResourceLimitError(f"pattern with k = 2^{delta**d} + 1 exceeds size cap")
     k = 2 ** (delta**d) + 1
-    b_index = {("root", 1): 0, ("root", 2): 1}  # right vertex -> column
-    for layer in range(3, d + 2):
-        for seq in product(range(1, k + 1), repeat=layer - 2):
-            b_index[("v", layer, seq)] = len(b_index)
-    n_b = len(b_index)
-    a_rows = []
-    for layer in range(3, d + 2):
-        for seq in product(range(1, k + 1), repeat=layer - 2):
-            nbrs = [0, 1] + [b_index[("v", l2, seq[: l2 - 2])] for l2 in range(3, layer + 1)]
-            a_rows.extend([nbrs] * k)
-    if len(a_rows) * n_b > size_cap:
-        raise ResourceLimitError(
-            f"pattern with {len(a_rows)}x{n_b} labels exceeds size cap"
-        )
-    rows = []
-    for nbrs in a_rows:
-        row = ["0"] * n_b
-        for j in nbrs:
-            row[j] = "1"
-        rows.append("".join(row))
+    layers = sum(k**j for j in range(1, d))  # right vertices beyond the roots
+    if k * layers * (2 + layers) > size_cap:  # (left rows) x (right columns)
+        raise ResourceLimitError(f"pattern with {k * layers}x{2 + layers} labels exceeds size cap")
+    col, rows = {}, []  # sequence -> column; the roots are columns 0 and 1
+    for length in range(1, d):
+        for seq in product(range(1, k + 1), repeat=length):
+            col[seq] = 2 + len(col)
+            row = ["0"] * (2 + layers)
+            for j in [0, 1] + [col[seq[:i]] for i in range(1, length + 1)]:
+                row[j] = "1"
+            rows.extend(["".join(row)] * k)
     return Pattern(rows)
 
 

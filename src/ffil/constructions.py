@@ -20,7 +20,7 @@ from .gf import FieldCtx, find_prime, is_prime
 from .mpoly import (
     ENUM_CAP,
     MultiPoly,
-    _pow_col,
+    _power_table,
     count_zeros,
     domain_points,
     grid_slabs,
@@ -337,16 +337,13 @@ def evasive_point_set(p, d, k, strategy, rng, cap: int = ENUM_CAP):
         raise ResourceLimitError("evasive set size exceeds cap")
     if strategy == "map-image":
         base = domain_points(p, d - k)
-        cols = [base]
-        for i in range(1, k + 1):
-            # monomial y_1^(2i+1) * prod_{j>=2} y_j^2: odd total degree
-            # 2i + 1 + 2(d-k-1), strictly increasing in i
-            col = np.copy(base[:, 0])
-            col = _pow_col(col, 2 * i + 1, p)
-            for j in range(1, d - k):
-                col = col * _pow_col(base[:, j], 2, p) % p
-            cols.append(col.reshape(-1, 1))
-        arr = np.hstack(cols)
+        squares = np.ones(len(base), dtype=np.int64)
+        for j in range(1, d - k):
+            squares = squares * _power_table(base[:, j], 3, p)[:, 2] % p
+        # y_1^(2i+1) * prod_{j>=2} y_j^2 for i = 1..k: odd total degrees
+        # 2i + 1 + 2(d-k-1), strictly increasing in i
+        odd = _power_table(base[:, 0], 2 * k + 2, p)[:, 3::2]
+        arr = np.hstack([base, odd * squares[:, None] % p])
         return [tuple(int(v) for v in row) for row in arr]
     if strategy == "random":
         idx = rng.sample_indices(p**d, size)

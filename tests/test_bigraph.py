@@ -177,6 +177,20 @@ def test_prefix_tree_pattern_rejects_low_dim():
         prefix_tree_pattern(3, 2)  # k = 2^8 + 1 blows the size cap
 
 
+@pytest.mark.parametrize("d, labels", [(3, "17040642x66308"), (4, "18448151491543367683x")])
+def test_prefix_tree_pattern_checks_its_size_before_any_row(d, labels):
+    # k = 2^(2^d) + 1: the label count is known from k and d, so the cap
+    # is checked before one row of the pattern is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match=labels):
+            prefix_tree_pattern(d, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_staircase_pattern_counts():
     p5 = staircase_pattern(5)
     assert (count(p5, "1"), count(p5, "0")) == (19, 3)
@@ -323,12 +337,12 @@ def test_searches_on_a_tall_host_stay_within_packed_memory():
     del mat
     packed = g.rows.nbytes + g.cols.nbytes
     searches = [
-        (bigraph._PAIR_CELLS, lambda: contains_kss(g, 3)),
-        (bigraph._PAIR_CELLS, lambda: contains_kss(g, 4, probe_cap=10**6)),
-        (bigraph._PATTERN_CELLS, lambda: find_induced_pattern(g, Pattern(["10", "01"]))),
-        (bigraph._PATTERN_CELLS, lambda: find_induced_pattern(g, staircase_pattern(4), 10**5)),
+        lambda: contains_kss(g, 3),
+        lambda: contains_kss(g, 4, probe_cap=10**6),
+        lambda: find_induced_pattern(g, Pattern(["10", "01"])),
+        lambda: find_induced_pattern(g, staircase_pattern(4), 10**5),
     ]
-    for cells, search in searches:
+    for search in searches:
         tracemalloc.start()
         try:
             search()
@@ -336,4 +350,4 @@ def test_searches_on_a_tall_host_stay_within_packed_memory():
             pass
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
-        assert peak < packed + 16 * cells
+        assert peak < packed + 16 * bigraph._BLOCK_CELLS

@@ -231,7 +231,20 @@ def test_unit_distance_d3_p11_certified_free(tmp_path):
     rep = load_report(out)
     assert rep["verification"]["outcome"] == "verified-free"
     assert rep["counters"]["rooted_searches"] == 1
+    assert rep["counters"]["kss_probes"] == 214089
     assert rep["achieved"]["P_size"] == 11**3
+
+
+def test_zarankiewicz_p31_rung_certified_free(tmp_path):
+    # two exact searches, on the full 961 x 961 graph and on its sampled
+    # 400 x 400 subgraph, spending the probes of the one-at-a-time search
+    out = tmp_path / "z.json"
+    r = run_cli("zarankiewicz", "--p", "31", "--d1", "2", "--d2", "2", "--m", "400",
+                "--n", "400", "--s", "4", "--seed", "1", "--output", str(out))
+    assert r.returncode == 0, r.stderr
+    rep = load_report(out)
+    assert rep["verification"]["outcome"] == "verified-free"
+    assert rep["counters"]["kss_probes"] == 3175948
 
 
 def test_resource_error_exit_3():

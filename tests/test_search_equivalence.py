@@ -79,17 +79,24 @@ def check_kss(g, s):
     return got
 
 
+# Bounds of the search kernels' block working set (states x class size, or
+# one slice of a K_{s,s} count product). A bound only chooses how many
+# states are expanded and counted at once; every choice must give the
+# reference's witness and probes or nodes. 1 expands one state at a time and
+# counts over one vertex at a time; 300 expands two to four states of a
+# class of 65 to 140 vertices, or 12 or more of a class of up to 24.
+SMALL_BLOCKS = {"one-state": 1, "few-states": 300}
+
+
 # class sizes just below, on and past 64-bit word boundaries
 WORD_SHAPES = [(63, 64), (64, 65), (65, 129), (129, 63), (1, 130)]
 
 
 @pytest.mark.parametrize(
-    "pair_cells", [1 << 18, 1, 40, 7], ids=["default", "column-sums", "small-blocks", "mixed"]
+    "cells", [*SMALL_BLOCKS.values(), bigraph._BLOCK_CELLS], ids=[*SMALL_BLOCKS, "default"]
 )
-def test_kss_matches_reference(monkeypatch, pair_cells):
-    # the block-size threshold only chooses how survivors are counted; every
-    # choice must give the reference's witness and probes
-    monkeypatch.setattr(bigraph, "_PAIR_CELLS", pair_cells)
+def test_kss_matches_reference(monkeypatch, cells):
+    monkeypatch.setattr(bigraph, "_BLOCK_CELLS", cells)
     rng = Rng(2024)
     found = 0
     for trial in range(120):
@@ -112,6 +119,16 @@ def test_kss_matches_reference_on_unit_distance_graphs():
         double = unit_distance_graph(domain_points(p, d).tolist(), form)
         for s in (2, 3, 4):
             check_kss(double, s)
+    # the rooted block `unit-distance --d 3 --p 7` certifies: the full grid
+    # against the origin's unit sphere, 343 x 42
+    form = BilinearForm.for_dim(FieldCtx.prime(7), 3)
+    sphere = ffil.geometry._origin_sphere_points(form, ENUM_CAP)
+    block = point_sphere_incidence(domain_points(7, 3).tolist(), sphere, form)
+    assert (block.m, block.n) == (343, 42)
+    counters = {}
+    assert check_kss(block, 4) is None
+    contains_kss(block, 4, counters=counters)
+    assert counters["kss_probes"] == 11218
 
 
 def test_kss_probe_count_of_trivial_searches():
@@ -144,14 +161,6 @@ def random_pattern(r, max_a, max_b):
     return Pattern(["".join("01*"[r.randbelow(3)] for _ in range(pb)) for _ in range(pa)])
 
 
-# Bounds of the pattern kernel's block working set (states x class size).
-# A bound only chooses how many states are expanded at once; every choice
-# must give the reference's witness and nodes. 1 expands one state at a
-# time; 300 expands two to four states of a class of 65 to 140 vertices, or
-# 30 or more of a class of up to 10.
-SMALL_BLOCKS = {"one-state": 1, "few-states": 300}
-
-
 def test_pattern_matches_reference():
     rng = Rng(77)
     found = 0
@@ -181,10 +190,10 @@ def wide_graph(r, density):
     ids=["sparse-k33", "dense-co-k33", "staircase", "random"],
 )
 @pytest.mark.parametrize(
-    "cells", [*SMALL_BLOCKS.values(), bigraph._PATTERN_CELLS], ids=[*SMALL_BLOCKS, "default"]
+    "cells", [*SMALL_BLOCKS.values(), bigraph._BLOCK_CELLS], ids=[*SMALL_BLOCKS, "default"]
 )
 def test_pattern_matches_reference_on_wide_hosts(monkeypatch, cells, density, pat):
-    monkeypatch.setattr(bigraph, "_PATTERN_CELLS", cells)
+    monkeypatch.setattr(bigraph, "_BLOCK_CELLS", cells)
     rng = Rng(int(100 * density))
     for trial in range(3):
         r = rng.derive(trial)
@@ -263,7 +272,7 @@ def test_pattern_matches_reference_tree_mode():
     ids=["random", "tree"],
 )
 def test_pattern_matches_reference_in_small_blocks(monkeypatch, cells, check):
-    monkeypatch.setattr(bigraph, "_PATTERN_CELLS", cells)
+    monkeypatch.setattr(bigraph, "_BLOCK_CELLS", cells)
     check()
 
 
