@@ -70,7 +70,7 @@ def _config_dict(args) -> dict:
 
 
 def _write_outputs(args, body: dict, csv_spec) -> None:
-    report = dict(body)
+    report = {"bound": {}, "retries": {}, "flags": [], **body}  # defaults of every command
     report["config"] = _config_dict(args)
     report["timing"] = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
@@ -148,9 +148,7 @@ def _construction_outputs(rep, header, rows):
 
 
 def cmd_zarankiewicz(args, rng):
-    inst = cons.random_algebraic_graph(
-        args.p, args.d1, args.d2, args.m, args.n, args.s, rng
-    )
+    inst = cons.random_algebraic_graph(args.p, args.d1, args.d2, args.m, args.n, args.s, rng)
     rep = inst.report
     rows = [[args.p, args.d1, args.d2, args.m, args.n, args.s, args.seed,
              rep.achieved["edges"], rep.bound["edges_min"],
@@ -185,8 +183,6 @@ def cmd_zero_patterns(args, rng):
         "achieved": {"pattern_count": fam.count},
         "bound": {"rbg": report["bound_rbg"], "tight_form": report["bound_paper"]},
         "verification": {"bound_rbg_ok": ok},
-        "retries": {},
-        "flags": [],
         "family": report,
     }
     rows = [[",".join(map(str, e["subset"])), ",".join(map(str, e["witness"]))]
@@ -217,8 +213,6 @@ def cmd_containment_patterns(args, rng):
                      "loglog_slope": slope},
         "bound": {"rbg_flat": patmod.bound_with_ambient(len(flat), args.degree, args.vars)},
         "verification": {"monotone": monotone, "dominated_by_zero_patterns": dominated},
-        "retries": {},
-        "flags": [],
         "family": patmod.family_report(fam, flat, kind="containment-patterns"),
     }
     rows = [[kk + 1, c] for kk, c in enumerate(counts)]
@@ -244,8 +238,6 @@ def cmd_shatter(args, rng):
         "achieved": {"shatter": value},
         "bound": {"trivial_max": min(2**args.k, len(system.members) + 1)},
         "verification": {},
-        "retries": {},
-        "flags": [],
         "counters": counters,
     }
     return body, (["k", "shatter"], [[args.k, value]]), 0
@@ -259,7 +251,6 @@ def cmd_zero_count(args, rng):
         "bound": {"zeros_min": res.threshold, "fraction_min": 0.70,
                   "fraction_expected": 0.75},
         "verification": {"fraction_ok": ok},
-        "retries": {},
         "flags": ["0.70 asserts the 3/4 guarantee with statistical slack"],
     }
     rows = [[t, c, int(2 * c >= args.p ** (args.vars - 1))]
@@ -327,13 +318,11 @@ def cmd_sphere_geometry(args, rng):
             "flats_all_pass": flats_report.all_pass,
             "isotropic_unit_pair_found": pair is not None if pair_checked else None,
         },
-        "bound": {},
         "verification": {
             "identities_ok": failures == 0,
             "flats_ok": flats_report.all_pass,
             "pair_absence_ok": pair_ok,
         },
-        "retries": {},
         "flags": [] if pair_expected_none or not pair_checked
         else ["p = 1 (mod 4): pair search outcome is informational"],
     }
@@ -402,10 +391,7 @@ def cmd_pattern_scan(args, rng):
     body = {
         "achieved": {"pattern": args.pattern, "pattern_shape": [pat.a, pat.b],
                      "host_shape": [npoints, ncols], "found": found_any},
-        "bound": {},
         "verification": {"pattern_absent": not found_any},
-        "retries": {},
-        "flags": [],
         "counters": counters,
     }
     return body, (["host", "found"], rows), 0 if not found_any else VERIFY_EXIT
@@ -437,8 +423,6 @@ def cmd_indep_set(args, rng):
         "achieved": {"size": len(out), "vertices": out},
         "bound": {"size_min": target},
         "verification": {"independent": independent, "size_ok": len(out) >= target},
-        "retries": {},
-        "flags": [],
     }
     code = 0 if independent and len(out) >= target else VERIFY_EXIT
     return body, (["n", "m", "k", "size", "size_min"],

@@ -20,10 +20,12 @@ from .gf import FieldCtx, find_prime, is_prime
 from .mpoly import (
     ENUM_CAP,
     MultiPoly,
+    _grid,
+    _multiple_of_p,
     _power_table,
     count_zeros,
     domain_points,
-    grid_slabs,
+    lex_points,
     sample_uniform,
     section_tensors,
     zero_mask,
@@ -188,8 +190,6 @@ def random_algebraic_graph(p, d1, d2, m, n, s, rng) -> AlgebraicGraphInstance:
         )
         warnings.warn(msg, stacklevel=2)
         report.flags.append(msg)
-    grid1 = domain_points(p, d1)
-    grid2 = domain_points(p, d2)
     full_target = p ** (d1 + d2 - 1)
     report.bound["edges_full_min"] = full_target / 2
     report.bound["edges_min"] = m * n / (2 * p)
@@ -216,7 +216,7 @@ def random_algebraic_graph(p, d1, d2, m, n, s, rng) -> AlgebraicGraphInstance:
             f"no admissible polynomial in {RETRY_POLY} tries", best=report
         )
 
-    n1, n2 = grid1.shape[0], grid2.shape[0]
+    n1, n2 = p**d1, p**d2
     sub = rows_idx = cols_idx = None
     for attempt in range(1, RETRY_SUBSAMPLE + 1):
         ridx = list(range(n1)) if m == n1 else rng.sample_indices(n1, m)
@@ -234,8 +234,8 @@ def random_algebraic_graph(p, d1, d2, m, n, s, rng) -> AlgebraicGraphInstance:
     graph = BipartiteGraph.from_bool_matrix(sub)
     report.achieved["edges"] = graph.edge_count()
     report.verification = kss_verdict(graph, s, report.counters)
-    rows = [tuple(int(v) for v in grid1[i]) for i in rows_idx]
-    cols = [tuple(int(v) for v in grid2[j]) for j in cols_idx]
+    rows = [tuple(r) for r in lex_points(rows_idx, p, d1).tolist()]
+    cols = [tuple(c) for c in lex_points(cols_idx, p, d2).tolist()]
     return AlgebraicGraphInstance(graph, f, rows, cols, report)
 
 
@@ -280,9 +280,8 @@ def point_variety_instance(m, alpha, dim, rng) -> PointVarietyInstance:
     index_sum = sum(np.indices(sections.shape[1:]))
     degrees = np.where(sections != 0, index_sum, 0).reshape(len(sections), -1).max(axis=1).tolist()
     # Column j of `zeros` is the zero set of section j over F_p^dim.
-    grid = np.arange(p, dtype=np.int64)
     per_col = np.moveaxis(sections, 0, -1)
-    zeros = np.concatenate(list(grid_slabs(per_col, p, [grid] * dim))) == 0
+    zeros = np.concatenate(list(_grid(per_col, p, [np.arange(p)] * dim, _multiple_of_p)))
     zeros = zeros.reshape(p**dim, len(sections))
     ridx = np.ravel_multi_index(tuple(np.asarray(inst.rows).T), (p,) * dim)
     incident = zeros[ridx].sum(axis=0).tolist()
@@ -347,8 +346,7 @@ def evasive_point_set(p, d, k, strategy, rng, cap: int = ENUM_CAP):
         return [tuple(int(v) for v in row) for row in arr]
     if strategy == "random":
         idx = rng.sample_indices(p**d, size)
-        grid = domain_points(p, d)
-        return [tuple(int(v) for v in grid[i]) for i in idx]
+        return [tuple(x) for x in lex_points(idx, p, d).tolist()]
     raise DomainError(f"unknown strategy {strategy!r}")
 
 

@@ -21,7 +21,7 @@ from .errors import DomainError, ResourceLimitError
 from .gf import FieldCtx
 from . import linalg
 from .bigraph import BipartiteGraph, _pack
-from .mpoly import ENUM_CAP, domain_points
+from .mpoly import ENUM_CAP, _lex_weights, domain_points, lex_points
 
 # Rows of the left point array per block of the pairwise-norm sweep, so the
 # int64 temporaries are O(_PAIR_BLOCK * n * d) whatever the number of pairs.
@@ -261,19 +261,6 @@ def sphere_points(sphere: Sphere, cap: int = ENUM_CAP):
     pts = (_origin_sphere_points(form, cap) + w) % p
     pts = pts[np.lexsort(pts.T[::-1])]  # the first coordinate is the primary key
     return [tuple(row) for row in pts.tolist()]
-
-
-def _lex_weights(p: int, d: int) -> np.ndarray:
-    """Weights of the lexicographic code sum_i x_i p^(d-1-i) of a point of
-    F_p^d: its row index in `domain_points(p, d)`, so code order is lex
-    order. Codes stay below p^d, which the sphere-table cap bounds."""
-    return p ** np.arange(d - 1, -1, -1, dtype=np.int64)
-
-
-def lex_points(codes, p: int, d: int) -> np.ndarray:
-    """The rows of `domain_points(p, d)` at the given lex codes, decoded
-    without the grid."""
-    return np.asarray(codes, dtype=np.int64).reshape(-1, 1) // _lex_weights(p, d) % p
 
 
 def _is_member(table: np.ndarray, codes: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ dense coefficient tensor (one axis per variable) is contracted one axis at a
 time with the power table x^e mod p of that axis' coordinates, so a sweep of
 n^D points costs about D n^(D+1) multiply-adds instead of terms x n^D, and
 contracting only the trailing axes yields every section's coefficients at
-once (Kronecker-structured evaluation, as in Yates' algorithm).
+once (Kronecker-structured evaluation, as in Yates' algorithm). It reduces
+mod p only where a float64 product could reach 2^53, in cache-sized slabs.
 `evaluate_batch` vectorizes the term-by-term arithmetic for scattered
 points. The test suite cross-checks every path against `evaluate`.
 `sample_uniform` draws all its coefficients in one block
@@ -169,7 +170,9 @@ def sample_uniform(ctx: FieldCtx, nvars: int, degcap: int, rng) -> MultiPoly:
     if degcap < 0:
         raise DomainError("degree cap must be nonnegative")
     coeffs = rng.randbelow_many(ctx.p, monomial_count(nvars, degcap)).tolist()
-    return MultiPoly(ctx, nvars, {e: c for e, c in zip(monomials_upto(nvars, degcap), coeffs) if c})
+    f = MultiPoly(ctx, nvars, {})  # checks the field; the drawn terms need no checks
+    f.terms = {e: c for e, c in zip(monomials_upto(nvars, degcap), coeffs) if c}
+    return f
 
 
 _GRID_CACHE = {}
@@ -177,17 +180,23 @@ _GRID_CACHE = {}
 
 def domain_points(p: int, nvars: int) -> np.ndarray:
     """All points of F_p^nvars as an int64 array, lexicographic row order."""
-    key = (p, nvars)
-    grid = _GRID_CACHE.get(key)
+    grid = _GRID_CACHE.get((p, nvars))
     if grid is None:
-        if nvars == 0:
-            grid = np.zeros((1, 0), dtype=np.int64)
-        else:
-            axes = np.meshgrid(*([np.arange(p, dtype=np.int64)] * nvars), indexing="ij")
-            grid = np.stack(axes, axis=-1).reshape(-1, nvars)
+        grid = lex_points(np.arange(p**nvars), p, nvars)
         if grid.shape[0] <= 10**6:
-            _GRID_CACHE[key] = grid
+            _GRID_CACHE[p, nvars] = grid
     return grid
+
+
+def _lex_weights(p: int, d: int) -> np.ndarray:
+    """Weights of the lex code sum_i x_i p^(d-1-i) < p^d of a point of F_p^d:
+    its row index in `domain_points(p, d)`, so code order is lex order."""
+    return p ** np.arange(d - 1, -1, -1, dtype=np.int64)
+
+
+def lex_points(codes, p: int, d: int) -> np.ndarray:
+    """The rows of `domain_points(p, d)` at the given lex codes, without the grid."""
+    return np.asarray(codes, dtype=np.int64).reshape(-1, 1) // _lex_weights(p, d) % p
 
 
 def _pow_col(base: np.ndarray, e: int, p: int) -> np.ndarray:
@@ -232,7 +241,7 @@ def _check_enum_cap(p, nvars, cap):
 
 # -- separable grid evaluation ---------------------------------------------
 
-_SLAB_ELEMS = 1 << 20  # elements in the largest intermediate array of one slab
+_SLAB_ELEMS = 1 << 15  # elements in the largest intermediate array of one slab
 
 
 def coefficient_tensor(f: MultiPoly, fold: bool = False) -> np.ndarray:
@@ -266,12 +275,9 @@ def _power_table(x, k: int, p: int) -> np.ndarray:
 
 
 def _plan(k: int, p: int):
-    """(dtype, chunk) for exact length-k dot products of residues mod p.
-
-    float64 BLAS is exact while every partial sum stays below 2^53. Beyond
-    that, int64 sums `chunk` products at a time, with chunk (p-1)^2 < 2^63,
-    and reduces after each chunk; p <= 2^31 keeps chunk >= 1.
-    """
+    """(dtype, chunk) for exact length-k dot products of residues mod p:
+    float64 while k (p-1)^2 < 2^53 (see `grid_slabs`), else int64 reducing
+    after every chunk of products, chunk (p-1)^2 < 2^63 (p <= 2^31)."""
     bound = (p - 1) ** 2
     if k * bound < 2**53:
         return np.float64, k
@@ -281,19 +287,51 @@ def _plan(k: int, p: int):
     return np.int64, chunk
 
 
+def _dot(t: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Contract axis 0 of t with the (n, k) table; the new axis comes last."""
+    return (t.reshape(table.shape[1], -1).T @ table.T).reshape(t.shape[1:] + table.shape[:1])
+
+
+def _residues(t: np.ndarray, p: int) -> np.ndarray:
+    """int64 residues of exact values (int64 ones are residues already)."""
+    return t if t.dtype == np.int64 else t.astype(np.int64) % p
+
+
+def _multiple_of_p(v: np.ndarray, p: int) -> np.ndarray:
+    """v % p == 0 for integers 0 <= v < 2^53. If p | v, v / p and its
+    product with p are exact; else v / p rounds into [q, q + 1], q = v // p,
+    whose floor times p is q p < v or at least (q + 1) p > v."""
+    return np.floor(v / p) * p == v
+
+
 def _contract_leading(t: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
-    """Contract axis 0 of t with the (n, k) power table mod p; the new axis
-    of length n becomes the last one. Returns int64 residues (int64 `%` is
-    several times faster than float64 `%`)."""
-    _, chunk = _plan(table.shape[1], p)
-    t = t.astype(table.dtype, copy=False)
-    acc = None
-    for lo in range(0, table.shape[1], chunk):
-        part = np.tensordot(t[lo : lo + chunk], table[:, lo : lo + chunk], axes=([0], [1]))
-        part = part.astype(np.int64, copy=False)
-        part %= p
-        acc = part if acc is None else (acc + part) % p
-    return acc
+    """`_dot` mod p of int64 residues t with an int64 power table, reducing
+    every `chunk` terms (see `_plan`); the k / chunk residues sum below 2^63."""
+    k, chunk = table.shape[1], _plan(table.shape[1], p)[1]
+    parts = (_dot(t[lo : lo + chunk], table[:, lo : lo + chunk]) % p for lo in range(0, k, chunk))
+    return sum(parts) % p
+
+
+def _grid(coef: np.ndarray, p: int, axes, last):
+    """`grid_slabs`, ending each slab with `last` on exact float64 values
+    (or, on the int64 path, residues)."""
+    coef, m = np.asarray(coef), len(axes)
+    tables = [_power_table(x, k, p).astype(_plan(k, p)[0]) for x, k in zip(axes, coef.shape)]
+    coef = np.ascontiguousarray(coef, dtype=tables[0].dtype)  # once, not per slab
+    width = math.prod(max(t.shape) for t in tables[1:]) * math.prod(coef.shape[m:])
+    step = max(1, _SLAB_ELEMS // max(1, width))
+    for lo in range(0, len(tables[0]), step):
+        t, bound = coef, p - 1  # bound: the largest value an entry of t can hold
+        for table in [tables[0][lo : lo + step], *tables[1:]]:
+            k = table.shape[1]
+            if bound * k * (p - 1) >= 2**53:  # always so on the int64 path
+                t, bound = _residues(t, p), p - 1
+            if table.dtype == np.int64:
+                t = _contract_leading(t, table, p)
+            else:
+                t, bound = _dot(t, table), bound * k * (p - 1)  # int64 t is cast to float64
+        # contracted axes were appended in order after the carried ones
+        yield np.ascontiguousarray(np.moveaxis(last(t, p), range(t.ndim - m, t.ndim), range(m)))
 
 
 def grid_slabs(coef: np.ndarray, p: int, axes):
@@ -301,28 +339,22 @@ def grid_slabs(coef: np.ndarray, p: int, axes):
     yielded as int64 residues in slabs along axes[0].
 
     `coef` holds residues mod p. Its first m = len(axes) >= 1 axes are
-    exponent axes (as from `coefficient_tensor`); each is contracted with the
-    power table of its coordinate vector, reducing mod p after every axis.
-    Any further axes of `coef` are carried through unchanged, so a slab has
-    shape (rows, len(axes[1]), ..., len(axes[m-1]), *coef.shape[m:]).
-    Exact for every p <= 2^31 (see `_plan`). No intermediate array exceeds
-    about `_SLAB_ELEMS` elements beyond `coef` itself, and no coordinate
-    array of the product set is ever built.
+    exponent axes (as from `coefficient_tensor`), each contracted in turn
+    with the power table of its coordinate vector; further axes are carried
+    through, so a slab has shape
+    (rows, len(axes[1]), ..., len(axes[m-1]), *coef.shape[m:]).
+
+    A bound B on the entries (p - 1 for `coef`) is carried along; an axis of
+    length k takes it to B k (p - 1). While that is below 2^53 the axis is
+    one float64 BLAS product with no `% p`, exact in any summation order, as
+    every partial sum is an integer below 2^53. Otherwise the entries are
+    reduced first (B = p - 1), or, where k (p - 1)^2 alone reaches 2^53,
+    `_plan` picks the chunked int64 path. Residues are taken once per slab;
+    zero tests run `_grid` with the exact `_multiple_of_p` as the last step
+    instead. Slabs are cache-sized (`_SLAB_ELEMS` elements beyond `coef`),
+    and no coordinate array of the product set is built.
     """
-    coef = np.asarray(coef, dtype=np.int64)
-    m = len(axes)
-    tables = [
-        _power_table(x, coef.shape[v], p).astype(_plan(coef.shape[v], p)[0])
-        for v, x in enumerate(axes)
-    ]
-    width = math.prod(max(t.shape) for t in tables[1:]) * math.prod(coef.shape[m:])
-    step = max(1, _SLAB_ELEMS // max(1, width))
-    for lo in range(0, tables[0].shape[0], step):
-        t = _contract_leading(coef, tables[0][lo : lo + step], p)
-        for table in tables[1:]:
-            t = _contract_leading(t, table, p)
-        # contracted axes were appended in order after the carried ones
-        yield np.ascontiguousarray(np.moveaxis(t, range(t.ndim - m, t.ndim), range(m)))
+    return _grid(coef, p, axes, _residues)
 
 
 def section_tensors(f: MultiPoly, d2: int) -> np.ndarray:
@@ -338,8 +370,7 @@ def section_tensors(f: MultiPoly, d2: int) -> np.ndarray:
     p, d1 = f.ctx.p, f.nvars - d2
     coef = coefficient_tensor(f)
     tail_first = np.moveaxis(coef, range(d1, f.nvars), range(d2))
-    grid = np.arange(p, dtype=np.int64)
-    out = np.concatenate(list(grid_slabs(tail_first, p, [grid] * d2)))
+    out = np.concatenate(list(grid_slabs(tail_first, p, [np.arange(p)] * d2)))
     return out.reshape(p**d2, *coef.shape[:d1])
 
 
@@ -354,10 +385,10 @@ def zero_mask(f: MultiPoly, cap: int = ENUM_CAP) -> np.ndarray:
     if f.nvars == 0:
         return np.array(f.evaluate(()) == 0)
     mask = np.empty((p,) * f.nvars, dtype=bool)
-    grid = np.arange(p, dtype=np.int64)
     lo = 0
-    for slab in grid_slabs(coefficient_tensor(f, fold=True), p, [grid] * f.nvars):
-        np.equal(slab, 0, out=mask[lo : lo + slab.shape[0]])
+    axes = [np.arange(p)] * f.nvars
+    for slab in _grid(coefficient_tensor(f, fold=True), p, axes, _multiple_of_p):
+        mask[lo : lo + slab.shape[0]] = slab
         lo += slab.shape[0]
     return mask
 
@@ -373,9 +404,8 @@ def count_zeros(f: MultiPoly, cap: int = ENUM_CAP) -> int:
         return int(zero_mask(f, cap))
     p = f.ctx.p
     _check_enum_cap(p, f.nvars, cap)
-    grid = np.arange(p, dtype=np.int64)
-    slabs = grid_slabs(coefficient_tensor(f, fold=True), p, [grid] * f.nvars)
-    return sum(int(np.count_nonzero(slab == 0)) for slab in slabs)
+    slabs = _grid(coefficient_tensor(f, fold=True), p, [np.arange(p)] * f.nvars, _multiple_of_p)
+    return sum(int(np.count_nonzero(slab)) for slab in slabs)
 
 
 def bivariate_section(f: MultiPoly, q) -> MultiPoly:

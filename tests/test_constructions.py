@@ -81,6 +81,23 @@ def test_algebraic_graph_identity_subsample():
     assert inst.report.achieved["edges"] == inst.report.achieved["edges_full"]
 
 
+def test_algebraic_graph_rows_and_cols_are_the_chosen_grid_points():
+    # subsampled rows and columns in F_11^2, decoded from their lex indices
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        inst = random_algebraic_graph(11, 2, 2, 30, 40, 16, Rng(5))
+    for pts in (inst.rows, inst.cols):
+        assert len(set(pts)) == len(pts)
+        assert all(type(v) is int and 0 <= v < 11 for x in pts for v in x)
+    mask = _product_zero_mask(inst.poly, 2)
+    ridx = [11 * a + b for a, b in inst.rows]
+    cidx = [11 * a + b for a, b in inst.cols]
+    sub = mask[np.ix_(ridx, cidx)]
+    assert all(inst.graph.has_edge(i, j) == sub[i, j] for i in range(30) for j in range(40))
+    assert all(inst.graph.has_edge(i, j) == (inst.poly.evaluate(x + y) == 0)
+               for i, x in enumerate(inst.rows[:5]) for j, y in enumerate(inst.cols))
+
+
 def test_algebraic_graph_warning_flag():
     with pytest.warns(UserWarning, match="not guaranteed independent"):
         inst = random_algebraic_graph(7, 1, 1, 7, 7, 2, Rng(1))

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,19 @@ def test_sample_uniform_matches_scalar_reference(p):
                 g = ref.sample_uniform(ctx, nvars, degcap, slow)
                 assert f.terms == g.terms and list(f.terms) == list(g.terms)
                 assert fast._counter == slow._counter
+
+
+def test_sample_uniform_terms_are_what_the_constructor_keeps():
+    # sample_uniform stores its own terms unchecked; the checks would change nothing
+    for p, nvars, degcap in ((2, 1, 0), (3, 2, 5), (13, 4, 16), (101, 3, 6), (2**31 - 1, 2, 4)):
+        ctx = FieldCtx.prime(p)
+        for seed in range(3):
+            f = sample_uniform(ctx, nvars, degcap, Rng(seed))
+            assert MultiPoly(ctx, nvars, f.terms) == f
+            assert all(type(c) is int and 0 < c < p for c in f.terms.values())
+            assert all(type(e) is int for exps in f.terms for e in exps)
+    with pytest.raises(DomainError):
+        sample_uniform(FieldCtx(7, "ext"), 2, 2, Rng(0))
 
 
 def test_multipoly_validates_exponents():
@@ -219,6 +233,69 @@ def test_grid_kernel_reduces_after_every_term(monkeypatch):
     f = sample_uniform(FieldCtx.prime(p), 2, 6, Rng(8))
     axes = [[0, 1, p - 1, 12345], [p - 2, 7, 0]]
     assert np.array_equal(_grid_values(f, axes), _scalar_values(f, axes))
+
+
+# The primes on either side of each band edge: the smallest and the largest
+# p whose first reduction comes after j of the 4 axes (k = 9) - after all 4
+# (the final residues) for p = 263, and on the int64 path for p = 31635431.
+@pytest.mark.parametrize(
+    "p, first_reduction",
+    [(31635431, 0), (31635403, 1), (48091, 1), (48079, 2), (1877, 2), (1873, 3), (269, 3),
+     (263, 4)],
+)
+def test_grid_kernel_reduces_only_when_2_53_demands_it(monkeypatch, p, first_reduction):
+    # degree 8 in 4 variables: every exponent axis has length k = 9
+    k, ctx, rng = 9, FieldCtx.prime(p), Rng(p)
+    bound, axes_done = p - 1, 0
+    while axes_done < 4 and bound * k * (p - 1) < 2**53:
+        bound, axes_done = bound * k * (p - 1), axes_done + 1
+    assert axes_done == first_reduction
+    events = []
+    dot, residues = mpoly._dot, mpoly._residues
+    monkeypatch.setattr(mpoly, "_dot", lambda t, table: events.append("dot") or dot(t, table))
+    monkeypatch.setattr(mpoly, "_residues", lambda t, p: events.append("mod") or residues(t, p))
+    for trial in range(3):
+        r = rng.derive(trial)
+        f = sample_uniform(ctx, 4, 8, r)
+        axes = [[0, p - 1] + [r.randbelow(p) for _ in range(1 + v % 3)] for v in range(4)]
+        events.clear()
+        assert np.array_equal(_grid_values(f, axes), _scalar_values(f, axes))
+        # the first reduction (on the int64 path: the hand-over of residues
+        # to it) comes after `first_reduction` products
+        assert events[: first_reduction + 1] == ["dot"] * first_reduction + ["mod"]
+        # force a zero at a point with coordinates 0 and p - 1; the zero test
+        # sees its unreduced value, a multiple of p
+        x0 = (0, p - 1, axes[2][-1], axes[3][0])
+        g = f - MultiPoly.constant(ctx, 4, f.evaluate(x0))
+        zeros = np.concatenate(list(mpoly._grid(coefficient_tensor(g), p, axes,
+                                                mpoly._multiple_of_p)))
+        assert zeros[(0, 1, len(axes[2]) - 1, 0)]
+        assert np.array_equal(zeros, _scalar_values(g, axes) == 0)
+
+
+@pytest.mark.parametrize("p", [2, 3, 2**31 - 1])
+def test_multiple_of_p_is_exact_below_2_53(p):
+    top = (2**53 - 1) // p * p  # the largest multiple of p below 2^53
+    vals = [0, 1, p - 1, p, p + 1, top - 1, top, top + 1, 2**53 - 1]
+    vals = [v for v in vals if 0 <= v < 2**53]
+    want = [v % p == 0 for v in vals]
+    for dtype in (np.float64, np.int64):
+        v = np.array(vals, dtype=dtype)
+        assert v.astype(object).tolist() == vals  # every value is held exactly
+        assert mpoly._multiple_of_p(v, p).tolist() == want
+
+
+def test_count_zeros_peaks_in_slab_memory():
+    # the whole-grid sweep holds the coefficient tensor and one slab, not the grid
+    for p, d, deg in ((101, 3, 6), (31, 4, 16)):
+        f = sample_uniform(FieldCtx.prime(p), d, deg, Rng(p))
+        tracemalloc.start()
+        try:
+            count_zeros(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20, (p, d, deg, peak)
 
 
 def test_grid_kernel_slabs_and_full_grid(monkeypatch):
