@@ -6,7 +6,10 @@ depth-first walk of a lex-ordered search tree that expands blocks of states
 of one depth at a time and unpacks only the blocks it counts. They report
 and cap the work of the search that tries one candidate at a time, and never
 approximate: when a probe or node budget runs out they raise
-ResourceLimitError rather than return a possibly-wrong verdict.
+ResourceLimitError rather than return a possibly-wrong verdict. The pattern
+search maps twins (pattern vertices with equal labels) to increasing hosts,
+which keeps its witness: swapping two twins' hosts gives another embedding,
+so the lex-first one already orders them.
 """
 
 import math
@@ -222,9 +225,7 @@ class Pattern:
         for r in rows:
             if len(r) != b or any(ch not in "01*" for ch in r):
                 raise DomainError("pattern rows must be equal-length strings over 0/1/*")
-        self.a = len(rows)
-        self.b = b
-        self.labels = tuple(rows)
+        self.a, self.b, self.labels = len(rows), b, tuple(rows)
 
     def __repr__(self):
         return f"Pattern({self.a}x{self.b})"
@@ -246,10 +247,16 @@ def find_induced_pattern(
     the host vertices chosen at depths 0, 1, ..., and the embedding returned
     is the lex-first one.
 
+    Twins, pattern vertices of one class with equal label vectors, map to
+    increasing hosts: a candidate must lie above the latest earlier twin's
+    host. Swapping two twins' hosts gives another embedding, a lex-smaller
+    one if they were out of order, so the lex-first embedding is returned
+    unchanged and only nodes are pruned.
+
     _lex_walk expands blocks of lex-consecutive states, filtering a whole
     block against packed 64-bit adjacency words at once. A node is one
-    candidate attempted; the count is that of the backtracking search that
-    tries one candidate at a time, and exceeding node_cap raises
+    twin-ordered candidate attempted; the count is that of the backtracking
+    search that tries one candidate at a time, and exceeding node_cap raises
     ResourceLimitError. When `counters` is a dict, counters["pattern_nodes"]
     is increased by the count of a search that returns.
 
@@ -258,8 +265,9 @@ def find_induced_pattern(
     move every vertex of each class onto vertex 0 while acting on both
     classes at once, such as `point_sphere_incidence(grid, grid)` with
     `geometry.is_full_grid(grid)`: translating an embedding so that its
-    depth-0 vertex lands on the origin gives another embedding. The
-    embedding returned is then not the one the plain search would return.
+    depth-0 vertex lands on the origin gives another embedding, and twin
+    swaps then leave the root in place (its twins lie above host 0 anyway).
+    The embedding returned is not the one the plain search would return.
     """
     a, b = pat.a, pat.b
     # non-* constraints of each pattern vertex: [(other vertex, is_edge)]
@@ -270,8 +278,9 @@ def find_induced_pattern(
                 cons["A", i].append((("B", j), lbl == "1"))
                 cons["B", j].append((("A", i), lbl == "1"))
     # steps[t] = (is_a, index, [(depth of other vertex, is_edge)]) for the
-    # vertex mapped at depth t and its constraints to those mapped before
-    order, steps = {}, []
+    # vertex mapped at depth t and its constraints to those mapped before;
+    # twin[t] is the latest earlier depth of a twin (equal constraints), or -1
+    order, steps, twin = {}, [], []
     for _ in range(a + b):
         best = min(
             (v for v in cons if v not in order),
@@ -280,6 +289,8 @@ def find_induced_pattern(
         steps.append(
             (best[0] == "A", best[1], [(order[o], one) for o, one in cons[best] if o in order])
         )
+        twins = [order[v] for v in order if v[0] == best[0] and cons[v] == cons[best]]
+        twin.append(twins[-1] if twins else -1)
         order[best] = len(order)
     # A candidates are filtered by the B host's column over A, and vice versa
     cols = {True: g.cols, False: g.rows}
@@ -309,6 +320,8 @@ def find_induced_pattern(
             bits[rows, hosts[:, u]] = False
         if rooted and t == 0:
             bits[:, 1:] = False
+        if twin[t] >= 0:  # above the host of the latest twin
+            bits &= np.arange(width[t]) > hosts[:, twin[t], None]
         parent, cand = np.divmod(np.flatnonzero(bits), width[t])
         return parent, cand, np.arange(1, len(cand) + 1), len(cand)
 
@@ -413,18 +426,10 @@ def staircase_pattern(d: int) -> Pattern:
     """
     if d < 2:
         raise DomainError("staircase pattern needs d >= 2")
-    rows = []
-    for i in range(1, d + 1):
-        row = []
-        for j in range(1, d + 1):
-            if i >= j - 1:
-                row.append("1")
-            elif j == i + 2:
-                row.append("0")
-            else:
-                row.append("*")
-        rows.append("".join(row))
-    return Pattern(rows)
+    idx = range(1, d + 1)
+    return Pattern(
+        ["".join("1" if i >= j - 1 else "0" if j == i + 2 else "*" for j in idx) for i in idx]
+    )
 
 
 class Hypergraph:

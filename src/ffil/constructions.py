@@ -21,6 +21,7 @@ from .mpoly import (
     ENUM_CAP,
     MultiPoly,
     _grid,
+    _lex_weights,
     _multiple_of_p,
     _power_table,
     count_zeros,
@@ -343,10 +344,10 @@ def evasive_point_set(p, d, k, strategy, rng, cap: int = ENUM_CAP):
         # 2i + 1 + 2(d-k-1), strictly increasing in i
         odd = _power_table(base[:, 0], 2 * k + 2, p)[:, 3::2]
         arr = np.hstack([base, odd * squares[:, None] % p])
-        return [tuple(int(v) for v in row) for row in arr]
+        return list(map(tuple, arr.tolist()))
     if strategy == "random":
         idx = rng.sample_indices(p**d, size)
-        return [tuple(x) for x in lex_points(idx, p, d).tolist()]
+        return list(map(tuple, lex_points(idx, p, d).tolist()))
     raise DomainError(f"unknown strategy {strategy!r}")
 
 
@@ -454,9 +455,8 @@ def unit_distance_instance(
             f"no admissible shift in {RETRY_SHIFT} tries", best=report
         )
 
-    merged = sorted(
-        set(u_set) | set(tuple((a + b) % p for a, b in zip(pt, shift)) for pt in u_set)
-    )
+    codes = np.sort(np.vstack((u_arr, (u_arr + shift) % p)) @ _lex_weights(p, d))  # U, U + x
+    merged = list(map(tuple, lex_points(codes[np.diff(codes, prepend=-1) > 0], p, d).tolist()))
     if n is not None:
         if n > len(merged):
             raise DomainError(f"requested n = {n} exceeds constructed {len(merged)} points")

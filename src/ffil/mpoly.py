@@ -23,6 +23,7 @@ GCDs, no factorization.
 
 import math
 import re
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -154,6 +155,9 @@ def monomials_upto(nvars: int, degcap: int):
     return out
 
 
+_monomials = cache(lambda n, deg: tuple(monomials_upto(n, deg)))  # memoized: read-only tuple
+
+
 def monomial_count(nvars: int, degcap: int) -> int:
     return math.comb(nvars + degcap, nvars)
 
@@ -171,7 +175,7 @@ def sample_uniform(ctx: FieldCtx, nvars: int, degcap: int, rng) -> MultiPoly:
         raise DomainError("degree cap must be nonnegative")
     coeffs = rng.randbelow_many(ctx.p, monomial_count(nvars, degcap)).tolist()
     f = MultiPoly(ctx, nvars, {})  # checks the field; the drawn terms need no checks
-    f.terms = {e: c for e, c in zip(monomials_upto(nvars, degcap), coeffs) if c}
+    f.terms = {e: c for e, c in zip(_monomials(nvars, degcap), coeffs) if c}
     return f
 
 
@@ -257,10 +261,14 @@ def coefficient_tensor(f: MultiPoly, fold: bool = False) -> np.ndarray:
     count = len(f.terms) * f.nvars
     exps = np.fromiter(chain.from_iterable(f.terms), dtype=np.int64, count=count)
     exps = exps.reshape(len(f.terms), f.nvars)
-    if fold:
+    merge = fold and bool((exps >= p).any())  # only folding can merge exponents
+    if merge:
         exps = np.where(exps >= p, 1 + (exps - 1) % (p - 1), exps)
     shape = tuple(exps.max(axis=0) + 1) if f.terms else (1,) * f.nvars
     coef = np.zeros(shape, dtype=np.int64)
+    if not merge:  # distinct exponents, coefficients already below p
+        coef[tuple(exps.T)] = list(f.terms.values())
+        return coef
     np.add.at(coef, tuple(exps.T), list(f.terms.values()))
     return coef % p
 

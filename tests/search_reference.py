@@ -2,7 +2,9 @@
 
 `contains_kss`, `find_induced_pattern` and `flats_in_sphere_check` are kept
 here verbatim as they were before the search kernels were vectorized (scalar
-probe loop, per-node `pick()`, closure of every point pair), and with them
+probe loop, per-node `pick()`, closure of every point pair; the pattern
+search has since gained the kernel's twin rule, and keeps the plain search
+behind `twins=False`), and with them
 the scalar `is_totally_isotropic` and the per-family loop of the
 `sphere-geometry` command as `sphere_family_check` (point sets of tuples
 over the whole grid), and the pattern-layer loops `_collect` (one frozenset
@@ -111,7 +113,11 @@ def contains_kss(g: BipartiteGraph, s: int, probe_cap: int = PROBE_CAP):
 
 
 def find_induced_pattern(
-    g: BipartiteGraph, pat: Pattern, node_cap: int = PROBE_CAP, rooted: bool = False
+    g: BipartiteGraph,
+    pat: Pattern,
+    node_cap: int = PROBE_CAP,
+    rooted: bool = False,
+    twins: bool = True,
 ):
     """Injective class-preserving embedding of `pat` into `g`, or None.
 
@@ -122,10 +128,19 @@ def find_induced_pattern(
     increasing index through bitmask filtering, so the result is
     deterministic. Each candidate attempted counts against node_cap. With
     rooted=True the first pattern vertex picked may only map to host vertex 0.
+
+    With twins=True (the kernel's rule) a pattern vertex whose label vector
+    equals that of other vertices of its class (its twins) may only map
+    above the largest host of an already-mapped twin. twins=False is the
+    plain search, kept here only to check that the rule changes no witness
+    and no existence verdict.
     """
     a, b = pat.a, pat.b
     if a > g.m or b > g.n:
         return None
+    rows, cols = pat.labels, ["".join(row[j] for row in pat.labels) for j in range(b)]
+    twins_a = [[k for k in range(a) if k != i and rows[k] == rows[i]] for i in range(a)]
+    twins_b = [[k for k in range(b) if k != j and cols[k] == cols[j]] for j in range(b)]
     cons_a = [
         [(j, pat.labels[i][j]) for j in range(b) if pat.labels[i][j] != "*"]
         for i in range(a)
@@ -188,6 +203,10 @@ def find_induced_pattern(
         cands = candidates(side, i)
         if rooted and depth == 0:
             cands &= 1
+        if twins:
+            twin_of = twins_a[i] if side == "A" else twins_b[i]
+            top = max((mapped[k] for k in twin_of), default=-1)  # -1 when none is mapped
+            cands &= ~((1 << (top + 1)) - 1)
         for h in _bits(cands):
             nodes += 1
             if nodes > node_cap:

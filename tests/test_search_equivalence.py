@@ -276,14 +276,61 @@ def test_pattern_matches_reference_in_small_blocks(monkeypatch, cells, check):
     check()
 
 
+def twin_pattern(r, max_a, max_b):
+    """Random pattern with at least one pair of equal rows and one pair of
+    equal columns: rows and columns drawn with repetition from a random
+    pattern, one or two more of each than it has."""
+    base = random_pattern(r, max_a, max_b)
+    rows = [base.labels[r.randbelow(base.a)] for _ in range(base.a + 1 + r.randbelow(2))]
+    cols = [r.randbelow(base.b) for _ in range(base.b + 1 + r.randbelow(2))]
+    return Pattern(["".join(row[j] for j in cols) for row in rows])
+
+
+def check_against_plain(g, pat):
+    """The twin rule changes no witness and adds no node: the kernel (checked
+    against the twin-ordered reference) returns the plain search's witness,
+    and the plain search spends at least the kernel's count c (it raises at
+    cap c - 1)."""
+    counters = {}
+    got = check_pattern(g, pat)
+    find_induced_pattern(g, pat, counters=counters)
+    assert ref.find_induced_pattern(g, pat, twins=False) == got
+    if counters["pattern_nodes"]:
+        with pytest.raises(ResourceLimitError):
+            ref.find_induced_pattern(g, pat, node_cap=counters["pattern_nodes"] - 1, twins=False)
+    return got
+
+
+@pytest.mark.parametrize(
+    "cells", [*SMALL_BLOCKS.values(), bigraph._BLOCK_CELLS], ids=[*SMALL_BLOCKS, "default"]
+)
+def test_twin_rule_keeps_the_plain_witness(monkeypatch, cells):
+    monkeypatch.setattr(bigraph, "_BLOCK_CELLS", cells)
+    rng = Rng(1996)
+    found = 0
+    for trial in range(150):
+        r = rng.derive(trial)
+        g = random_graph(r, 12, (0.2, 0.5, 0.8)[r.randbelow(3)])
+        found += check_against_plain(g, twin_pattern(r, 3, 3)) is not None
+    assert 15 < found < 135  # both verdicts are exercised
+    found = 0
+    for m, n in WORD_SHAPES:
+        r = rng.derive(m * n)
+        for density in (0.1, 0.5, 0.9):
+            edges = [(i, j) for i in range(m) for j in range(n) if r.bernoulli(density)]
+            g = BipartiteGraph(m, n, edges)
+            found += check_against_plain(g, twin_pattern(r, 2, 2)) is not None
+    assert 0 < found < 3 * len(WORD_SHAPES)
+
+
 # the --seed that perfbench/workloads.py gives the `incidence` workload's
 # pattern-scan command at workload seed 1
 INCIDENCE_SCAN_SEED = 455211955
 
 
 def test_pattern_matches_reference_on_incidence_sub_hosts(monkeypatch, capsys):
-    # the ten 40 x 40 sub-hosts of the benchmark's pattern-scan: 520,607
-    # nodes in all, none holds the pattern
+    # the ten 40 x 40 sub-hosts of the benchmark's pattern-scan: 180,715
+    # nodes in all (520,607 before the twin rule), none holds the pattern
     searches = []
 
     def spy(g, pat, counters=None):
@@ -294,7 +341,7 @@ def test_pattern_matches_reference_on_incidence_sub_hosts(monkeypatch, capsys):
     argv = ["pattern-scan", "--p", "5", "--d", "3", "--hosts", "10", "--host-size", "40"]
     assert ffil.cli.main(argv + ["--seed", str(INCIDENCE_SCAN_SEED)]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["counters"]["pattern_nodes"] == 520_607
+    assert report["counters"]["pattern_nodes"] == 180_715
     assert len(searches) == 10
     for g, pat in searches:
         assert check_pattern(g, pat) is None
@@ -338,6 +385,33 @@ def test_rooted_pattern_search_matches_plain(p, d):
             assert is_embedding(host, pat, rooted)
             found += 1
     assert 0 < found < len(pats)  # both answers are exercised
+
+
+# every full-scan `pi` host with p^d <= 81
+@pytest.mark.parametrize("p, d", [(3, 2), (3, 3), (3, 4), (5, 2), (7, 2)])
+def test_rooted_twin_search_existence_matches_plain_reference(p, d):
+    host = pi_host(domain_points(p, d).tolist(), p, d)
+    rng = Rng(10 * p + d)
+    pats = [staircase_pattern(k) for k in range(2, d + 2)]  # the last is pattern-scan's
+    pats += [twin_pattern(rng.derive(i), 2, 2) for i in range(6)]
+    found = 0
+    for pat in pats:
+        plain = ref.find_induced_pattern(host, pat, rooted=True, twins=False)
+        if d < 4:  # the plain unrooted search of F_3^4 for staircase_pattern(5) takes 43 s
+            assert (ref.find_induced_pattern(host, pat, twins=False) is None) == (plain is None)
+        assert (find_induced_pattern(host, pat, rooted=True) is None) == (plain is None)
+        found += plain is not None
+    assert 0 < found < len(pats)
+
+
+@pytest.mark.parametrize("p, nodes", [(5, 83_881), (7, 18_733)])
+def test_pattern_full_scan_node_counts(capsys, p, nodes):
+    # the rooted, twin-ordered search on F_p^3; the plain rooted search
+    # spent 326,941 (p = 5) and 59,893 (p = 7) nodes
+    argv = ["pattern-scan", "--p", str(p), "--d", "3", "--full-scan", "--seed", "1"]
+    assert ffil.cli.main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["counters"] == {"pattern_nodes": nodes, "rooted_searches": 1}
 
 
 @pytest.mark.parametrize("host", ["point-removed", "permuted", "tree"])
