@@ -155,7 +155,7 @@ def contains_kss(g: BipartiteGraph, s: int, probe_cap: int = PROBE_CAP, counters
         before = np.cumsum(spend) - spend
         return parent, cand, before[parent] + cand - last[parent], int(spend.sum())
 
-    block = [max(1, _BLOCK_CELLS // size)] * s
+    block = [max(1, _BLOCK_CELLS // max(1, size))] * s  # an empty class: no walk, 0 probes
     rows, probes = _lex_walk(expand, s, block, probe_cap) if s <= min(g.m, g.n) else (None, 0)
     if counters is not None:
         counters["kss_probes"] = counters.get("kss_probes", 0) + probes

@@ -370,12 +370,11 @@ def cmd_pattern_scan(args, rng):
     found_any = False
     counters = {"pattern_nodes": 0, "rooted_searches": 0}
     if args.full_scan:
-        grid = domain_points(p, d)
-        host = host_block(grid, np.arange(ncols))
+        host = host_block(domain_points(p, d), np.arange(ncols))
         # points against unit spheres centered on the same full grid: every
         # translation of F_p^d maps the host onto itself, so an embedding
         # exists iff one maps the first pattern vertex to the origin
-        rooted = args.pattern == "pi" and geo.is_full_grid(grid, p)
+        rooted = args.pattern == "pi"
         counters["rooted_searches"] += rooted
         hit = find_induced_pattern(host, pat, counters=counters, rooted=rooted)
         found_any |= hit is not None
@@ -407,6 +406,8 @@ def cmd_indep_set(args, rng):
                 )
         hg = bigraph.Hypergraph(data["n"], data["k"], data["edges"])
     else:
+        if args.k > args.n:
+            raise DomainError(f"--k {args.k} exceeds --n {args.n}: an edge has k distinct vertices")
         seen = set()
         guard = 0
         while len(seen) < args.m:

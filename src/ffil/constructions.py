@@ -20,9 +20,7 @@ from .gf import FieldCtx, find_prime, is_prime
 from .mpoly import (
     ENUM_CAP,
     MultiPoly,
-    _grid,
     _lex_weights,
-    _multiple_of_p,
     _power_table,
     count_zeros,
     domain_points,
@@ -31,7 +29,7 @@ from .mpoly import (
     section_tensors,
     zero_mask,
 )
-from .bigraph import BipartiteGraph, contains_kss, smallest_free_s
+from .bigraph import BipartiteGraph, _popcount, contains_kss, smallest_free_s
 from .geometry import (
     BilinearForm,
     _origin_sphere_points,
@@ -153,6 +151,7 @@ class AlgebraicGraphInstance:
     rows: list  # chosen points in F_p^D1
     cols: list  # chosen points in F_p^D2
     report: ConstructionReport
+    col_zeros: list  # per chosen column, its zeros over all of F_p^D1
 
 
 def _product_zero_mask(f: MultiPoly, d1: int) -> np.ndarray:
@@ -237,7 +236,8 @@ def random_algebraic_graph(p, d1, d2, m, n, s, rng) -> AlgebraicGraphInstance:
     report.verification = kss_verdict(graph, s, report.counters)
     rows = [tuple(r) for r in lex_points(rows_idx, p, d1).tolist()]
     cols = [tuple(c) for c in lex_points(cols_idx, p, d2).tolist()]
-    return AlgebraicGraphInstance(graph, f, rows, cols, report)
+    col_zeros = mask[:, cols_idx].sum(axis=0).tolist()
+    return AlgebraicGraphInstance(graph, f, rows, cols, report, col_zeros)
 
 
 # -- point-variety instances ---------------------------------------------------
@@ -280,13 +280,9 @@ def point_variety_instance(m, alpha, dim, rng) -> PointVarietyInstance:
     # a section's degree is the largest index sum of its nonzero coefficients
     index_sum = sum(np.indices(sections.shape[1:]))
     degrees = np.where(sections != 0, index_sum, 0).reshape(len(sections), -1).max(axis=1).tolist()
-    # Column j of `zeros` is the zero set of section j over F_p^dim.
-    per_col = np.moveaxis(sections, 0, -1)
-    zeros = np.concatenate(list(_grid(per_col, p, [np.arange(p)] * dim, _multiple_of_p)))
-    zeros = zeros.reshape(p**dim, len(sections))
-    ridx = np.ravel_multi_index(tuple(np.asarray(inst.rows).T), (p,) * dim)
-    incident = zeros[ridx].sum(axis=0).tolist()
-    proxy_ok = bool((zeros.sum(axis=0) <= delta * p ** (dim - 1)).all())
+    # column j of the graph is the zero set of section j among the chosen points
+    incident = _popcount(inst.graph.cols).tolist()
+    proxy_ok = max(inst.col_zeros) <= delta * p ** (dim - 1)
 
     report = ConstructionReport(
         kind="point-variety",

@@ -10,6 +10,13 @@ compared as sorted int64 lexicographic codes (a point's row index in
 `domain_points`), so sphere intersections, the family identity of
 `sphere_family_check` and the flats of `flats_in_sphere_check` are array
 operations that never list the grid.
+
+Every product of point arrays through the form B is one `BilinearForm.gram`
+call. As p is odd, pair norms follow by polarization, Q(a - b) = Q(a) +
+Q(b) - 2 B(a, b). The one exactness rule is `mpoly._plan`'s: a float64 BLAS
+product while d (p-1)^2 < 2^53 (every d >= 2 grid under `ENUM_CAP`), as its
+partial sums are integers below 2^53; else one int64 term per coordinate,
+reduced after each, as in `norms_of_rows`.
 """
 
 from dataclasses import dataclass, field
@@ -21,10 +28,10 @@ from .errors import DomainError, ResourceLimitError
 from .gf import FieldCtx
 from . import linalg
 from .bigraph import BipartiteGraph, _pack
-from .mpoly import ENUM_CAP, _lex_weights, domain_points, lex_points
+from .mpoly import ENUM_CAP, _lex_weights, _plan, domain_points, lex_points
 
 # Rows of the left point array per block of the pairwise-norm sweep, so the
-# int64 temporaries are O(_PAIR_BLOCK * n * d) whatever the number of pairs.
+# temporaries are O(_PAIR_BLOCK * n) whatever the number of pairs.
 _PAIR_BLOCK = 256
 
 
@@ -97,10 +104,6 @@ class BilinearForm:
             return tuple((a - b) % p for a, b in zip(u, v))
         return tuple(ctx.sub(a, b) for a, b in zip(u, v))
 
-    def sig_array(self) -> np.ndarray:
-        p = self.ctx.p
-        return np.array([1 if s == 1 else p - 1 for s in self.signature], dtype=np.int64)
-
     def norms_of_rows(self, arr) -> np.ndarray:
         """Vectorized norm_sq along the last axis of an int array (prime ctx
         only).
@@ -119,14 +122,34 @@ class BilinearForm:
             acc = (acc + sq if s == 1 else acc - sq) % p
         return acc
 
+    def gram(self, a, b) -> np.ndarray:
+        """int64 residues G[..., i, j] = inner(a[..., i, :], b[..., j, :]) for
+        int arrays of row vectors, with leading batch axes (prime ctx only).
+        Exact for every p <= 2^31 by the rule of the module docstring."""
+        if self.ctx.kind != "prime":
+            raise DomainError("vectorized forms require a prime context")
+        p = self.ctx.p
+        a, b = (np.asarray(x, dtype=np.int64) for x in (a, b))
+        # residues skip the int64 `% p`, most of the cost of a small product
+        a, b = (x % p if x.size and (x.min() < 0 or x.max() >= p) else x for x in (a, b))
+        if _plan(self.dim, p)[0] is np.float64:
+            signed = (a * self.signature).astype(np.float64)
+            return (signed @ np.swapaxes(b, -1, -2).astype(np.float64)).astype(np.int64) % p
+        acc = 0
+        for i, s in enumerate(self.signature):
+            t = a[..., :, None, i] * b[..., None, :, i] % p
+            acc = (acc + t if s == 1 else acc - t) % p
+        return acc
+
     def unit_pair_matrix(self, a, b) -> np.ndarray:
         """Boolean matrix M[i, j] = (norm_sq(a[i] - b[j]) == 1) for two point
-        arrays (prime ctx only), swept in row blocks of a."""
+        arrays (prime ctx only), by polarization, in row blocks of a."""
         a, b = (np.asarray(x, dtype=np.int64).reshape(len(x), self.dim) for x in (a, b))
+        na, nb = self.norms_of_rows(a), self.norms_of_rows(b)
         out = np.empty((a.shape[0], b.shape[0]), dtype=bool)
         for lo in range(0, a.shape[0], _PAIR_BLOCK):
-            diff = a[lo : lo + _PAIR_BLOCK, None, :] - b[None, :, :]
-            out[lo : lo + _PAIR_BLOCK] = self.norms_of_rows(diff) == 1
+            blk = slice(lo, lo + _PAIR_BLOCK)
+            out[blk] = (na[blk, None] + nb - 2 * self.gram(a[blk], b)) % self.ctx.p == 1
         return out
 
 
@@ -293,18 +316,11 @@ def intersect_spheres_to_flat(spheres) -> AffineFlat:
     ctx, d, p = form.ctx, form.dim, form.ctx.p
     if len(spheres) == 1:
         return AffineFlat.full(ctx, d)
-    w1 = spheres[0].center
-    n1 = form.norm_sq(w1)
-    rows, rhs = [], []
-    for s in spheres[1:]:
-        wj = s.center
-        coeff = [
-            2 * sg * ((b - a) % p) % p
-            for sg, a, b in zip(form.signature, w1, wj)
-        ]
-        rows.append([c % p for c in coeff])
-        rhs.append((form.norm_sq(wj) - n1) % p)
-    sol = linalg.solve_affine(rows, rhs, d, p)
+    centers = np.array([s.center for s in spheres], dtype=np.int64) % p
+    # row j holds the coefficients B(2(w_j - w_1), e_i) of x_i
+    rows = form.gram(2 * (centers[1:] - centers[0]), np.eye(d, dtype=np.int64))
+    norms = form.norms_of_rows(centers)
+    sol = linalg.solve_affine(rows.tolist(), ((norms[1:] - norms[0]) % p).tolist(), d, p)
     if sol is None:
         return AffineFlat.empty(ctx, d)
     x0, basis = sol
@@ -341,8 +357,7 @@ def sphere_family_check(spheres, flat: AffineFlat):
         eqs = np.array(eqs, dtype=np.int64).reshape(len(eqs), d)
         on_flat = ~((pts[0] - np.array(flat.base, dtype=np.int64)) % p @ eqs.T % p).any(axis=1)
     identity_ok = np.array_equal(np.sort(codes[0][on_flat]), common[count == len(spheres)])
-    dirs = np.array(flat.basis, dtype=np.int64).reshape(len(flat.basis), d)
-    orth_ok = not ((dirs * form.sig_array()) % p @ (centers[1:] - centers[0]).T % p).any()
+    orth_ok = not form.gram(np.reshape(flat.basis, (-1, d)), centers[1:] - centers[0]).any()
     return identity_ok, orth_ok
 
 
@@ -445,7 +460,6 @@ def flats_in_sphere_check(sphere: Sphere, dim_cap: int, cap: int = ENUM_CAP) -> 
             break
     report = SphereFlatsReport()
     w = np.array(sphere.center, dtype=np.int64)
-    sig = form.sig_array()
     for r, level in enumerate(levels):
         names = sorted(level)
         if not names:
@@ -454,16 +468,15 @@ def flats_in_sphere_check(sphere: Sphere, dim_cap: int, cap: int = ENUM_CAP) -> 
         members = np.array([level[name][1] for name in names])
         # <x - w, x - y> = G[x, x] - G[x, y], G the Gram matrix of the x - w;
         # it is built for all flats of the level at once, in blocks of rows
-        rel = (arr[members] - w) % p
-        srel = rel * sig % p
-        diag = (srel * rel).sum(axis=2) % p
+        rel = arr[members] - w
+        diag = form.norms_of_rows(rel)
         radial = np.ones(len(names), dtype=bool)
         rows = max(1, _FLAT_CELLS // members.size)
         for lo in range(0, members.shape[1], rows):
-            gram = srel[:, lo : lo + rows] @ rel.transpose(0, 2, 1) % p
+            gram = form.gram(rel[:, lo : lo + rows], rel)
             radial &= (gram == diag[:, lo : lo + rows, None]).all(axis=(1, 2))
         basis = np.array([f.basis for f in flats], dtype=np.int64).reshape(len(flats), r, d)
-        iso = ~((basis * sig % p) @ basis.transpose(0, 2, 1) % p).any(axis=(1, 2))
+        iso = ~form.gram(basis, basis).any(axis=(1, 2))
         for f, f_iso, f_radial in zip(flats, iso.tolist(), radial.tolist()):
             report.entries.append(FlatRecord(f.dim, f.base, f.basis, f_iso, f_radial))
     return report
@@ -506,22 +519,13 @@ def isotropic_unit_pair_search(form: BilinearForm, cap: int = ENUM_CAP):
             w = tuple(int(v) for v in units[0])
             return AffineFlat(form.ctx, d, (0,) * d, []), w
         return None
-    sig = form.sig_array()
-
-    def orthogonal_units(basis_rows):
-        mat = (np.asarray(basis_rows, dtype=np.int64) * sig) % p
-        prods = units @ mat.T % p
-        mask = (prods == 0).all(axis=1)
-        return units[mask]
-
     for pivots in combinations(range(d), k):
         pivot_set = set(pivots)
         cands = []
-        for i, piv in enumerate(pivots):
+        for piv in pivots:
             rows = _rref_row_candidates(p, d, piv, pivot_set - {piv})
-            iso = form.norms_of_rows(rows) == 0
-            cands.append(rows[iso])
-        hit = _extend_isotropic(form, p, sig, cands, [], orthogonal_units)
+            cands.append(rows[form.norms_of_rows(rows) == 0])
+        hit = _extend_isotropic(form, units, cands, [])
         if hit is not None:
             basis, w = hit
             flat = AffineFlat(form.ctx, d, (0,) * d, [tuple(int(v) for v in b) for b in basis])
@@ -529,20 +533,18 @@ def isotropic_unit_pair_search(form: BilinearForm, cap: int = ENUM_CAP):
     return None
 
 
-def _extend_isotropic(form, p, sig, cands, chosen, orthogonal_units):
+def _extend_isotropic(form, units, cands, chosen):
+    """One isotropic row per pivot, each orthogonal to the rows before it,
+    then the first unit vector orthogonal to all of them."""
     depth = len(chosen)
     if depth == len(cands):
-        sols = orthogonal_units(chosen)
-        if sols.shape[0]:
-            return list(chosen), sols[0]
-        return None
+        sols = units[~form.gram(chosen, units).any(axis=0)]
+        return (list(chosen), sols[0]) if len(sols) else None
     pool = cands[depth]
     if chosen:
-        mat = (np.asarray(chosen, dtype=np.int64) * sig) % p
-        mask = (pool @ mat.T % p == 0).all(axis=1)
-        pool = pool[mask]
+        pool = pool[~form.gram(chosen, pool).any(axis=0)]
     for row in pool:
-        hit = _extend_isotropic(form, p, sig, cands, chosen + [row], orthogonal_units)
+        hit = _extend_isotropic(form, units, cands, chosen + [row])
         if hit is not None:
             return hit
     return None

@@ -212,6 +212,16 @@ def test_smallest_free_s():
     assert smallest_free_s(empty, 3) == 1
 
 
+@pytest.mark.parametrize("m, n", [(0, 0), (0, 5), (5, 0)])
+def test_kss_on_an_empty_class(m, n):
+    # no K_{s,s} fits, and the search spends no probe finding that out
+    g = BipartiteGraph.from_bool_matrix(np.zeros((m, n), dtype=bool))
+    counters = {}
+    assert contains_kss(g, 1, counters=counters) is None
+    assert counters == {"kss_probes": 0}
+    assert smallest_free_s(g, 3) == 1
+
+
 def test_hypergraph_validation():
     with pytest.raises(DomainError):
         Hypergraph(4, 2, [(0, 0)])

@@ -174,14 +174,57 @@ def test_negative_count_exit_1(args, flag):
     assert "nonnegative" in r.stderr
 
 
-def test_readme_cli_examples(tmp_path, monkeypatch):
+def test_indep_set_k_above_n_exit_1():
+    assert_usage_error(run_cli("indep-set", "--n", "3", "--m", "2", "--k", "5", "--seed", "1"), "--k")
+
+
+def test_unit_distance_empty_point_set(tmp_path):
+    out = tmp_path / "r.json"
+    r = run_cli("unit-distance", "--d", "2", "--p", "7", "--n", "0", "--seed", "1",
+                "--output", str(out))
+    assert r.returncode == 0, r.stderr
+    rep = load_report(out)
+    assert rep["achieved"]["P_size"] == 0 and rep["achieved"]["unit_distances"] == 0
+
+
+def readme_commands(tmp_path):
+    """The README's CLI examples as argument lists, with their input files
+    written to tmp_path."""
     with open(os.path.join(ROOT, "README.md")) as fh:
         block = fh.read().split("## CLI", 1)[1].split("```")[1]
     commands = [shlex.split(ln)[1:] for ln in block.splitlines() if ln.startswith("ffil ")]
     assert len({c[0] for c in commands}) == 10  # one example per subcommand
-    monkeypatch.chdir(tmp_path)
     (tmp_path / "lines.txt").write_text("p=3; vars=1; x0\np=3; vars=1; x0 + 2\n")
     (tmp_path / "sets.json").write_text(json.dumps({"ground": 3, "members": [[0], [1], [2]]}))
+    return commands
+
+
+def test_readme_examples_do_not_import_numpy_ma(tmp_path):
+    # under numpy 2.x a first flagless np.unique imports numpy.ma, about
+    # 10 ms of every cold command (numpy 1.x imports it with numpy itself);
+    # all examples run in one process, so any path counts
+    script = (
+        "import contextlib, io, json, sys\n"
+        "import numpy\n"
+        "eager = 'numpy.ma' in sys.modules\n"
+        "from ffil.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(a) for a in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, eager, 'numpy.ma' in sys.modules]))\n"
+    )
+    commands = json.dumps(readme_commands(tmp_path))
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONWARNINGS="ignore")
+    r = subprocess.run([sys.executable, "-c", script, commands], capture_output=True,
+                       text=True, env=env, cwd=tmp_path)
+    assert r.returncode == 0, r.stderr
+    codes, eager, imported = json.loads(r.stdout)
+    assert codes == [0] * len(codes)
+    assert imported == eager
+
+
+def test_readme_cli_examples(tmp_path, monkeypatch):
+    commands = readme_commands(tmp_path)
+    monkeypatch.chdir(tmp_path)
     for args in commands:
         r = run_cli(*args)
         assert r.returncode == 0, (args, r.stderr)

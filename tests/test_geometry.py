@@ -19,7 +19,7 @@ from ffil import (
     sphere_points,
     unit_distance_graph,
 )
-from ffil.mpoly import domain_points
+from ffil.mpoly import _plan, domain_points
 from ffil.rng import Rng
 from search_reference import is_totally_isotropic
 
@@ -94,6 +94,46 @@ def test_vectorized_norms_exact_at_large_p():
                     assert g.has_edge(i, j) == want
                 for j, w in enumerate(base[:4]):
                     assert inc.has_edge(i, j) == Sphere(form, w).contains(x)
+
+
+P_D1_INT64 = 99_999_971  # prime with (p - 1)^2 >= 2^53: int64 path even at d = 1
+
+
+@pytest.mark.parametrize(
+    "p, sig",
+    [(p, s) for p in (7, P31) for s in MIXED_SIGNATURES]
+    + [(101, (1, 1)), (P31, (-1,)), (P_D1_INT64, (1,)), (P_D1_INT64, (-1,))],
+)
+def test_gram_matches_inner(p, sig):
+    form = BilinearForm(FieldCtx.prime(p), sig)
+    d = len(sig)
+    assert (_plan(d, p)[0] is np.float64) == (p < 2**20)  # both paths are exercised
+    r = Rng(p + d)
+    # entries in (-p, p): negative inputs must reduce like the scalar form
+    a = np.array([[r.randbelow(2 * p - 1) - (p - 1) for _ in range(d)] for _ in range(24)])
+    b = np.array([[r.randbelow(2 * p - 1) - (p - 1) for _ in range(d)] for _ in range(12)])
+    want = [[form.inner(x, y) for y in b.tolist()] for x in a.tolist()]
+    got = form.gram(a, b)
+    assert got.dtype == np.int64 and got.tolist() == want
+    batched = form.gram(a.reshape(4, 6, d), b.reshape(4, 3, d))
+    assert batched.shape == (4, 6, 3)
+    for k in range(4):
+        assert batched[k].tolist() == [row[3 * k : 3 * k + 3] for row in want[6 * k : 6 * k + 6]]
+    assert form.gram(a[:0], b).shape == (0, 12)
+
+
+def test_unit_pair_matrix_matches_scalar_norms():
+    rng = Rng(67)
+    for p in (3, 7, 11):
+        for sig in [(1, 1), (1, -1, -1)] + MIXED_SIGNATURES:
+            form = BilinearForm(FieldCtx.prime(p), sig)
+            d = len(sig)
+            pts = [tuple(rng.randbelow(p) for _ in range(d)) for _ in range(300)]
+            m = form.unit_pair_matrix(pts, pts[:40])
+            assert m.shape == (300, 40)  # more rows than one block
+            assert m.tolist() == [
+                [form.norm_sq(form.diff(x, y)) == 1 for y in pts[:40]] for x in pts
+            ]
 
 
 def test_sphere_point_counts():
