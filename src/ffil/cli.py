@@ -25,7 +25,7 @@ import numpy as np
 from .errors import ConstructionFailure, DomainError, ResourceLimitError
 from .rng import Rng
 from .gf import FieldCtx
-from .mpoly import ENUM_CAP, _check_enum_cap, domain_points, parse_poly, sample_uniform
+from .mpoly import ENUM_CAP, _check_enum_cap, domain_points, matmul_mod, parse_poly, sample_uniform
 from . import bigraph
 from .bigraph import BipartiteGraph, find_induced_pattern
 from . import patterns as patmod
@@ -362,7 +362,7 @@ def cmd_pattern_scan(args, rng):
             normals = geo.lex_points(nidx - before[free] + p**free, p, d)
             # one product per distinct normal, spread to its columns in the
             # smallest dtype that holds the residues
-            dots = (points @ normals.T % p).astype(np.min_scalar_type(p))
+            dots = matmul_mod(points, normals.T, p).astype(np.min_scalar_type(p))
             return BipartiteGraph.from_bool_matrix(dots[:, col_normal] == cols % p)
 
         pat = bigraph.prefix_tree_pattern(d - 1, 1)

@@ -15,11 +15,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import ConstructionFailure, DomainError, ResourceLimitError
+from .errors import ConstructionFailure, DomainError
 from .gf import FieldCtx, find_prime, is_prime
 from .mpoly import (
     ENUM_CAP,
     MultiPoly,
+    _check_enum_cap,
     _lex_weights,
     _power_table,
     count_zeros,
@@ -131,8 +132,7 @@ def zero_count_experiment(p, nvars, degree, trials, rng) -> ZeroCountResult:
         raise DomainError("experiment requires nvars >= 3 and degree >= 3")
     if trials < 1:
         raise DomainError("need at least one trial")
-    if p**nvars > ENUM_CAP:
-        raise ResourceLimitError("zero counting domain exceeds cap")
+    _check_enum_cap(p, nvars, ENUM_CAP)
     ctx = FieldCtx.prime(p)
     counts = [
         count_zeros(sample_uniform(ctx, nvars, degree, rng.derive(t)))
@@ -328,9 +328,8 @@ def evasive_point_set(p, d, k, strategy, rng, cap: int = ENUM_CAP):
     """
     if not 0 <= k < d:
         raise DomainError("need 0 <= k < d")
+    _check_enum_cap(p, d, cap)  # size <= p^d
     size = p ** (d - k)
-    if size > cap or p**d > cap:
-        raise ResourceLimitError("evasive set size exceeds cap")
     if strategy == "map-image":
         base = domain_points(p, d - k)
         squares = np.ones(len(base), dtype=np.int64)

@@ -13,10 +13,9 @@ operations that never list the grid.
 
 Every product of point arrays through the form B is one `BilinearForm.gram`
 call. As p is odd, pair norms follow by polarization, Q(a - b) = Q(a) +
-Q(b) - 2 B(a, b). The one exactness rule is `mpoly._plan`'s: a float64 BLAS
-product while d (p-1)^2 < 2^53 (every d >= 2 grid under `ENUM_CAP`), as its
-partial sums are integers below 2^53; else one int64 term per coordinate,
-reduced after each, as in `norms_of_rows`.
+Q(b) - 2 B(a, b). Every product mod p is one `mpoly.matmul_mod` call, whose
+docstring states the exactness rule (one float64 BLAS product on every d >= 2
+grid under `ENUM_CAP`).
 """
 
 from dataclasses import dataclass, field
@@ -24,11 +23,11 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from .gf import FieldCtx
 from . import linalg
 from .bigraph import BipartiteGraph, _pack
-from .mpoly import ENUM_CAP, _lex_weights, _plan, domain_points, lex_points
+from .mpoly import ENUM_CAP, _check_enum_cap, _lex_weights, domain_points, lex_points, matmul_mod
 
 # Rows of the left point array per block of the pairwise-norm sweep, so the
 # temporaries are O(_PAIR_BLOCK * n) whatever the number of pairs.
@@ -106,40 +105,25 @@ class BilinearForm:
 
     def norms_of_rows(self, arr) -> np.ndarray:
         """Vectorized norm_sq along the last axis of an int array (prime ctx
-        only).
-
-        Each squared coordinate is added or subtracted and the sum reduced
-        after every coordinate, so no intermediate exceeds p^2 and the int64
-        arithmetic is exact for every p <= 2^31.
-        """
+        only): the squared residues times the signature, one `matmul_mod`
+        product, exact for every p <= 2^31."""
         if self.ctx.kind != "prime":
             raise DomainError("vectorized norms require a prime context")
         p = self.ctx.p
         arr = np.asarray(arr, dtype=np.int64) % p
-        acc = np.zeros(arr.shape[:-1], dtype=np.int64)
-        for i, s in enumerate(self.signature):
-            sq = arr[..., i] * arr[..., i] % p
-            acc = (acc + sq if s == 1 else acc - sq) % p
-        return acc
+        return matmul_mod(arr * arr % p, np.array(self.signature)[:, None], p)[..., 0]
 
     def gram(self, a, b) -> np.ndarray:
         """int64 residues G[..., i, j] = inner(a[..., i, :], b[..., j, :]) for
-        int arrays of row vectors, with leading batch axes (prime ctx only).
-        Exact for every p <= 2^31 by the rule of the module docstring."""
+        int arrays of row vectors, with leading batch axes (prime ctx only):
+        one `matmul_mod` product, exact for every p <= 2^31."""
         if self.ctx.kind != "prime":
             raise DomainError("vectorized forms require a prime context")
         p = self.ctx.p
         a, b = (np.asarray(x, dtype=np.int64) for x in (a, b))
         # residues skip the int64 `% p`, most of the cost of a small product
         a, b = (x % p if x.size and (x.min() < 0 or x.max() >= p) else x for x in (a, b))
-        if _plan(self.dim, p)[0] is np.float64:
-            signed = (a * self.signature).astype(np.float64)
-            return (signed @ np.swapaxes(b, -1, -2).astype(np.float64)).astype(np.int64) % p
-        acc = 0
-        for i, s in enumerate(self.signature):
-            t = a[..., :, None, i] * b[..., None, :, i] % p
-            acc = (acc + t if s == 1 else acc - t) % p
-        return acc
+        return matmul_mod(a * self.signature, np.swapaxes(b, -1, -2), p)
 
     def unit_pair_matrix(self, a, b) -> np.ndarray:
         """Boolean matrix M[i, j] = (norm_sq(a[i] - b[j]) == 1) for two point
@@ -217,7 +201,7 @@ class AffineFlat:
             yield self.base
             return
         coeffs = domain_points(p, len(self.basis))
-        arr = (np.asarray(self.base, dtype=np.int64) + coeffs @ np.asarray(self.basis, dtype=np.int64)) % p
+        arr = (np.asarray(self.base, dtype=np.int64) + matmul_mod(coeffs, self.basis, p)) % p
         for row in arr:
             yield tuple(int(v) for v in row)
 
@@ -250,8 +234,7 @@ def _origin_sphere_points(form: BilinearForm, cap: int) -> np.ndarray:
     increasing x_d.
     """
     p, d = form.ctx.p, form.dim
-    if p**d > cap:  # also for a memoized table, so the cap never depends on call order
-        raise ResourceLimitError(f"sphere enumeration over {p}^{d} points exceeds cap")
+    _check_enum_cap(p, d, cap)  # also for a memoized table, so the cap never depends on call order
     key = (p, form.signature)
     pts = _ORIGIN_CACHE.get(key)
     if pts is not None:
@@ -355,7 +338,7 @@ def sphere_family_check(spheres, flat: AffineFlat):
         # dot-orthogonal to that span is dot-orthogonal to x - base too
         eqs = linalg.nullspace([list(b) for b in flat.basis], d, p)
         eqs = np.array(eqs, dtype=np.int64).reshape(len(eqs), d)
-        on_flat = ~((pts[0] - np.array(flat.base, dtype=np.int64)) % p @ eqs.T % p).any(axis=1)
+        on_flat = ~matmul_mod((pts[0] - np.array(flat.base, dtype=np.int64)) % p, eqs.T, p).any(axis=1)
     identity_ok = np.array_equal(np.sort(codes[0][on_flat]), common[count == len(spheres)])
     orth_ok = not form.gram(np.reshape(flat.basis, (-1, d)), centers[1:] - centers[0]).any()
     return identity_ok, orth_ok

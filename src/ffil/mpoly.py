@@ -11,7 +11,8 @@ time with the power table x^e mod p of that axis' coordinates, so a sweep of
 n^D points costs about D n^(D+1) multiply-adds instead of terms x n^D, and
 contracting only the trailing axes yields every section's coefficients at
 once (Kronecker-structured evaluation, as in Yates' algorithm). It reduces
-mod p only where a float64 product could reach 2^53, in cache-sized slabs.
+mod p only where a float64 product could reach 2^53 (the exactness rule of
+`matmul_mod`, which every other product mod p calls), in cache-sized slabs.
 `evaluate_batch` vectorizes the term-by-term arithmetic for scattered
 points. The test suite cross-checks every path against `evaluate`.
 `sample_uniform` draws all its coefficients in one block
@@ -248,22 +249,23 @@ def _check_enum_cap(p, nvars, cap):
 _SLAB_ELEMS = 1 << 15  # elements in the largest intermediate array of one slab
 
 
-def coefficient_tensor(f: MultiPoly, fold: bool = False) -> np.ndarray:
+def coefficient_tensor(f: MultiPoly, fold=()) -> np.ndarray:
     """Dense int64 coefficients of f: one axis per variable, of length
     (largest exponent of that variable) + 1.
 
-    With `fold`, every exponent e >= p first becomes 1 + (e - 1) mod (p - 1),
-    which leaves the function on F_p^nvars unchanged (x^p = x for every x)
-    and caps each axis at length p, so the tensor is never larger than the
-    grid it is evaluated on.
+    On the variables listed in `fold`, every exponent e >= p first becomes
+    1 + (e - 1) mod (p - 1). That leaves the function of those variables on
+    F_p unchanged (x^p = x for every x) and caps their axes at length p, so
+    the tensor is never larger than the grid they are evaluated on.
     """
     p = f.ctx.p
     count = len(f.terms) * f.nvars
     exps = np.fromiter(chain.from_iterable(f.terms), dtype=np.int64, count=count)
     exps = exps.reshape(len(f.terms), f.nvars)
-    merge = fold and bool((exps >= p).any())  # only folding can merge exponents
+    big = exps[:, fold] >= p
+    merge = bool(big.any())  # only folding can merge exponents
     if merge:
-        exps = np.where(exps >= p, 1 + (exps - 1) % (p - 1), exps)
+        exps[:, fold] = np.where(big, 1 + (exps[:, fold] - 1) % (p - 1), exps[:, fold])
     shape = tuple(exps.max(axis=0) + 1) if f.terms else (1,) * f.nvars
     coef = np.zeros(shape, dtype=np.int64)
     if not merge:  # distinct exponents, coefficients already below p
@@ -283,21 +285,42 @@ def _power_table(x, k: int, p: int) -> np.ndarray:
 
 
 def _plan(k: int, p: int):
-    """(dtype, chunk) for exact length-k dot products of residues mod p:
-    float64 while k (p-1)^2 < 2^53 (see `grid_slabs`), else int64 reducing
-    after every chunk of products, chunk (p-1)^2 < 2^63 (p <= 2^31)."""
+    """(dtype, chunk) for exact length-k dot products mod p (see `matmul_mod`)."""
     bound = (p - 1) ** 2
     if k * bound < 2**53:
         return np.float64, k
     chunk = (2**63 - 1) // bound
     if chunk < 1:
-        raise DomainError(f"p = {p} is too large for exact int64 grid evaluation")
+        raise DomainError(f"p = {p} is too large for exact int64 products")
     return np.int64, chunk
 
 
-def _dot(t: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Contract axis 0 of t with the (n, k) table; the new axis comes last."""
-    return (t.reshape(table.shape[1], -1).T @ table.T).reshape(t.shape[1:] + table.shape[:1])
+def matmul_mod(a, b, p: int) -> np.ndarray:
+    """int64 residues of a @ b mod p (matmul broadcasting; int64 arrays of at
+    least 2-D, entries of absolute value below p): ffil's one exactness rule.
+
+    A length-k dot product has terms of absolute value at most (p - 1)^2.
+    While k (p - 1)^2 < 2^53 it is one float64 BLAS product, exact in any
+    summation order, as every partial sum is an integer below 2^53. Else it
+    is int64 products over chunks of terms, chunk (p - 1)^2 < 2^63, each
+    reduced; their residues sum below 2^63, as p <= 2^31.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    k = a.shape[-1]
+    dtype, chunk = _plan(k, p)
+    if dtype is np.float64:
+        return (a.astype(np.float64) @ b.astype(np.float64)).astype(np.int64) % p
+    return sum(a[..., lo : lo + chunk] @ b[..., lo : lo + chunk, :] % p
+               for lo in range(0, k, chunk)) % p
+
+
+def _dot(t: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
+    """Contract axis 0 of t with the (n, k) table; the new axis comes last.
+    An int64 table gives residues (`matmul_mod`); a float64 one, the exact
+    unreduced values."""
+    flat = t.reshape(table.shape[1], -1).T
+    out = matmul_mod(flat, table.T, p) if table.dtype == np.int64 else flat @ table.T
+    return out.reshape(t.shape[1:] + table.shape[:1])
 
 
 def _residues(t: np.ndarray, p: int) -> np.ndarray:
@@ -310,14 +333,6 @@ def _multiple_of_p(v: np.ndarray, p: int) -> np.ndarray:
     product with p are exact; else v / p rounds into [q, q + 1], q = v // p,
     whose floor times p is q p < v or at least (q + 1) p > v."""
     return np.floor(v / p) * p == v
-
-
-def _contract_leading(t: np.ndarray, table: np.ndarray, p: int) -> np.ndarray:
-    """`_dot` mod p of int64 residues t with an int64 power table, reducing
-    every `chunk` terms (see `_plan`); the k / chunk residues sum below 2^63."""
-    k, chunk = table.shape[1], _plan(table.shape[1], p)[1]
-    parts = (_dot(t[lo : lo + chunk], table[:, lo : lo + chunk]) % p for lo in range(0, k, chunk))
-    return sum(parts) % p
 
 
 def _grid(coef: np.ndarray, p: int, axes, last):
@@ -334,10 +349,7 @@ def _grid(coef: np.ndarray, p: int, axes, last):
             k = table.shape[1]
             if bound * k * (p - 1) >= 2**53:  # always so on the int64 path
                 t, bound = _residues(t, p), p - 1
-            if table.dtype == np.int64:
-                t = _contract_leading(t, table, p)
-            else:
-                t, bound = _dot(t, table), bound * k * (p - 1)  # int64 t is cast to float64
+            t, bound = _dot(t, table, p), bound * k * (p - 1)
         # contracted axes were appended in order after the carried ones
         yield np.ascontiguousarray(np.moveaxis(last(t, p), range(t.ndim - m, t.ndim), range(m)))
 
@@ -354,13 +366,13 @@ def grid_slabs(coef: np.ndarray, p: int, axes):
 
     A bound B on the entries (p - 1 for `coef`) is carried along; an axis of
     length k takes it to B k (p - 1). While that is below 2^53 the axis is
-    one float64 BLAS product with no `% p`, exact in any summation order, as
-    every partial sum is an integer below 2^53. Otherwise the entries are
-    reduced first (B = p - 1), or, where k (p - 1)^2 alone reaches 2^53,
-    `_plan` picks the chunked int64 path. Residues are taken once per slab;
-    zero tests run `_grid` with the exact `_multiple_of_p` as the last step
-    instead. Slabs are cache-sized (`_SLAB_ELEMS` elements beyond `coef`),
-    and no coordinate array of the product set is built.
+    one float64 BLAS product with no `% p`, exact as in `matmul_mod`.
+    Otherwise the entries are reduced first (B = p - 1), or, where k (p - 1)^2
+    alone reaches 2^53, the axis is an int64 `matmul_mod` product. Residues
+    are taken once per slab; zero tests run `_grid` with the exact
+    `_multiple_of_p` as the last step instead. Slabs are cache-sized
+    (`_SLAB_ELEMS` elements beyond `coef`), and no coordinate array of the
+    product set is built.
     """
     return _grid(coef, p, axes, _residues)
 
@@ -371,12 +383,13 @@ def section_tensors(f: MultiPoly, d2: int) -> np.ndarray:
     Contracts the trailing d2 >= 1 axes of f's coefficient tensor over all of
     F_p^d2 at once. Row j belongs to the j-th q in lexicographic order and
     holds the coefficients of `bivariate_section(f, q)` on the leading
-    nvars - d2 axes.
+    nvars - d2 axes. Only the contracted axes are folded: section degrees
+    are formal, so the leading exponents stay as they are.
     """
     if not 1 <= d2 <= f.nvars:
         raise DomainError("need 1 <= d2 <= nvars")
     p, d1 = f.ctx.p, f.nvars - d2
-    coef = coefficient_tensor(f)
+    coef = coefficient_tensor(f, fold=range(d1, f.nvars))
     tail_first = np.moveaxis(coef, range(d1, f.nvars), range(d2))
     out = np.concatenate(list(grid_slabs(tail_first, p, [np.arange(p)] * d2)))
     return out.reshape(p**d2, *coef.shape[:d1])
@@ -395,7 +408,7 @@ def zero_mask(f: MultiPoly, cap: int = ENUM_CAP) -> np.ndarray:
     mask = np.empty((p,) * f.nvars, dtype=bool)
     lo = 0
     axes = [np.arange(p)] * f.nvars
-    for slab in _grid(coefficient_tensor(f, fold=True), p, axes, _multiple_of_p):
+    for slab in _grid(coefficient_tensor(f, fold=range(f.nvars)), p, axes, _multiple_of_p):
         mask[lo : lo + slab.shape[0]] = slab
         lo += slab.shape[0]
     return mask
@@ -412,7 +425,8 @@ def count_zeros(f: MultiPoly, cap: int = ENUM_CAP) -> int:
         return int(zero_mask(f, cap))
     p = f.ctx.p
     _check_enum_cap(p, f.nvars, cap)
-    slabs = _grid(coefficient_tensor(f, fold=True), p, [np.arange(p)] * f.nvars, _multiple_of_p)
+    coef = coefficient_tensor(f, fold=range(f.nvars))
+    slabs = _grid(coef, p, [np.arange(p)] * f.nvars, _multiple_of_p)
     return sum(int(np.count_nonzero(slab)) for slab in slabs)
 
 

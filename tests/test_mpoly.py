@@ -1,11 +1,14 @@
+import ast
 import itertools
 import math
+import pathlib
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from ffil import (
+    BilinearForm,
     DomainError,
     FieldCtx,
     MultiPoly,
@@ -25,6 +28,7 @@ from ffil.mpoly import (
     coefficient_tensor,
     domain_points,
     grid_slabs,
+    matmul_mod,
     section_tensors,
     zero_mask,
 )
@@ -228,11 +232,21 @@ def test_grid_kernel_matches_scalar(p, regime):
 
 
 def test_grid_kernel_reduces_after_every_term(monkeypatch):
+    # every product through `matmul_mod` - the grid kernel, `gram` and
+    # `norms_of_rows` - then takes the int64 path with a reduction per term
     monkeypatch.setattr(mpoly, "_plan", lambda k, p: (np.int64, 1))
     p = 2**31 - 1
     f = sample_uniform(FieldCtx.prime(p), 2, 6, Rng(8))
     axes = [[0, 1, p - 1, 12345], [p - 2, 7, 0]]
     assert np.array_equal(_grid_values(f, axes), _scalar_values(f, axes))
+    for q in (7, p):
+        form = BilinearForm(FieldCtx.prime(q), (1, -1, 1))
+        pts = [[0, q - 1, 1], [q - 1, q - 1, q - 1], [5, 0, q - 2], [q - 3, 2, 0]]
+        want = [[form.inner(x, y) for y in pts] for x in pts]
+        assert form.gram(pts, pts).tolist() == want
+        assert form.gram(np.reshape(pts, (2, 2, 3)), pts[:1]).tolist() == [
+            [row[:1] for row in want[:2]], [row[:1] for row in want[2:]]]
+        assert form.norms_of_rows(pts).tolist() == [form.norm_sq(x) for x in pts]
 
 
 # The primes on either side of each band edge: the smallest and the largest
@@ -252,7 +266,8 @@ def test_grid_kernel_reduces_only_when_2_53_demands_it(monkeypatch, p, first_red
     assert axes_done == first_reduction
     events = []
     dot, residues = mpoly._dot, mpoly._residues
-    monkeypatch.setattr(mpoly, "_dot", lambda t, table: events.append("dot") or dot(t, table))
+    monkeypatch.setattr(mpoly, "_dot",
+                        lambda t, table, p: events.append("dot") or dot(t, table, p))
     monkeypatch.setattr(mpoly, "_residues", lambda t, p: events.append("mod") or residues(t, p))
     for trial in range(3):
         r = rng.derive(trial)
@@ -283,6 +298,62 @@ def test_multiple_of_p_is_exact_below_2_53(p):
         v = np.array(vals, dtype=dtype)
         assert v.astype(object).tolist() == vals  # every value is held exactly
         assert mpoly._multiple_of_p(v, p).tolist() == want
+
+
+# For the int64-path primes, `chunk` is the number of terms per reduction.
+# Every length is one float64 product for p = 3 and 101, so there it is an
+# arbitrary length.
+@pytest.mark.parametrize("p, chunk", [(3, 64), (101, 64), (67108859, 2048), (2**31 - 1, 2)])
+def test_matmul_mod_matches_python_ints(p, chunk):
+    int64_path = (2**63 - 1) // (p - 1) ** 2 == chunk
+    assert mpoly._plan(chunk + 1, p) == ((np.int64, chunk) if int64_path else (np.float64, chunk + 1))
+    gen = np.random.default_rng(p)
+
+    def entries(*shape):
+        x = gen.integers(0, p, size=shape, dtype=np.int64)
+        x.reshape(-1)[::3] = p - 1  # the largest terms
+        x.reshape(-1)[1::7] = 0
+        return x
+
+    for k in (1, chunk, chunk + 1, 3 * chunk + 1):
+        a, b = entries(2, 3, k), entries(2, k, 2)
+        cases = [
+            (a[0], b[0]),  # 2-D
+            (a, b),  # batched
+            (a[:, None], b),  # broadcast to (2, 2, 3, 2)
+            (a[0, :0], b[1]),  # no rows
+            (-a[1], b[0]),  # entries down to -(p - 1), as `gram` passes them
+        ]
+        for x, y in cases:
+            want = (x.astype(object) @ y.astype(object)) % p
+            got = matmul_mod(x, y, p)
+            assert got.dtype == np.int64 and got.shape == want.shape
+            assert got.tolist() == want.tolist(), (p, k, x.shape, y.shape)
+
+
+def _reduced_products(source: str):
+    """Lines where the result of an `@` is reduced with `%`, outside
+    `matmul_mod`."""
+    tree = ast.parse(source)
+    owner = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+             and f.name == "matmul_mod" for n in ast.walk(f)}
+    return sorted(
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod) and id(node) not in owner
+        and any(isinstance(n, ast.BinOp) and isinstance(n.op, ast.MatMult)
+                for n in ast.walk(node.left))
+    )
+
+
+def test_every_product_mod_p_goes_through_matmul_mod():
+    # the guard sees reductions through calls and sums, and passes lex codes
+    # (a `% p` before the `@`) and counting products
+    assert _reduced_products(
+        "x = (a @ b).astype(int) % p\ny = (w + c @ d) % p\nz = (u - w) % p @ v\nn = f(a) @ g\n"
+    ) == [1, 2]
+    src = pathlib.Path(mpoly.__file__).parent
+    found = {f.name: _reduced_products(f.read_text()) for f in sorted(src.glob("*.py"))}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 def test_count_zeros_peaks_in_slab_memory():
@@ -321,7 +392,8 @@ def test_count_zeros_by_slabs_matches_mask(monkeypatch):
     for f, w in zip(polys, want):
         if f.nvars > 1:
             grid = [range(f.ctx.p)] * f.nvars
-            assert len(list(grid_slabs(coefficient_tensor(f, fold=True), f.ctx.p, grid))) > 1
+            coef = coefficient_tensor(f, fold=range(f.nvars))
+            assert len(list(grid_slabs(coef, f.ctx.p, grid))) > 1
         assert count_zeros(f) == w
     for c, w in ((0, 1), (3, 0)):
         assert count_zeros(MultiPoly(FieldCtx.prime(5), 0, {(): c})) == w
@@ -343,7 +415,7 @@ def test_zero_set_with_exponents_above_p():
         ctx = FieldCtx.prime(p)
         f = MultiPoly(ctx, 3, {(1000, 999, 0): 1, (0, 0, p): 2, (p - 1, 2 * p, 1): 1,
                                (1, 0, 0): p - 1, (0, 0, 0): 1})
-        assert all(k <= p for k in coefficient_tensor(f, fold=True).shape)
+        assert all(k <= p for k in coefficient_tensor(f, fold=range(3)).shape)
         assert zero_set(f) == scalar_zero_points(f)
 
 
@@ -359,6 +431,26 @@ def test_section_tensors_match_bivariate_section():
             assert ref.tensor_poly(ctx, sec) == bivariate_section(f, tuple(int(x) for x in q))
     with pytest.raises(DomainError):
         section_tensors(f, 0)
+
+
+def test_section_tensors_fold_the_tail_in_small_memory():
+    # tail exponents >= p fold into (p,)-long axes, so the unfolded
+    # 121^3-entry tensor is never built; the leading exponent 9 >= p is kept,
+    # as section degrees are formal
+    p = 5
+    ctx = FieldCtx.prime(p)
+    f = MultiPoly(ctx, 4, {(1, 120, 120, 120): 1, (9, 7, 0, 5): 3, (2, 0, p, p - 1): 2,
+                           (0, 4, 121, 0): 4, (0, 0, 0, 0): 1})
+    tracemalloc.start()
+    try:
+        sections = section_tensors(f, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert sections.shape == (p**3, 10)
+    for q, sec in zip(domain_points(p, 3), sections):
+        assert ref.tensor_poly(ctx, sec) == bivariate_section(f, tuple(int(x) for x in q))
 
 
 def test_bivariate_section_examples():
