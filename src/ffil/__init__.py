@@ -44,6 +44,7 @@ from .geometry import (
     embed_to_standard_norm,
     flats_in_sphere_check,
     intersect_spheres_to_flat,
+    intersection_flats,
     is_full_grid,
     isotropic_unit_pair_search,
     point_sphere_incidence,

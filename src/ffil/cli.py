@@ -289,25 +289,19 @@ def cmd_sphere_geometry(args, rng):
     form = geo.BilinearForm.standard(ctx, args.d)
     p, d = args.p, args.d
     _check_enum_cap(p, d, ENUM_CAP)  # the sphere tables' cap, before any draw
-    rows = []
-    failures = 0
+    families = []
     for fi in range(args.families):
         r = rng.derive(fi)
-        k = 2 + r.randbelow(args.kmax - 1)
-        # each center is a row of domain_points(p, d), drawn by its index and
+        # k centers, each a row of domain_points(p, d) drawn by its index and
         # decoded without the grid
-        drawn = [r.randbelow(p**d) for _ in range(k)]
-        spheres = [geo.Sphere(form, tuple(c)) for c in geo.lex_points(drawn, p, d).tolist()]
-        identity_ok, orth_ok = geo.sphere_family_check(spheres, geo.intersect_spheres_to_flat(spheres))
-        failures += 0 if (identity_ok and orth_ok) else 1
-        rows.append([fi, k, int(identity_ok), int(orth_ok)])
-    flats_report = geo.flats_in_sphere_check(
-        geo.Sphere(form, (0,) * args.d), args.flat_dim_cap
-    )
-    pair = None
-    pair_checked = args.d % 2 == 1
-    if pair_checked:
-        pair = geo.isotropic_unit_pair_search(geo.BilinearForm.for_dim(ctx, args.d))
+        drawn = [r.randbelow(p**d) for _ in range(2 + r.randbelow(args.kmax - 1))]
+        families.append([geo.Sphere(form, tuple(c)) for c in geo.lex_points(drawn, p, d).tolist()])
+    verdicts = geo.sphere_family_check(families, geo.intersection_flats(families)) if families else []
+    rows = [[fi, len(f), int(i_ok), int(o_ok)] for fi, (f, (i_ok, o_ok)) in enumerate(zip(families, verdicts))]
+    failures = sum(not (i_ok and o_ok) for i_ok, o_ok in verdicts)
+    flats_report = geo.flats_in_sphere_check(geo.Sphere(form, (0,) * d), args.flat_dim_cap)
+    pair_checked = d % 2 == 1
+    pair = geo.isotropic_unit_pair_search(geo.BilinearForm.for_dim(ctx, d)) if pair_checked else None
     pair_expected_none = args.p % 4 == 3
     pair_ok = (pair is None) if (pair_checked and pair_expected_none) else True
     body = {

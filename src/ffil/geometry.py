@@ -5,11 +5,11 @@ probabilistic shortcuts. Grid sweeps (sphere tables, pairwise norms) and
 every graph are computed with numpy over prime fields. Extension-field
 points only relabel prime-field ones (the F_{p^2} re-embedding); the scalar
 context operations in `inner` are their reference. Sphere point tables for
-origin-centered spheres are memoized in memory. Point sets on spheres are
-compared as sorted int64 lexicographic codes (a point's row index in
-`domain_points`), so sphere intersections, the family identity of
-`sphere_family_check` and the flats of `flats_in_sphere_check` are array
-operations that never list the grid.
+origin-centered spheres are memoized in memory. Points are named by int64
+lexicographic codes (a point's row index in `domain_points`). The flats of
+`flats_in_sphere_check` test membership in the sphere by one lookup in a
+packed table of p^d bits, `sphere_family_check` tests it by polarization,
+and both are blocked array passes that never list the grid.
 
 Every product of point arrays through the form B is one `BilinearForm.gram`
 call. As p is odd, pair norms follow by polarization, Q(a - b) = Q(a) +
@@ -19,14 +19,14 @@ grid under `ENUM_CAP`).
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
 from .errors import DomainError
 from .gf import FieldCtx
 from . import linalg
-from .bigraph import BipartiteGraph, _pack
+from .bigraph import BipartiteGraph, _pack, _unpack
 from .mpoly import ENUM_CAP, _check_enum_cap, _lex_weights, domain_points, lex_points, matmul_mod
 
 # Rows of the left point array per block of the pairwise-norm sweep, so the
@@ -269,79 +269,76 @@ def sphere_points(sphere: Sphere, cap: int = ENUM_CAP):
     return [tuple(row) for row in pts.tolist()]
 
 
-def _is_member(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """Elementwise test of `codes` against `table`: sorted codes followed by
-    one sentinel larger than every code."""
-    return table[np.searchsorted(table, codes)] == codes
-
-
 # -- sphere intersections and isotropy -------------------------------------
+
+
+def _family_centers(families):
+    """The form and (F, k, d) centers of families, short ones padded with a duplicate sphere."""
+    if not families or not all(families):
+        raise DomainError("need at least one sphere")
+    form = families[0][0].form
+    if any(s.form != form for f in families for s in f):
+        raise DomainError("all spheres must share one bilinear form")
+    if form.ctx.kind != "prime":
+        raise DomainError("flat computation is supported over prime fields only")
+    k = max(map(len, families))
+    centers = [[s.center for s in f] + [f[0].center] * (k - len(f)) for f in families]
+    return form, np.array(centers, dtype=np.int64).reshape(len(families), k, form.dim) % form.ctx.p
+
+
+def intersection_flats(families) -> list:
+    """`intersect_spheres_to_flat` of each family of spheres: all the linear
+    systems are built in one array step, then each is solved by `solve_affine`."""
+    form, centers = _family_centers(families)
+    ctx, p, d = form.ctx, form.ctx.p, form.dim
+    # row j of a system holds the coefficients B(2(w_j - w_1), e_i) of x_i
+    rows = form.gram(2 * (centers[:, 1:] - centers[:, :1]), np.eye(d, dtype=np.int64))
+    rhs = ((form.norms_of_rows(centers[:, 1:]) - form.norms_of_rows(centers[:, :1])) % p).tolist()
+    sols = [linalg.solve_affine(mat, b, d, p) for mat, b in zip(rows.tolist(), rhs)]
+    return [AffineFlat.empty(ctx, d) if s is None else AffineFlat(ctx, d, *s) for s in sols]
 
 
 def intersect_spheres_to_flat(spheres) -> AffineFlat:
     """Affine flat U with S_1 & ... & S_k = S_1 & U.
 
-    Subtracting the defining equation of S_j from that of S_1 leaves the
-    linear equation 2<x, w_j - w_1> + <w_1, w_1> - <w_j, w_j> = 0; U is the
-    solution flat of those k - 1 equations (Gaussian elimination). Duplicate
-    spheres contribute identical rows and are harmless. An inconsistent
-    system yields the empty flat. U is orthogonal to the affine span of the
-    centers.
+    S_1 minus S_j leaves 2<x, w_j - w_1> + <w_1, w_1> - <w_j, w_j> = 0. U solves
+    those k - 1 equations (the whole space for k = 1; a duplicate sphere adds
+    nothing), is empty when they are inconsistent, and is orthogonal to the
+    affine span of the centers.
     """
-    spheres = list(spheres)
-    if not spheres:
-        raise DomainError("need at least one sphere")
-    form = spheres[0].form
-    if any(s.form != form for s in spheres):
-        raise DomainError("all spheres must share one bilinear form")
-    if form.ctx.kind != "prime":
-        raise DomainError("flat computation is supported over prime fields only")
-    ctx, d, p = form.ctx, form.dim, form.ctx.p
-    if len(spheres) == 1:
-        return AffineFlat.full(ctx, d)
-    centers = np.array([s.center for s in spheres], dtype=np.int64) % p
-    # row j holds the coefficients B(2(w_j - w_1), e_i) of x_i
-    rows = form.gram(2 * (centers[1:] - centers[0]), np.eye(d, dtype=np.int64))
-    norms = form.norms_of_rows(centers)
-    sol = linalg.solve_affine(rows.tolist(), ((norms[1:] - norms[0]) % p).tolist(), d, p)
-    if sol is None:
-        return AffineFlat.empty(ctx, d)
-    x0, basis = sol
-    return AffineFlat(ctx, d, x0, basis)
+    return intersection_flats([list(spheres)])[0]
 
 
-def sphere_family_check(spheres, flat: AffineFlat):
-    """Check a flat U against a family of unit spheres S_1, .., S_k (prime
-    ctx only): the identity S_1 & ... & S_k = S_1 & U, and the orthogonality
-    <u, w_j - w_1> = 0 of every basis vector u of U to every center
-    difference. Returns (identity_ok, orth_ok).
+def sphere_family_check(families, flats) -> list:
+    """(identity_ok, orth_ok) for each family of unit spheres S_1, .., S_k in
+    `families` (lists of spheres of one form, prime ctx) and its flat U in
+    `flats`, such as `intersection_flats(families)`: the identity
+    S_1 & ... & S_k = S_1 & U, and <u, w_j - w_1> = 0 for U's basis.
 
-    Each sphere is the memoized origin table translated to its center, as
-    lex codes; a code lies on every sphere iff it occurs k times among them.
-    S_1 & U is S_1 filtered by linear equations that cut out U, so neither
-    the grid nor the points of U are listed: memory is O(k |S|), |S| the
-    sphere size.
+    A point o + w_1 of S_1, o on the memoized origin sphere, is on S_j iff
+    Q(o + w_1 - w_j) = 1, by polarization 2B(o, w_1 - w_j) = -Q(w_1 - w_j),
+    and on U iff e.o = e.(base - w_1) for U's nullspace equations e: products
+    over blocks of families and origin points, of at most _FLAT_CELLS entries.
     """
-    form = spheres[0].form
-    if form.ctx.kind != "prime":
-        raise DomainError("sphere families are checked over prime fields only")
-    p, d = form.ctx.p, form.dim
-    origin = _origin_sphere_points(form, ENUM_CAP)
-    centers = np.array([s.center for s in spheres], dtype=np.int64) % p
-    pts = (origin + centers[:, None, :]) % p
-    codes = pts @ _lex_weights(p, d)
-    common, count = np.unique(codes, return_counts=True)
-    if flat.is_empty:
-        on_flat = np.zeros(len(origin), dtype=bool)
-    else:
-        # x - base lies in the span of U's basis iff every vector that is
-        # dot-orthogonal to that span is dot-orthogonal to x - base too
-        eqs = linalg.nullspace([list(b) for b in flat.basis], d, p)
-        eqs = np.array(eqs, dtype=np.int64).reshape(len(eqs), d)
-        on_flat = ~matmul_mod((pts[0] - np.array(flat.base, dtype=np.int64)) % p, eqs.T, p).any(axis=1)
-    identity_ok = np.array_equal(np.sort(codes[0][on_flat]), common[count == len(spheres)])
-    orth_ok = not form.gram(np.reshape(flat.basis, (-1, d)), centers[1:] - centers[0]).any()
-    return identity_ok, orth_ok
+    form, centers = _family_centers(families)
+    (nf, k, d), p = centers.shape, form.ctx.p
+    origin, delta = _origin_sphere_points(form, ENUM_CAP), (centers[:, :1] - centers) % p
+    twice, need = 2 * delta % p, -form.norms_of_rows(delta)[:, None] % p
+    base, basis, eqs = np.zeros((3, nf, d, d), dtype=np.int64)  # of each flat, zero-padded
+    for i, flat in enumerate(flats):
+        if not flat.is_empty:
+            eq = np.reshape(linalg.nullspace(flat.basis, d, p), (-1, d))
+            base[i], basis[i, : flat.dim], eqs[i, :, : len(eq)] = flat.base, np.reshape(flat.basis, (-1, d)), eq.T
+    offset = matmul_mod((base[:, :1] - centers[:, :1]) % p, eqs, p)
+    offset[[f.is_empty for f in flats]] = 1  # the empty flat as 0 = 1
+    identity_ok, orth_ok = np.ones(nf, dtype=bool), ~form.gram(basis, delta).any(axis=(1, 2))
+    fb, ob = max(1, _FLAT_CELLS // (max(k, d) * len(origin) or 1)), max(1, _FLAT_CELLS // max(k, d))
+    for lo, olo in product(range(0, nf, fb), range(0, len(origin), ob)):
+        blk, o = slice(lo, lo + fb), origin[olo : olo + ob]
+        on_all = (form.gram(o, twice[blk]) == need[blk]).all(axis=2)
+        on_flat = (matmul_mod(o, eqs[blk], p) == offset[blk]).all(axis=2)
+        identity_ok[blk] &= (on_all == on_flat).all(axis=1)
+    return list(zip(identity_ok.tolist(), orth_ok.tolist()))
 
 
 def _affine_closure(ctx: FieldCtx, pts):
@@ -375,11 +372,9 @@ class SphereFlatsReport:
         return [e for e in self.entries if e.dim == d]
 
 
-# Cells per block in `flats_in_sphere_check`: closure points of one flat's
-# pass, or Gram entries of one level's identity checks. The int64
-# temporaries are then O(_FLAT_CELLS * d) whatever the number of q, plus
-# O(d) per point index that a level already holds.
-_FLAT_CELLS = 1 << 16
+# Block size of the sphere passes, so their int64 temporaries hold O(_FLAT_CELLS * d)
+# entries whatever p, k or the count of flats or families, plus O(d) per point or center.
+_FLAT_CELLS = 1 << 13
 
 
 def flats_in_sphere_check(sphere: Sphere, dim_cap: int, cap: int = ENUM_CAP) -> SphereFlatsReport:
@@ -387,82 +382,92 @@ def flats_in_sphere_check(sphere: Sphere, dim_cap: int, cap: int = ENUM_CAP) -> 
     and check two identities on each: total isotropy of the flat, and
     <x - w, x - y> = 0 for all flat points x, y (w the center).
 
-    Flats are built bottom-up: the sphere points, then for each flat F of
-    level r - 1 (in discovery order, base x) the closures F + F_p (q - x) of
-    the sphere points q off F, deduplicated by their point sets, which are
-    kept as sorted lex codes. Each F takes one array pass: the q for which
-    x + 2(q - x) is off the sphere are dropped (every closure through x and q
-    contains that point), the p^r closure points of all other q are tested
-    against the sphere codes at once, and a closure contained in the sphere
-    is recorded at its first q unless an earlier F found it. Only recorded
-    flats get a basis (`_affine_closure`). Both identities are Gram-matrix
-    reductions, over the basis and over all point pairs, for every flat of
-    a level at once.
+    Level r lists the r-flats in the point set S by sorted lex codes, with
+    base = least point and basis = RREF of the directions: the record of the
+    walk (the test reference) closing each flat of level r - 1, in discovery
+    order, with the points of S off it, a closure recorded at the first flat
+    F finding it, with F's base. By induction the walk finds each level in
+    nondecreasing least point, base = least point: level 0 is S in lex order,
+    and the (r - 1)-flats of an r-flat C through C's least point come first.
+
+    Membership in S is one lookup in a packed p^d-bit table. A level is one
+    pass over the pairs (F, q), x the base of F, keeping C = F + F_p (q - x)
+    at one pair: q least in C off F, F spanned by its points below q (so x is
+    least in C, other (r - 1)-flats in C miss a point below q, and q spans C
+    last). Pairs with q after F's last spanning point and 2q - x in S are
+    kept if their cosets F + t(q - x), 0 < t < p, are in S and not below q.
     """
-    form = sphere.form
-    ctx, p, d = form.ctx, form.ctx.p, form.dim
-    pts = sphere_points(sphere, cap)
-    arr = np.array(pts, dtype=np.int64).reshape(len(pts), d)
-    weights = _lex_weights(p, d)
-    codes = arr @ weights  # sorted: pts are in lex order
-    table = np.append(codes, p**d)
-    twice = 2 * arr
-    steps = np.arange(p, dtype=np.int64)[:, None, None]
-    # one dict per level: sorted point codes -> (flat, indices of its points)
-    levels = [{(c,): (AffineFlat(ctx, d, q, []), np.array([i])) for i, (c, q) in
-               enumerate(zip(codes.tolist(), pts))}]
-    for r in range(1, dim_cap + 1):
-        nxt = {}
-        block = max(1, _FLAT_CELLS // p**r)
-        for flat, members in levels[-1].values():
-            x = np.array(flat.base, dtype=np.int64)
-            off = _is_member(table, (twice - x) % p @ weights)
-            off[members] = False
-            cand = np.flatnonzero(off)
-            span = [pts[i] for i in members.tolist() if pts[i] != flat.base]
-            for lo in range(0, len(cand), block):
-                qs = cand[lo : lo + block]
-                # cl[i, t] holds the codes of F + t (q_i - x), t in F_p
-                cl = (arr[members] + steps * (arr[qs] - x)[:, None, None, :]) % p @ weights
-                inside = _is_member(table, cl).all(axis=(1, 2))
-                qs, cl = qs[inside], cl[inside]
-                # two closures through F meet only in F, so the least code
-                # off F names the closure; keep the first q of each
-                seen = set()
-                for j, least in enumerate(cl[:, 1:].min(axis=(1, 2)).tolist()):
-                    if least in seen:
-                        continue
-                    seen.add(least)
-                    key = np.sort(cl[j], axis=None)
-                    name = tuple(key.tolist())
-                    if name not in nxt:
-                        closure = _affine_closure(ctx, [flat.base, pts[qs[j]]] + span)
-                        nxt[name] = (closure, np.searchsorted(codes, key))
-        levels.append(nxt)
-        if not nxt:
-            break
+    form, (p, d) = sphere.form, (sphere.form.ctx.p, sphere.form.dim)
+    arr = np.array(sphere_points(sphere, cap), dtype=np.int64).reshape(-1, d)
+    codes = arr @ _lex_weights(p, d)  # increasing: the points are in lex order
+    table = np.zeros(-(-p**d // 8), dtype=np.uint8)
+    np.bitwise_or.at(table, codes >> 3, (1 << (codes & 7)).astype(np.uint8))
+    levels = [(codes[:, None], arr[:, None])]  # flats as sorted codes and spanning points
+    while len(levels) <= dim_cap and (level := _flat_level(*levels[-1], arr, codes, table, p)):
+        levels.append(level)
     report = SphereFlatsReport()
-    w = np.array(sphere.center, dtype=np.int64)
-    for r, level in enumerate(levels):
-        names = sorted(level)
-        if not names:
-            continue
-        flats = [level[name][0] for name in names]
-        members = np.array([level[name][1] for name in names])
-        # <x - w, x - y> = G[x, x] - G[x, y], G the Gram matrix of the x - w;
-        # it is built for all flats of the level at once, in blocks of rows
-        rel = arr[members] - w
-        diag = form.norms_of_rows(rel)
-        radial = np.ones(len(names), dtype=bool)
-        rows = max(1, _FLAT_CELLS // members.size)
-        for lo in range(0, members.shape[1], rows):
-            gram = form.gram(rel[:, lo : lo + rows], rel)
-            radial &= (gram == diag[:, lo : lo + rows, None]).all(axis=(1, 2))
+    for r, (rows, gens) in enumerate(levels):
+        # <x - w, x - y> = G[x, x] - G[x, y], G the Gram matrix of the x - w,
+        # for all flats of the level at once, in blocks of rows
+        rel = lex_points(rows, p, d).reshape(*rows.shape, d) - np.array(sphere.center)
+        diag, radial = form.norms_of_rows(rel), np.ones(len(rows), dtype=bool)
+        step = max(1, _FLAT_CELLS // (rows.size or 1))
+        for lo in range(0, rows.shape[1], step):
+            radial &= (form.gram(rel[:, lo : lo + step], rel) == diag[:, lo : lo + step, None]).all(axis=(1, 2))
+        flats = [_affine_closure(form.ctx, g) for g in gens.tolist()]
         basis = np.array([f.basis for f in flats], dtype=np.int64).reshape(len(flats), r, d)
         iso = ~form.gram(basis, basis).any(axis=(1, 2))
-        for f, f_iso, f_radial in zip(flats, iso.tolist(), radial.tolist()):
-            report.entries.append(FlatRecord(f.dim, f.base, f.basis, f_iso, f_radial))
+        report.entries += [FlatRecord(f.dim, f.base, f.basis, f_iso, f_radial)
+                           for f, f_iso, f_radial in zip(flats, iso.tolist(), radial.tolist())]
     return report
+
+
+def _flat_level(rows, gens, arr, codes, table, p):
+    """The level after (rows, gens) in `flats_in_sphere_check`, or None if it is empty."""
+    (nf, m), (n, d), weights = rows.shape, arr.shape, _lex_weights(p, arr.shape[1])
+    pts, last, twice = lex_points(rows[:, 0], p, d), gens[:, -1] @ weights, 2 * arr % p
+    twice_codes = twice @ weights
+    fb = max(1, _FLAT_CELLS // m // (qb := min(n, _FLAT_CELLS // m) or 1))
+    pairs, todo, size = [], [np.zeros((2, 0), dtype=np.int64)], 0
+    for lo in range(0, nf, fb):
+        blk = slice(lo, lo + fb)
+        for qlo in range(np.count_nonzero(codes <= last[blk].min()), n, qb):
+            q = slice(qlo, qlo + qb)
+            # code(2q - x) = code(2q % p) - code(x), plus p w_i where (2q % p)_i < x_i
+            two = twice_codes[q] - rows[blk, :1]
+            for i, wi in enumerate(weights.tolist()):
+                two += p * wi * (twice[q, i] < pts[blk, i, None])
+            todo.append(np.stack(np.nonzero(_unpack(table, two) & (codes[q] > last[blk, None]))) + [[lo], [qlo]])
+            if (size := size + todo[-1].shape[1]) * m * d >= _FLAT_CELLS:
+                pairs.append(_coset_filter(todo, rows, arr, codes, table, p))
+                todo, size = todo[:1], 0
+    f, q = np.concatenate(pairs + [_coset_filter(todo, rows, arr, codes, table, p)], axis=1)
+    block = max(1, _FLAT_CELLS // (p * m * d))
+    cl = [np.sort(_cosets(rows, arr, f[lo : lo + block], q[lo : lo + block], np.arange(p), p).reshape(-1, p * m))
+          for lo in range(0, len(f), block)]
+    if not cl:
+        return None
+    cl = np.concatenate(cl)
+    order = np.lexsort(cl.T[::-1])
+    return cl[order], np.concatenate([gens[f], arr[q, None]], axis=1)[order]
+
+
+def _coset_filter(todo, rows, arr, codes, table, p):
+    """The pairs (F, q) in `todo` whose cosets F + t(q - x), 0 < t < p, are in S, none below q."""
+    (f, q), t, run = np.concatenate(todo, axis=1), 1, 1
+    while len(f) and t < p:
+        c = _cosets(rows, arr, f, q, np.arange(t, min(p, t + run)), p)
+        keep = (_unpack(table, c) & (c >= codes[q, None, None])).all(axis=(1, 2))
+        f, q, t = f[keep], q[keep], t + run
+        run = min(2 * run, max(1, _FLAT_CELLS // (rows.shape[1] * arr.shape[1] * len(f) or 1)))
+    return np.stack([f, q])
+
+
+def _cosets(rows, arr, f, q, ts, p):
+    """Lex codes of the cosets F + t(q - x), x the base of F: (pairs, ts, F)."""
+    pts = lex_points(rows[f], p, arr.shape[1]).reshape(len(f), 1, -1, arr.shape[1])
+    step = (arr[q] - pts[:, 0, 0]) % p
+    return (pts + ts[:, None, None] * step[:, None, None]) % p @ _lex_weights(p, arr.shape[1])
 
 
 def _rref_row_candidates(p, d, pivot, other_pivots):

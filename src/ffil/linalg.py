@@ -38,12 +38,13 @@ def rank(mat, p):
 
 def nullspace(mat, ncols, p):
     """Basis of the right nullspace of `mat` (ncols columns), possibly empty."""
-    if not mat:
-        return [[1 if j == i else 0 for j in range(ncols)] for i in range(ncols)]
-    rows, pivots = row_reduce(mat, p)
-    free = [c for c in range(ncols) if c not in pivots]
+    return _free_basis(*row_reduce(mat, p), ncols, p)
+
+
+def _free_basis(rows, pivots, ncols, p):
+    """Nullspace basis of rows whose first ncols columns are in RREF."""
     basis = []
-    for f in free:
+    for f in (c for c in range(ncols) if c not in pivots):
         vec = [0] * ncols
         vec[f] = 1
         for r, c in enumerate(pivots):
@@ -56,15 +57,14 @@ def solve_affine(mat, rhs, ncols, p):
     """Solve mat @ x = rhs over F_p.
 
     Returns (particular_solution, nullspace_basis), or None when inconsistent.
-    An empty system yields the whole space.
+    An empty system yields the whole space. The augmented matrix is reduced
+    once: when no pivot lies in its last column, its first ncols columns are
+    the RREF of mat, which gives the nullspace.
     """
-    if not mat:
-        return [0] * ncols, nullspace([], ncols, p)
-    aug = [list(row) + [b] for row, b in zip(mat, rhs)]
-    rows, pivots = row_reduce(aug, p)
+    rows, pivots = row_reduce([list(row) + [b] for row, b in zip(mat, rhs)], p)
     if ncols in pivots:
         return None
     x0 = [0] * ncols
     for r, c in enumerate(pivots):
         x0[c] = rows[r][ncols]
-    return x0, nullspace(mat, ncols, p)
+    return x0, _free_basis(rows, pivots, ncols, p)

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -19,7 +20,9 @@ from ffil import (
     sphere_points,
     unit_distance_graph,
 )
-from ffil.mpoly import _plan, domain_points
+import ffil.geometry
+from ffil.geometry import intersection_flats, sphere_family_check
+from ffil.mpoly import _plan, domain_points, lex_points
 from ffil.rng import Rng
 from search_reference import is_totally_isotropic
 
@@ -259,6 +262,37 @@ def test_flats_in_sphere_f5_space():
     line_pts = {(1, t % 5, 2 * t % 5) for t in range(5)}
     sphere_pt_set = set(sphere_points(Sphere(form, (0, 0, 0))))
     assert line_pts <= sphere_pt_set
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sphere_passes_keep_block_sized_temporaries(monkeypatch):
+    # the flats pass on F_13^4 (2,184 points) and the family pass over 2,000
+    # families on F_13^3 hold int64 temporaries of O(_FLAT_CELLS d) entries,
+    # plus O(d) per point of a level or per family and center; without
+    # blocks they take 86 MB (the |S|^2 d pair filter) and 30 MB (families
+    # times |S| times k)
+    cells = 1 << 14
+    monkeypatch.setattr(ffil.geometry, "_FLAT_CELLS", cells)
+    sphere = Sphere(BilinearForm.standard(FieldCtx.prime(13), 4), (0,) * 4)
+    points = sum(13**e.dim for e in flats_in_sphere_check(sphere, 1).entries)  # 32,760
+    assert _traced_peak(lambda: flats_in_sphere_check(sphere, 1)) < 4 * (cells + points) * 4 * 8
+    form = BilinearForm.standard(FieldCtx.prime(13), 3)
+    rng = Rng(7)
+    families = []
+    for _ in range(2000):
+        drawn = [rng.randbelow(13**3) for _ in range(2 + rng.randbelow(4))]
+        families.append([Sphere(form, tuple(c)) for c in lex_points(drawn, 13, 3).tolist()])
+    flats = intersection_flats(families)
+    sphere_family_check(families[:1], flats[:1])
+    assert _traced_peak(lambda: sphere_family_check(families, flats)) < 4 * (cells + 5 * 2000) * 3 * 8
 
 
 def test_isotropic_unit_pair_search():

@@ -39,6 +39,7 @@ from ffil.geometry import (
     Sphere,
     flats_in_sphere_check,
     intersect_spheres_to_flat,
+    intersection_flats,
     point_sphere_incidence,
     sphere_family_check,
     sphere_points,
@@ -458,6 +459,15 @@ def test_flats_match_reference(p, d, dim_cap, sig):
         assert got == ref.flats_in_sphere_check(sphere, dim_cap).entries
 
 
+@pytest.mark.parametrize("p, d, dim_cap", FLAT_CASES)
+@pytest.mark.parametrize("sig", sorted(SIGNATURES))
+def test_flats_match_reference_in_blocks_of_one(monkeypatch, p, d, dim_cap, sig):
+    # one flat, one pair and one coset per block: every block boundary of
+    # the flats pass is crossed
+    monkeypatch.setattr(ffil.geometry, "_FLAT_CELLS", 1)
+    test_flats_match_reference(p, d, dim_cap, sig)
+
+
 def test_flats_match_reference_through_level_3():
     # the unit sphere of F_3^4 holds no planes, so the search stops before
     # level 3 there; the one of F_3^5 holds 80, and level 3 is searched
@@ -500,15 +510,17 @@ def _translated(flat):
 def test_sphere_family_rows_match_reference(monkeypatch, tmp_path, p, d):
     """The sphere-geometry CSV rows and centers against the reference family
     loop, with every center drawn as a row of the grid and k from 2 to 5;
-    then two wrong flats in place of the intersection flat U: the full space
-    and a translate of U."""
+    then one mixed batch of every family with its flat U and with wrong
+    flats in place of U: the empty flat, the full space and a translate of
+    U, checked family by family against the reference; every fifth entry
+    again in blocks of one family and one origin point."""
     seed, families = 100 * p + d, 20
     csv_path = tmp_path / "sg.csv"
     drawn = []
 
-    def spy(spheres, flat):
-        drawn.append([s.center for s in spheres])
-        return sphere_family_check(spheres, flat)
+    def spy(fams, flats):
+        drawn.extend([s.center for s in spheres] for spheres in fams)
+        return sphere_family_check(fams, flats)
 
     monkeypatch.setattr(ffil.geometry, "sphere_family_check", spy)
     ffil.cli.main(["sphere-geometry", "--p", str(p), "--d", str(d), "--families", str(families),
@@ -519,30 +531,37 @@ def test_sphere_family_rows_match_reference(monkeypatch, tmp_path, p, d):
     form = BilinearForm.standard(ctx, d)
     grid = [tuple(int(v) for v in r) for r in domain_points(p, d)]
     rng = Rng(seed)
-    want = []
-    rejected = 0
+    want, batch, wrong, fams, flats = [], [], [], [], []
+    assert len(drawn) == families
     for fi in range(families):
         r = rng.derive(fi)
         k = 2 + r.randbelow(4)
         spheres = [Sphere(form, grid[r.randbelow(len(grid))]) for _ in range(k)]
         assert drawn[fi] == [s.center for s in spheres]
         flat = intersect_spheres_to_flat(spheres)
+        fams.append(spheres)
+        flats.append(flat)
         ok = ref.sphere_family_check(spheres, flat)
-        assert sphere_family_check(spheres, flat) == ok
         want.append([fi, k, int(ok[0]), int(ok[1])])
         meet = any(all(s.contains(x) for s in spheres) for x in sphere_points(spheres[0]))
-        # the full space is wrong unless the centers agree; a translate of
-        # the flat misses the common points, if there are any
-        for wrong, is_wrong in ((AffineFlat.full(ctx, d), flat.dim < d),
-                                (_translated(flat), meet)):
-            if wrong is not None:
-                verdict = sphere_family_check(spheres, wrong)
-                assert verdict == ref.sphere_family_check(spheres, wrong)
-                assert not (is_wrong and verdict[0])
-                rejected += is_wrong
+        # the empty flat is wrong if the spheres meet, the full space unless
+        # the centers agree; a translate of U misses the common points
+        for other, is_wrong in ((flat, False), (AffineFlat.empty(ctx, d), meet),
+                                (AffineFlat.full(ctx, d), flat.dim < d), (_translated(flat), meet)):
+            if other is not None:
+                batch.append((spheres, other))
+                wrong.append(is_wrong)
+    # a family padded to the largest k in a batch keeps its flat
+    assert [(f.base, f.basis) for f in intersection_flats(fams)] == [(f.base, f.basis) for f in flats]
+    assert {len(s) for s, _ in batch} == {2, 3, 4, 5}
+    verdicts = sphere_family_check([s for s, _ in batch], [f for _, f in batch])
+    assert verdicts == [ref.sphere_family_check(s, f) for s, f in batch]
+    assert not any(is_wrong and v[0] for v, is_wrong in zip(verdicts, wrong))
+    monkeypatch.setattr(ffil.geometry, "_FLAT_CELLS", 1)
+    assert sphere_family_check([s for s, _ in batch[::5]], [f for _, f in batch[::5]]) == verdicts[::5]
     assert got == want
     assert all(row[2:] == [1, 1] for row in want)
-    assert rejected > 0
+    assert any(wrong)
 
 
 @pytest.mark.parametrize(
