@@ -45,7 +45,6 @@ from .geometry import (
     flats_in_sphere_check,
     intersect_spheres_to_flat,
     intersection_flats,
-    is_full_grid,
     isotropic_unit_pair_search,
     point_sphere_incidence,
     sphere_family_check,

@@ -263,10 +263,10 @@ def find_induced_pattern(
     With rooted=True the vertex mapped at depth 0 may only go to host vertex 0
     of its class. That is exact for existence on a host whose automorphisms
     move every vertex of each class onto vertex 0 while acting on both
-    classes at once, such as `point_sphere_incidence(grid, grid)` with
-    `geometry.is_full_grid(grid)`: translating an embedding so that its
-    depth-0 vertex lands on the origin gives another embedding, and twin
-    swaps then leave the root in place (its twins lie above host 0 anyway).
+    classes at once, such as `point_sphere_incidence(grid, grid)` on all of
+    F_p^d in lex order (see `constructions.unit_distance_instance`): moving
+    an embedding with its depth-0 vertex on the origin gives another, and
+    twin swaps then leave the root in place (its twins lie above host 0).
     The embedding returned is not the one the plain search would return.
     """
     a, b = pat.a, pat.b

@@ -201,13 +201,13 @@ def cmd_containment_patterns(args, rng):
     ]
     counts = []
     for kk in range(1, args.k + 1):
-        counts.append(patmod.containment_patterns(systems[:kk]).count)
+        fam = patmod.containment_patterns(systems[:kk])  # the last one is the whole family
+        counts.append(fam.count)
     flat = [f for sy in systems for f in sy]
-    zp = patmod.zero_patterns(flat).count
+    zp = patmod.zero_patterns(flat).count  # no polynomials (--k 0) raise here
     monotone = all(a <= b for a, b in zip(counts, counts[1:]))
     dominated = counts[-1] <= zp
     slope = _loglog_slope(range(2, args.k + 1), counts[1:]) if args.k >= 3 else None
-    fam = patmod.containment_patterns(systems)
     body = {
         "achieved": {"counts_by_prefix": counts, "zero_pattern_count": zp,
                      "loglog_slope": slope},

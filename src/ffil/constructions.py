@@ -35,7 +35,7 @@ from .geometry import (
     BilinearForm,
     _origin_sphere_points,
     embed_to_standard_norm,
-    is_full_grid,
+    point_sphere_incidence,
     unit_distance_graph,
 )
 
@@ -60,22 +60,9 @@ class ConstructionReport:
     counters: dict = field(default_factory=dict)
 
 
-def kss_verdict(graph, s: int, counters: dict, rooted=None) -> dict:
+def kss_verdict(graph, s: int, counters: dict) -> dict:
     """Exact K_{s,s} check as a report's verification block; the probes it
-    spends are added to counters["kss_probes"].
-
-    `rooted`, when given, is a subgraph that contains K_{s,s} exactly when
-    the graph does (see unit_distance_instance). Freeness is then certified
-    on it, counted in counters["rooted_searches"], and `graph` is a function
-    that builds the graph: it is called and searched only when the subgraph
-    has a witness, so the witness reported is always the graph's lex-first
-    one.
-    """
-    if rooted is not None:
-        counters["rooted_searches"] += 1
-        if contains_kss(rooted, s, counters=counters) is None:
-            return {"s": s, "outcome": "verified-free", "witness": None}
-        graph = graph()
+    spends are added to counters["kss_probes"]."""
     witness = contains_kss(graph, s, counters=counters)
     return {
         "s": s,
@@ -264,11 +251,15 @@ def point_variety_instance(m, alpha, dim, rng) -> PointVarietyInstance:
     factorization into irreducible components is attempted); the freeness of
     the emitted incidence graph is verified directly instead of inferred.
     """
+    if dim < 1:
+        raise DomainError(f"need --dim >= 1, got --dim {dim}")
+    dim2 = math.ceil(alpha * dim)
+    if dim2 < 1:
+        raise DomainError(f"need ceil(--alpha * --dim) >= 1, got --alpha {alpha} --dim {dim}")
     n = int(m**alpha)
     if m < 2 or n < 1:
         raise DomainError("need m >= 2 and floor(m^alpha) >= 1")
     p = find_prime(max(2, integer_nth_root(m, dim)))
-    dim2 = math.ceil(alpha * dim)
     s = (dim + dim2) ** 2
     if n > p**dim2:
         raise DomainError(f"n = {n} exceeds p^dim2 = {p**dim2}")
@@ -382,18 +373,18 @@ def unit_distance_instance(
     when d = 1 (mod 4) the returned points and form are the re-embedding over
     F_{p^2}, where the relation is the standard one and the graph the same.
 
-    For d = 2, 3, U is all of F_p^d. Then every point has the |S| points of
-    x + S as unit neighbours, S being the origin-centered unit sphere, so
-    cross_pairs is |U| |S| and, when no subsample is taken (the final set
-    passes geometry.is_full_grid), unit_distances is n |S| / 2; no pair
-    matrix of all points is built. The graph is then the Cayley graph of
-    F_p^d with connection set S, and any K_{s,s} in it translates onto one
-    through the origin, vertex 0, whose neighbours are S. So the n x |S|
-    block of the graph on the columns S contains K_{s,s} exactly when the
-    graph does, for every s: the verdict and smallest_free_s are decided on
-    that block, and the graph itself (`inst.graph`, built on first access)
-    is only built to find the lex-first witness when the block has one.
-    counters["rooted_searches"] counts the searches run on the block.
+    For d = 2, 3 (k = 1), U is all of F_p^d by construction: every point has
+    the |S| points of x + S as unit neighbours, S being the origin-centered
+    unit sphere, so cross_pairs is |U| |S|. With no subsample (n absent or
+    p^d) the final set is F_p^d in lex order, unit_distances is n |S| / 2,
+    and no pair matrix of all points is built. The graph is then the Cayley
+    graph of F_p^d with connection set S, and any K_{s,s} in it translates
+    onto one through the origin, vertex 0, whose neighbours are S. So the
+    n x |S| block of the graph on the columns S contains K_{s,s} exactly
+    when the graph does, for every s: the verdict and smallest_free_s are
+    decided on that block, and the graph (`inst.graph`, built on first
+    access) is searched only for the lex-first witness when the block has
+    one. counters["rooted_searches"] counts the searches run on the block.
     """
     if d < 2:
         raise DomainError("construction needs d >= 2")
@@ -431,7 +422,7 @@ def unit_distance_instance(
 
     # U = F_p^d: each u has exactly the |S| points u + S as unit partners in
     # U + x = F_p^d
-    whole = len(set(u_set)) == p**d
+    whole = k == 1
     shift = cross = None
     for attempt in range(1, RETRY_SHIFT + 1):
         x = tuple(rng.randbelow(p) for _ in range(d))
@@ -468,15 +459,18 @@ def unit_distance_instance(
         form_final = BilinearForm.standard(ext, d)
         report.flags.append("re-embedded over the quadratic extension (d = 1 mod 4)")
     inst = UnitDistanceInstance(pts_final, form_final, report, merged, form)
-    block = None
-    if is_full_grid(merged, p):
+    rooted = whole and len(merged) == p**d  # no subsample: merged is F_p^d in lex order
+    if rooted:
         sphere = _origin_sphere_points(form, ENUM_CAP)
-        block = BipartiteGraph.from_bool_matrix(form.unit_pair_matrix(merged, sphere))
-        report.verification = kss_verdict(lambda: inst.graph, s, report.counters, block)
+        host = point_sphere_incidence(merged, sphere, form)
         edges = len(merged) * len(sphere)
     else:
-        report.verification = kss_verdict(inst.graph, s, report.counters)
-        edges = inst.graph.edge_count()
+        host = inst.graph
+        edges = host.edge_count()
+    report.counters["rooted_searches"] += rooted
+    report.verification = kss_verdict(host, s, report.counters)
+    if rooted and report.verification["witness"] is not None:
+        report.verification = kss_verdict(inst.graph, s, report.counters)  # lex-first witness
     report.achieved = {
         "U_size": u_size,
         "P_size": len(pts_final),
@@ -487,10 +481,8 @@ def unit_distance_instance(
     if report.verification["witness"] is not None:
         # the guaranteed freeness level is not numeric; report the smallest
         # s at which the exhaustive check certifies freeness instead
-        free = smallest_free_s(
-            inst.graph if block is None else block, 4 * s, counters=report.counters
-        )
-        if block is not None:  # one search for each s up to the answer
+        free = smallest_free_s(host, 4 * s, counters=report.counters)
+        if rooted:  # one search for each s up to the answer
             report.counters["rooted_searches"] += 4 * s if free is None else free
         report.verification["smallest_free_s"] = free
     return inst

@@ -541,22 +541,6 @@ def _extend_isotropic(form, units, cands, chosen):
 # -- unit-distance graphs ---------------------------------------------------
 
 
-def is_full_grid(points, p: int) -> bool:
-    """True iff `points` is all of F_p^d in lexicographic order, d being the
-    length of each point.
-
-    On such a point list the translations of F_p^d act transitively, and the
-    unit-distance graph and the point-sphere incidence graph (points against
-    the same list of centers) are invariant under them, so every vertex can
-    be moved onto vertex 0, the origin. Any other list, a reordered or
-    incomplete grid included, fails the test.
-    """
-    arr = np.asarray(points)
-    if arr.ndim != 2 or arr.shape[0] != p ** arr.shape[1]:
-        return False
-    return bool(np.array_equal(arr, domain_points(p, arr.shape[1])))
-
-
 def unit_distance_graph(points, form: BilinearForm) -> BipartiteGraph:
     """Unit-distance graph of a point list under `form` (prime ctx only), as
     its bipartite double: both classes are the point list, and (i, j) is an

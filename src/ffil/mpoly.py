@@ -180,17 +180,9 @@ def sample_uniform(ctx: FieldCtx, nvars: int, degcap: int, rng) -> MultiPoly:
     return f
 
 
-_GRID_CACHE = {}
-
-
 def domain_points(p: int, nvars: int) -> np.ndarray:
     """All points of F_p^nvars as an int64 array, lexicographic row order."""
-    grid = _GRID_CACHE.get((p, nvars))
-    if grid is None:
-        grid = lex_points(np.arange(p**nvars), p, nvars)
-        if grid.shape[0] <= 10**6:
-            _GRID_CACHE[p, nvars] = grid
-    return grid
+    return lex_points(np.arange(p**nvars), p, nvars)
 
 
 def _lex_weights(p: int, d: int) -> np.ndarray:

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 from . import linalg
 from .bigraph import _pack, _unpack
-from .mpoly import ENUM_CAP, domain_points, evaluate_batch
+from .mpoly import ENUM_CAP, _check_enum_cap, domain_points, evaluate_batch
 
 
 @dataclass
@@ -98,9 +98,7 @@ def _shared_domain(polys):
 def _zero_matrix(polys, cap):
     """Boolean matrix: row per rational point (lex order), column per polynomial."""
     ctx, nvars = _shared_domain(polys)
-    npoints = ctx.p**nvars
-    if npoints > cap:
-        raise ResourceLimitError(f"enumeration of {npoints} points exceeds cap")
+    _check_enum_cap(ctx.p, nvars, cap)
     pts = domain_points(ctx.p, nvars)
     cols = [evaluate_batch(f, pts) == 0 for f in polys]
     return pts, np.stack(cols, axis=1)

@@ -437,3 +437,18 @@ def test_point_variety_cli(tmp_path):
     rep = load_report(out)
     assert rep["achieved"]["incidences"] >= rep["bound"]["incidences_min"]
     assert csvp.read_text().splitlines()[0] == "variety,section_degree,incident_points"
+
+
+@pytest.mark.parametrize("flags, named", [
+    (("--alpha", "0", "--dim", "2"), "--alpha"),
+    (("--alpha", "1.0", "--dim", "0"), "--dim"),
+])
+def test_point_variety_rejects_dim_and_alpha_before_any_work(flags, named):
+    # warnings stay on, so a construction started before the check would show
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONWARNINGS", None)
+    r = subprocess.run([sys.executable, "-m", "ffil.cli", "point-variety", "--m", "20", *flags,
+                        "--seed", "1"], capture_output=True, text=True, env=env)
+    assert r.returncode == 1
+    [line] = r.stderr.splitlines()  # no warning, no usage text
+    assert line.startswith("error: need ") and named in line

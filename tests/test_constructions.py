@@ -13,7 +13,8 @@ from ffil import (
     zero_count_experiment,
 )
 from ffil import constructions
-from ffil.constructions import _product_zero_mask, integer_nth_root
+from ffil.bigraph import smallest_free_s
+from ffil.constructions import _product_zero_mask, integer_nth_root, kss_verdict
 from ffil.geometry import BilinearForm, Sphere, sphere_points
 from ffil.mpoly import (
     bivariate_section,
@@ -285,20 +286,22 @@ FULL_GRIDS = [(2, 3), (2, 7), (2, 11), (2, 19), (3, 3), (3, 7)]
 
 
 @pytest.mark.parametrize("d, p", FULL_GRIDS)
-def test_unit_distance_rooted_matches_plain(monkeypatch, d, p):
+def test_unit_distance_rooted_matches_plain(d, p):
     witnesses = 0
     for s in range(2, 6):
         inst = unit_distance_instance(None, d, Rng(42), p=p, s=s)
         rooted = inst.report
-        with monkeypatch.context() as m:
-            m.setattr(constructions, "is_full_grid", lambda points, p: False)
-            plain = unit_distance_instance(None, d, Rng(42), p=p, s=s).report
+        # the plain reference: the same checks on the whole graph
+        plain = {"kss_probes": 0, "rooted_searches": 0}
+        verdict = kss_verdict(inst.graph, s, plain)
+        if verdict["witness"] is not None:
+            verdict["smallest_free_s"] = smallest_free_s(inst.graph, 4 * s, counters=plain)
         # same verdict, witness, smallest_free_s and counts
-        assert rooted.verification == plain.verification
-        assert rooted.achieved == plain.achieved
+        assert rooted.verification == verdict
+        assert rooted.achieved["unit_distances"] * 2 == inst.graph.edge_count()
         assert rooted.counters["rooted_searches"] >= 1
-        assert plain.counters["rooted_searches"] == 0
-        assert rooted.counters["kss_probes"] < plain.counters["kss_probes"]
+        assert plain["rooted_searches"] == 0
+        assert rooted.counters["kss_probes"] < plain["kss_probes"]
         witnesses += rooted.verification["witness"] is not None
         # the counts read from the sphere table equal the pair-matrix counts
         grid = domain_points(p, d)
@@ -307,8 +310,23 @@ def test_unit_distance_rooted_matches_plain(monkeypatch, d, p):
         assert rooted.achieved["cross_pairs"] == np.count_nonzero(
             form.unit_pair_matrix(grid, shifted)
         )
-        assert rooted.achieved["unit_distances"] * 2 == inst.graph.edge_count()
     assert witnesses >= 1  # s = 2 finds K_{2,2} on every grid
+
+
+@pytest.mark.parametrize("strategy", ["map-image", "random"])
+@pytest.mark.parametrize("d, p", [(2, 3), (2, 7), (3, 3), (3, 7), (4, 3), (5, 3)])
+def test_unit_distance_roots_exactly_the_whole_grid(d, p, strategy):
+    """The block search runs exactly when d <= 3 and no subsample is taken,
+    and then the points are all of F_p^d in lex order."""
+    size = unit_distance_instance(None, d, Rng(7), p=p, s=3, strategy=strategy).report
+    size = size.achieved["P_size"]
+    assert (size == p**d) == (d <= 3)
+    for n in (None, size, size - 1):
+        inst = unit_distance_instance(n, d, Rng(7), p=p, s=3, strategy=strategy)
+        whole = d <= 3 and n != size - 1
+        assert (inst.report.counters["rooted_searches"] > 0) == whole
+        if whole:
+            assert np.array_equal(inst.prime_points, domain_points(p, d))
 
 
 def test_unit_distance_full_grid_builds_no_pair_matrix(monkeypatch):

@@ -14,7 +14,6 @@ from ffil import (
     embed_to_standard_norm,
     flats_in_sphere_check,
     intersect_spheres_to_flat,
-    is_full_grid,
     isotropic_unit_pair_search,
     point_sphere_incidence,
     sphere_points,
@@ -419,17 +418,3 @@ def test_point_sphere_incidence_matches_scalar():
     for i, x in enumerate(pts[:8]):
         for j, w in enumerate(pts[:8]):
             assert g.has_edge(i, j) == Sphere(form, w).contains(x)
-
-
-def test_is_full_grid():
-    for p, d in ((3, 1), (3, 2), (5, 3), (7, 2)):
-        grid = domain_points(p, d)
-        assert is_full_grid(grid, p)
-        assert is_full_grid([tuple(int(v) for v in r) for r in grid], p)
-        assert not is_full_grid(grid, p + 2)
-        assert not is_full_grid(grid[:-1], p)  # one point removed
-        assert not is_full_grid(grid[::-1], p)  # reordered
-        assert not is_full_grid(np.vstack([grid[:-1], grid[:1]]), p)  # a point twice
-    grid = domain_points(3, 2).tolist()
-    assert not is_full_grid(embed_to_standard_norm(grid, FieldCtx.quadratic(3)), 3)
-    assert not is_full_grid([], 3)

@@ -4,6 +4,7 @@ from ffil import (
     DomainError,
     FieldCtx,
     MultiPoly,
+    ResourceLimitError,
     SetSystem,
     containment_patterns,
     family_report,
@@ -102,6 +103,16 @@ def test_containment_empty_system_is_whole_space():
     x = MultiPoly.variable(ctx, 1, 0)
     fam = containment_patterns([[], [x]])
     assert set(fam.witnesses) == {frozenset({0}), frozenset({0, 1})}
+
+
+def test_pattern_enumeration_cap_is_the_grid_size():
+    ctx = FieldCtx.prime(5)
+    polys = [sample_uniform(ctx, 3, 2, Rng(30 + i)) for i in range(3)]
+    systems = [polys[:2], polys[2:]]
+    for build, arg in ((zero_patterns, polys), (containment_patterns, systems)):
+        with pytest.raises(ResourceLimitError):
+            build(arg, cap=5**3 - 1)
+        assert build(arg, cap=5**3) == build(arg)
 
 
 def test_shatter_examples():
