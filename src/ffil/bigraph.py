@@ -19,7 +19,9 @@ import numpy as np
 
 from .errors import ConstructionFailure, DomainError, ResourceLimitError
 
-PROBE_CAP = 10**8
+PROBE_CAP = 10**8  # probes or nodes of one search
+PATTERN_CAP = 5_000_000  # labels of one prefix-tree pattern
+RETRY_INDEPENDENT = 200  # samples drawn by the independent-set procedure
 
 
 def _pack(mat) -> np.ndarray:
@@ -31,6 +33,13 @@ def _pack(mat) -> np.ndarray:
     words.view(np.uint8)[:, : packed.shape[1]] = packed
     words.flags.writeable = False
     return words
+
+
+def _pack_codes(codes, size: int) -> np.ndarray:
+    """Packed row of `size` bits, bit c set for each c in `codes`: `_pack`'s layout, unpadded."""
+    row = np.zeros(-(-size // 8), dtype=np.uint8)
+    np.bitwise_or.at(row, codes >> 3, (1 << (codes & 7)).astype(np.uint8))
+    return row
 
 
 def _unpack(words, cols) -> np.ndarray:
@@ -98,7 +107,7 @@ class BipartiteGraph:
 _BLOCK_CELLS = 1 << 16
 
 
-def contains_kss(g: BipartiteGraph, s: int, probe_cap: int = PROBE_CAP, counters=None):
+def contains_kss(g: BipartiteGraph, s: int, counters=None):
     """Exact K_{s,s} detection; witness (rows_in_A, cols_in_B) or None.
 
     Searches s-subsets of the smaller class in increasing lexicographic
@@ -109,7 +118,7 @@ def contains_kss(g: BipartiteGraph, s: int, probe_cap: int = PROBE_CAP, counters
     last index that leaves room for the rest of the subset, and its children
     are the v with |N(v) & common| >= s. A probe is one candidate considered
     at one state. The count is that of the search that tries one candidate
-    at a time, and exhausting probe_cap raises ResourceLimitError (never a
+    at a time, and exhausting PROBE_CAP raises ResourceLimitError (never a
     silent approximation). When `counters` is a dict, counters["kss_probes"]
     is increased by the probes a search that returns has spent.
 
@@ -156,7 +165,7 @@ def contains_kss(g: BipartiteGraph, s: int, probe_cap: int = PROBE_CAP, counters
         return parent, cand, before[parent] + cand - last[parent], int(spend.sum())
 
     block = [max(1, _BLOCK_CELLS // max(1, size))] * s  # an empty class: no walk, 0 probes
-    rows, probes = _lex_walk(expand, s, block, probe_cap) if s <= min(g.m, g.n) else (None, 0)
+    rows, probes = _lex_walk(expand, s, block) if s <= min(g.m, g.n) else (None, 0)
     if counters is not None:
         counters["kss_probes"] = counters.get("kss_probes", 0) + probes
     if rows is None:
@@ -195,7 +204,7 @@ def _pair_counts(common, inc, cols, firsts) -> np.ndarray:
     return counts
 
 
-def smallest_free_s(g: BipartiteGraph, s_cap: int, probe_cap: int = PROBE_CAP, counters=None):
+def smallest_free_s(g: BipartiteGraph, s_cap: int, counters=None):
     """Smallest s <= s_cap for which g is K_{s,s}-free, or None if even
     s = s_cap finds a witness.
 
@@ -203,7 +212,7 @@ def smallest_free_s(g: BipartiteGraph, s_cap: int, probe_cap: int = PROBE_CAP, c
     upward from 1 suffices. `counters` is passed to every contains_kss call.
     """
     for s in range(1, s_cap + 1):
-        if contains_kss(g, s, probe_cap, counters) is None:
+        if contains_kss(g, s, counters) is None:
             return s
     return None
 
@@ -231,9 +240,7 @@ class Pattern:
         return f"Pattern({self.a}x{self.b})"
 
 
-def find_induced_pattern(
-    g: BipartiteGraph, pat: Pattern, node_cap: int = PROBE_CAP, counters=None, rooted=False
-):
+def find_induced_pattern(g: BipartiteGraph, pat: Pattern, counters=None, rooted=False):
     """Injective class-preserving embedding of `pat` into `g`, or None.
 
     Every '1'-labeled pair must map to an edge and every '0'-labeled pair to a
@@ -256,7 +263,7 @@ def find_induced_pattern(
     _lex_walk expands blocks of lex-consecutive states, filtering a whole
     block against packed 64-bit adjacency words at once. A node is one
     twin-ordered candidate attempted; the count is that of the backtracking
-    search that tries one candidate at a time, and exceeding node_cap raises
+    search that tries one candidate at a time, and exceeding PROBE_CAP raises
     ResourceLimitError. When `counters` is a dict, counters["pattern_nodes"]
     is increased by the count of a search that returns.
 
@@ -325,7 +332,7 @@ def find_induced_pattern(
         parent, cand = np.divmod(np.flatnonzero(bits), width[t])
         return parent, cand, np.arange(1, len(cand) + 1), len(cand)
 
-    hosts, nodes = _lex_walk(expand, a + b, block, node_cap) if a <= g.m and b <= g.n else (None, 0)
+    hosts, nodes = _lex_walk(expand, a + b, block) if a <= g.m and b <= g.n else (None, 0)
     if counters is not None:
         counters["pattern_nodes"] = counters.get("pattern_nodes", 0) + nodes
     if hosts is None:
@@ -336,7 +343,7 @@ def find_induced_pattern(
     return map_a, map_b
 
 
-def _lex_walk(expand, depth: int, block, cap: int):
+def _lex_walk(expand, depth: int, block):
     """(hosts of the lex-first state at the last depth, or None; work) of a
     depth-first walk, in lex order, of a tree with `depth` levels of states
     below an empty root, one block of lex-consecutive states of one depth at
@@ -349,13 +356,13 @@ def _lex_walk(expand, depth: int, block, cap: int):
     expansion spends in the order a one-at-a-time search spends them, and
     the units spent. The work returned is that search's: the units up to and
     including the first child at the last depth, or the whole tree's when
-    there is none. ResourceLimitError is raised exactly when it exceeds cap,
-    after at most one block of work past it.
+    there is none. ResourceLimitError is raised exactly when it exceeds
+    PROBE_CAP, after at most one block of work past it.
     """
 
     def checked(count):
-        if count > cap:
-            raise ResourceLimitError(f"search budget of {cap} exhausted")
+        if count > PROBE_CAP:
+            raise ResourceLimitError(f"search budget of {PROBE_CAP} exhausted")
         return count
 
     # pc of a depth-t state counts the units spent by depths < t that come
@@ -386,7 +393,7 @@ def _lex_walk(expand, depth: int, block, cap: int):
     return None, checked(sum(charged))
 
 
-def prefix_tree_pattern(d: int, delta: int, size_cap: int = 5_000_000) -> Pattern:
+def prefix_tree_pattern(d: int, delta: int) -> Pattern:
     """Fully 0/1-labeled obstruction pattern for membership graphs of
     degree-<= delta, dimension-d solution families.
 
@@ -399,11 +406,11 @@ def prefix_tree_pattern(d: int, delta: int, size_cap: int = 5_000_000) -> Patter
     """
     if d < 2:
         raise DomainError("pattern is defined for d >= 2 (left class empty below)")
-    if delta**d >= size_cap.bit_length():  # k > size_cap, and so is the label count
+    if delta**d >= PATTERN_CAP.bit_length():  # k > PATTERN_CAP, and so is the label count
         raise ResourceLimitError(f"pattern with k = 2^{delta**d} + 1 exceeds size cap")
     k = 2 ** (delta**d) + 1
     layers = sum(k**j for j in range(1, d))  # right vertices beyond the roots
-    if k * layers * (2 + layers) > size_cap:  # (left rows) x (right columns)
+    if k * layers * (2 + layers) > PATTERN_CAP:  # (left rows) x (right columns)
         raise ResourceLimitError(f"pattern with {k * layers}x{2 + layers} labels exceeds size cap")
     col, rows = {}, []  # sequence -> column; the roots are columns 0 and 1
     for length in range(1, d):
@@ -462,13 +469,13 @@ def independent_set_bound(n: int, m: int, k: int) -> int:
     return math.ceil(n ** (k / (k - 1)) / (4 * (m + n) ** (1 / (k - 1))))
 
 
-def hypergraph_independent_set(h: Hypergraph, rng, retry_cap: int = 200) -> list:
+def hypergraph_independent_set(h: Hypergraph, rng) -> list:
     """Independent set meeting the N^(k/(k-1)) / (4 (M+N)^(1/(k-1))) bound.
 
     Samples each vertex with probability q = (N / (2 (M+N)))^(1/(k-1)), then
     deletes one vertex (the largest) from every edge still inside the sample.
     Retries until the size target is met; by the expectation argument a hit of
-    the retry cap (200 by default) signals a bug, and raises
+    RETRY_INDEPENDENT retries signals a bug, and raises
     ConstructionFailure.
     """
     if h.k < 2:
@@ -478,7 +485,7 @@ def hypergraph_independent_set(h: Hypergraph, rng, retry_cap: int = 200) -> list
     n, m, k = h.n, h.m, h.k
     target = independent_set_bound(n, m, k)
     q = (n / (2 * (m + n))) ** (1.0 / (k - 1))
-    for _ in range(retry_cap):
+    for _ in range(RETRY_INDEPENDENT):
         picked = set(v for v in range(n) if rng.bernoulli(q))
         for edge in h.edges:
             if edge <= picked:
@@ -486,7 +493,7 @@ def hypergraph_independent_set(h: Hypergraph, rng, retry_cap: int = 200) -> list
         if len(picked) >= target:
             return sorted(picked)
     raise ConstructionFailure(
-        f"independent set of size {target} not found in {retry_cap} tries"
+        f"independent set of size {target} not found in {RETRY_INDEPENDENT} tries"
     )
 
 

@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ConstructionFailure, DomainError
 from .gf import FieldCtx, find_prime, is_prime
 from .mpoly import (
-    ENUM_CAP,
     MultiPoly,
     _check_enum_cap,
     _lex_weights,
@@ -119,7 +118,7 @@ def zero_count_experiment(p, nvars, degree, trials, rng) -> ZeroCountResult:
         raise DomainError("experiment requires nvars >= 3 and degree >= 3")
     if trials < 1:
         raise DomainError("need at least one trial")
-    _check_enum_cap(p, nvars, ENUM_CAP)
+    _check_enum_cap(p, nvars)
     ctx = FieldCtx.prime(p)
     counts = [
         count_zeros(sample_uniform(ctx, nvars, degree, rng.derive(t)))
@@ -253,18 +252,18 @@ def point_variety_instance(m, alpha, dim, rng) -> PointVarietyInstance:
     """
     if dim < 1:
         raise DomainError(f"need --dim >= 1, got --dim {dim}")
+    if not math.isfinite(alpha * dim):
+        raise DomainError(f"need a finite --alpha * --dim, got --alpha {alpha} --dim {dim}")
     dim2 = math.ceil(alpha * dim)
     if dim2 < 1:
         raise DomainError(f"need ceil(--alpha * --dim) >= 1, got --alpha {alpha} --dim {dim}")
-    n = int(m**alpha)
-    if m < 2 or n < 1:
+    if m < 2:  # then alpha > 0 makes floor(m^alpha) >= 1
         raise DomainError("need m >= 2 and floor(m^alpha) >= 1")
-    p = find_prime(max(2, integer_nth_root(m, dim)))
-    s = (dim + dim2) ** 2
-    if n > p**dim2:
-        raise DomainError(f"n = {n} exceeds p^dim2 = {p**dim2}")
+    p = find_prime(max(2, integer_nth_root(m, dim)))  # p^dim > m, so p^dim2 > m^alpha
+    _check_enum_cap(p, dim + dim2)  # the graph's grid, before m^alpha is formed
+    n = int(m**alpha)
+    s = delta = (dim + dim2) ** 2  # K_{s,s} size and the graph polynomial's degree
     inst = random_algebraic_graph(p, dim, dim2, m, n, s, rng)
-    delta = (dim + dim2) ** 2
 
     cidx = np.ravel_multi_index(tuple(np.asarray(inst.cols).T), (p,) * dim2)
     sections = section_tensors(inst.poly, dim2)[cidx]
@@ -309,7 +308,7 @@ def point_variety_instance(m, alpha, dim, rng) -> PointVarietyInstance:
 # -- evasive point sets ----------------------------------------------------------
 
 
-def evasive_point_set(p, d, k, strategy, rng, cap: int = ENUM_CAP):
+def evasive_point_set(p, d, k, strategy, rng):
     """Point set of size exactly p^(d-k) in F_p^d.
 
     'map-image' returns the graph {(y, g_1(y), .., g_k(y))} of monomial maps
@@ -319,7 +318,7 @@ def evasive_point_set(p, d, k, strategy, rng, cap: int = ENUM_CAP):
     """
     if not 0 <= k < d:
         raise DomainError("need 0 <= k < d")
-    _check_enum_cap(p, d, cap)  # size <= p^d
+    _check_enum_cap(p, d)  # size <= p^d
     size = p ** (d - k)
     if strategy == "map-image":
         base = domain_points(p, d - k)
@@ -429,7 +428,7 @@ def unit_distance_instance(
         while not any(x):
             x = tuple(rng.randbelow(p) for _ in range(d))
         if whole:
-            count = u_size * len(_origin_sphere_points(form, ENUM_CAP))
+            count = u_size * len(_origin_sphere_points(form))
         else:
             count = int(np.count_nonzero(form.unit_pair_matrix(u_arr, (u_arr + x) % p)))
         if 2 * p * count >= u_size**2:
@@ -461,7 +460,7 @@ def unit_distance_instance(
     inst = UnitDistanceInstance(pts_final, form_final, report, merged, form)
     rooted = whole and len(merged) == p**d  # no subsample: merged is F_p^d in lex order
     if rooted:
-        sphere = _origin_sphere_points(form, ENUM_CAP)
+        sphere = _origin_sphere_points(form)
         host = point_sphere_incidence(merged, sphere, form)
         edges = len(merged) * len(sphere)
     else:

@@ -14,7 +14,7 @@ class ResourceLimitError(RuntimeError):
     """An enumeration or search cap was exceeded.
 
     Raised instead of returning an approximate answer; the caller must shrink
-    the instance or raise the cap.
+    the instance or raise the module constant (README, "Exit codes").
     """
 
 

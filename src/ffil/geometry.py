@@ -15,7 +15,7 @@ Every product of point arrays through the form B is one `BilinearForm.gram`
 call. As p is odd, pair norms follow by polarization, Q(a - b) = Q(a) +
 Q(b) - 2 B(a, b). Every product mod p is one `mpoly.matmul_mod` call, whose
 docstring states the exactness rule (one float64 BLAS product on every d >= 2
-grid under `ENUM_CAP`).
+grid under `mpoly.ENUM_CAP`).
 """
 
 from dataclasses import dataclass, field
@@ -26,8 +26,8 @@ import numpy as np
 from .errors import DomainError
 from .gf import FieldCtx
 from . import linalg
-from .bigraph import BipartiteGraph, _pack, _unpack
-from .mpoly import ENUM_CAP, _check_enum_cap, _lex_weights, domain_points, lex_points, matmul_mod
+from .bigraph import BipartiteGraph, _pack, _pack_codes, _unpack
+from .mpoly import _check_enum_cap, _lex_weights, domain_points, lex_points, matmul_mod
 
 # Rows of the left point array per block of the pairwise-norm sweep, so the
 # temporaries are O(_PAIR_BLOCK * n) whatever the number of pairs.
@@ -225,7 +225,7 @@ class AffineFlat:
 _ORIGIN_CACHE = {}
 
 
-def _origin_sphere_points(form: BilinearForm, cap: int) -> np.ndarray:
+def _origin_sphere_points(form: BilinearForm) -> np.ndarray:
     """Points of the origin-centered unit sphere, lexicographic order: a
     memoized, read-only int64 array with one row per point.
 
@@ -234,7 +234,7 @@ def _origin_sphere_points(form: BilinearForm, cap: int) -> np.ndarray:
     increasing x_d.
     """
     p, d = form.ctx.p, form.dim
-    _check_enum_cap(p, d, cap)  # also for a memoized table, so the cap never depends on call order
+    _check_enum_cap(p, d)  # also for a memoized table, so the cap never depends on call order
     key = (p, form.signature)
     pts = _ORIGIN_CACHE.get(key)
     if pts is not None:
@@ -254,7 +254,7 @@ def _origin_sphere_points(form: BilinearForm, cap: int) -> np.ndarray:
     return pts
 
 
-def sphere_points(sphere: Sphere, cap: int = ENUM_CAP):
+def sphere_points(sphere: Sphere):
     """All rational points of the sphere, lexicographic order.
 
     Computed by translating the memoized origin-centered table.
@@ -264,7 +264,7 @@ def sphere_points(sphere: Sphere, cap: int = ENUM_CAP):
         raise DomainError("sphere enumeration is supported over prime fields only")
     p = form.ctx.p
     w = np.array([c % p for c in sphere.center], dtype=np.int64)
-    pts = (_origin_sphere_points(form, cap) + w) % p
+    pts = (_origin_sphere_points(form) + w) % p
     pts = pts[np.lexsort(pts.T[::-1])]  # the first coordinate is the primary key
     return [tuple(row) for row in pts.tolist()]
 
@@ -322,7 +322,7 @@ def sphere_family_check(families, flats) -> list:
     """
     form, centers = _family_centers(families)
     (nf, k, d), p = centers.shape, form.ctx.p
-    origin, delta = _origin_sphere_points(form, ENUM_CAP), (centers[:, :1] - centers) % p
+    origin, delta = _origin_sphere_points(form), (centers[:, :1] - centers) % p
     twice, need = 2 * delta % p, -form.norms_of_rows(delta)[:, None] % p
     base, basis, eqs = np.zeros((3, nf, d, d), dtype=np.int64)  # of each flat, zero-padded
     for i, flat in enumerate(flats):
@@ -377,7 +377,7 @@ class SphereFlatsReport:
 _FLAT_CELLS = 1 << 13
 
 
-def flats_in_sphere_check(sphere: Sphere, dim_cap: int, cap: int = ENUM_CAP) -> SphereFlatsReport:
+def flats_in_sphere_check(sphere: Sphere, dim_cap: int) -> SphereFlatsReport:
     """Enumerate every flat of dimension <= dim_cap contained in the sphere
     and check two identities on each: total isotropy of the flat, and
     <x - w, x - y> = 0 for all flat points x, y (w the center).
@@ -398,10 +398,9 @@ def flats_in_sphere_check(sphere: Sphere, dim_cap: int, cap: int = ENUM_CAP) -> 
     kept if their cosets F + t(q - x), 0 < t < p, are in S and not below q.
     """
     form, (p, d) = sphere.form, (sphere.form.ctx.p, sphere.form.dim)
-    arr = np.array(sphere_points(sphere, cap), dtype=np.int64).reshape(-1, d)
+    arr = np.array(sphere_points(sphere), dtype=np.int64).reshape(-1, d)
     codes = arr @ _lex_weights(p, d)  # increasing: the points are in lex order
-    table = np.zeros(-(-p**d // 8), dtype=np.uint8)
-    np.bitwise_or.at(table, codes >> 3, (1 << (codes & 7)).astype(np.uint8))
+    table = _pack_codes(codes, p**d)
     levels = [(codes[:, None], arr[:, None])]  # flats as sorted codes and spanning points
     while len(levels) <= dim_cap and (level := _flat_level(*levels[-1], arr, codes, table, p)):
         levels.append(level)
@@ -484,7 +483,7 @@ def _rref_row_candidates(p, d, pivot, other_pivots):
     return rows
 
 
-def isotropic_unit_pair_search(form: BilinearForm, cap: int = ENUM_CAP):
+def isotropic_unit_pair_search(form: BilinearForm):
     """Exhaustive search for (V, w): a totally isotropic k-flat V and a
     norm-1 vector w orthogonal to V, in odd dimension d = 2k + 1.
 
@@ -501,7 +500,7 @@ def isotropic_unit_pair_search(form: BilinearForm, cap: int = ENUM_CAP):
         raise DomainError("search runs over prime fields only")
     p = form.ctx.p
     k = (d - 1) // 2
-    units = _origin_sphere_points(form, cap)
+    units = _origin_sphere_points(form)
     if k == 0:
         if units.shape[0]:
             w = tuple(int(v) for v in units[0])

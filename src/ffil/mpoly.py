@@ -32,7 +32,8 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 from .gf import FieldCtx
 
-ENUM_CAP = 10**8
+ENUM_CAP = 10**8  # points of one grid sweep, or subsets of one shatter scan
+TERM_CAP = 10**7  # coefficients drawn for one random polynomial
 
 
 class MultiPoly:
@@ -168,13 +169,17 @@ def sample_uniform(ctx: FieldCtx, nvars: int, degcap: int, rng) -> MultiPoly:
 
     Each of the C(nvars + degcap, nvars) monomial coefficients is drawn
     i.i.d. uniform in F_p, in lex order of `monomials_upto`, by one
-    `randbelow_many` call; zero coefficients are dropped from storage.
+    `randbelow_many` call; zero coefficients are dropped from storage. More
+    than TERM_CAP coefficients raise ResourceLimitError before any draw.
     """
     if nvars < 1:
         raise DomainError("sample_uniform needs nvars >= 1")
     if degcap < 0:
         raise DomainError("degree cap must be nonnegative")
-    coeffs = rng.randbelow_many(ctx.p, monomial_count(nvars, degcap)).tolist()
+    count = monomial_count(nvars, degcap)
+    if count > TERM_CAP:
+        raise ResourceLimitError(f"{count} polynomial coefficients exceed cap {TERM_CAP}")
+    coeffs = rng.randbelow_many(ctx.p, count).tolist()
     f = MultiPoly(ctx, nvars, {})  # checks the field; the drawn terms need no checks
     f.terms = {e: c for e, c in zip(_monomials(nvars, degcap), coeffs) if c}
     return f
@@ -229,11 +234,17 @@ def evaluate_batch(f: MultiPoly, pts: np.ndarray) -> np.ndarray:
     return acc
 
 
-def _check_enum_cap(p, nvars, cap):
-    n = p**nvars
-    if n > cap:
-        raise ResourceLimitError(f"enumeration of {p}^{nvars} points exceeds cap {cap}")
+def _check_count(n: int, what: str) -> int:
+    """n, unless it exceeds ENUM_CAP: then ResourceLimitError naming `what`."""
+    if n > ENUM_CAP:
+        raise ResourceLimitError(f"{what} {ENUM_CAP}")
     return n
+
+
+def _check_enum_cap(p, nvars):
+    """p^nvars (p >= 2) within ENUM_CAP; an nvars past its bit length never forms the power."""
+    n = p**nvars if nvars < ENUM_CAP.bit_length() else ENUM_CAP + 1
+    return _check_count(n, f"enumeration of {p}^{nvars} points exceeds cap")
 
 
 # -- separable grid evaluation ---------------------------------------------
@@ -387,14 +398,14 @@ def section_tensors(f: MultiPoly, d2: int) -> np.ndarray:
     return out.reshape(p**d2, *coef.shape[:d1])
 
 
-def zero_mask(f: MultiPoly, cap: int = ENUM_CAP) -> np.ndarray:
+def zero_mask(f: MultiPoly) -> np.ndarray:
     """Boolean tensor of shape (p,) * nvars, True at the zeros of f.
 
     Entry [x_0, ..., x_{D-1}] is f(x) == 0, so C-order flattening follows the
     lexicographic row order of `domain_points`.
     """
     p = f.ctx.p
-    _check_enum_cap(p, f.nvars, cap)
+    _check_enum_cap(p, f.nvars)
     if f.nvars == 0:
         return np.array(f.evaluate(()) == 0)
     mask = np.empty((p,) * f.nvars, dtype=bool)
@@ -406,17 +417,17 @@ def zero_mask(f: MultiPoly, cap: int = ENUM_CAP) -> np.ndarray:
     return mask
 
 
-def zero_set(f: MultiPoly, cap: int = ENUM_CAP):
+def zero_set(f: MultiPoly):
     """All rational zeros of f in F_p^nvars, in lexicographic order."""
-    return [tuple(row) for row in np.argwhere(zero_mask(f, cap)).tolist()]
+    return [tuple(row) for row in np.argwhere(zero_mask(f)).tolist()]
 
 
-def count_zeros(f: MultiPoly, cap: int = ENUM_CAP) -> int:
+def count_zeros(f: MultiPoly) -> int:
     """Number of zeros of f in F_p^nvars, counted slab by slab (no full mask)."""
     if f.nvars == 0:
-        return int(zero_mask(f, cap))
+        return int(zero_mask(f))
     p = f.ctx.p
-    _check_enum_cap(p, f.nvars, cap)
+    _check_enum_cap(p, f.nvars)
     coef = coefficient_tensor(f, fold=range(f.nvars))
     slabs = _grid(coef, p, [np.arange(p)] * f.nvars, _multiple_of_p)
     return sum(int(np.count_nonzero(slab)) for slab in slabs)

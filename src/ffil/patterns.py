@@ -25,10 +25,10 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError
 from . import linalg
 from .bigraph import _pack, _unpack
-from .mpoly import ENUM_CAP, _check_enum_cap, domain_points, evaluate_batch
+from .mpoly import _check_count, _check_enum_cap, domain_points, evaluate_batch
 
 
 @dataclass
@@ -95,10 +95,10 @@ def _shared_domain(polys):
     return ctx, nvars
 
 
-def _zero_matrix(polys, cap):
+def _zero_matrix(polys):
     """Boolean matrix: row per rational point (lex order), column per polynomial."""
     ctx, nvars = _shared_domain(polys)
-    _check_enum_cap(ctx.p, nvars, cap)
+    _check_enum_cap(ctx.p, nvars)
     pts = domain_points(ctx.p, nvars)
     cols = [evaluate_batch(f, pts) == 0 for f in polys]
     return pts, np.stack(cols, axis=1)
@@ -127,13 +127,13 @@ def _collect(pts, member_matrix) -> PatternFamily:
     return PatternFamily(mat.shape[1], fam)
 
 
-def zero_patterns(polys, cap: int = ENUM_CAP) -> PatternFamily:
+def zero_patterns(polys) -> PatternFamily:
     """Family of zero-patterns of f_1..f_k over all rational points."""
-    pts, zmat = _zero_matrix(polys, cap)
+    pts, zmat = _zero_matrix(polys)
     return _collect(pts, zmat)
 
 
-def containment_patterns(systems, cap: int = ENUM_CAP) -> PatternFamily:
+def containment_patterns(systems) -> PatternFamily:
     """Family of containment patterns of the varieties V_1..V_k.
 
     Each variety is a list of defining polynomials; x lies in V_i exactly when
@@ -141,7 +141,7 @@ def containment_patterns(systems, cap: int = ENUM_CAP) -> PatternFamily:
     space.
     """
     flat = [f for sys in systems for f in sys]
-    pts, zmat = _zero_matrix(flat, cap)
+    pts, zmat = _zero_matrix(flat)
     cols = []
     pos = 0
     for sys in systems:
@@ -159,7 +159,7 @@ def containment_patterns(systems, cap: int = ENUM_CAP) -> PatternFamily:
 _SHATTER_CELLS = 1 << 17
 
 
-def shatter_function(system: SetSystem, k: int, cap: int = ENUM_CAP, counters=None) -> int:
+def shatter_function(system: SetSystem, k: int, counters=None) -> int:
     """pi_F(k): max over k-subsets A of the ground set of |{A & B : B in F}|.
 
     The k-subsets are taken in lexicographic order, and the scan stops at the
@@ -183,9 +183,7 @@ def shatter_function(system: SetSystem, k: int, cap: int = ENUM_CAP, counters=No
     n = system.ground_size
     if not 0 <= k <= n:
         raise DomainError("k must be between 0 and the ground set size")
-    total = math.comb(n, k)
-    if total > cap:
-        raise ResourceLimitError(f"C({n}, {k}) subsets exceed cap {cap}")
+    total = _check_count(math.comb(n, k), f"C({n}, {k}) subsets exceed cap")
     best, visited = _shatter_scan(system.members, n, k, total)
     if counters is not None:
         counters["shatter_subsets"] = counters.get("shatter_subsets", 0) + visited

@@ -276,7 +276,9 @@ def flats_in_sphere_check(sphere: Sphere, dim_cap: int, cap: int = ENUM_CAP) -> 
     """
     form = sphere.form
     ctx = form.ctx
-    pts = sphere_points(sphere, cap)
+    if ctx.p**form.dim > cap:
+        raise ResourceLimitError(f"enumeration of {ctx.p}^{form.dim} points exceeds cap {cap}")
+    pts = sphere_points(sphere)
     pt_set = set(pts)
     report = SphereFlatsReport()
     levels = {0: {frozenset((q,)): AffineFlat(ctx, form.dim, q, []) for q in pts}}

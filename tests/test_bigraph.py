@@ -88,10 +88,11 @@ def test_kss_monotone_in_s():
                 assert contains_kss(g, s - 1) is not None
 
 
-def test_kss_probe_cap():
+def test_kss_probe_cap(monkeypatch):
     g = BipartiteGraph(20, 20, [(i, j) for i in range(20) for j in range(20)])
+    monkeypatch.setattr(bigraph, "PROBE_CAP", 3)
     with pytest.raises(ResourceLimitError):
-        contains_kss(g, 10, probe_cap=3)
+        contains_kss(g, 10)
 
 
 def test_pattern_examples():
@@ -123,11 +124,12 @@ def test_pattern_brute_force_agreement():
                         assert (lbl == "1") == g.has_edge(amap[i], bmap[j])
 
 
-def test_pattern_node_cap():
+def test_pattern_node_cap(monkeypatch):
     g = BipartiteGraph(8, 8, [(i, j) for i in range(8) for j in range(8) if (i + j) % 2])
     pat = Pattern(["11111111"] * 8)
+    monkeypatch.setattr(bigraph, "PROBE_CAP", 2)
     with pytest.raises(ResourceLimitError):
-        find_induced_pattern(g, pat, node_cap=2)
+        find_induced_pattern(g, pat)
 
 
 def test_prefix_tree_pattern_counts():
@@ -242,10 +244,11 @@ def test_independent_set_examples():
     assert independent_set_bound(30, 40, 3) == 5
 
 
-def test_independent_set_retry_cap():
+def test_independent_set_retry_cap(monkeypatch):
     h = Hypergraph(4, 2, [(0, 1)])
+    monkeypatch.setattr(bigraph, "RETRY_INDEPENDENT", 0)
     with pytest.raises(ConstructionFailure):
-        hypergraph_independent_set(h, Rng(3), retry_cap=0)
+        hypergraph_independent_set(h, Rng(3))
 
 
 def test_from_bool_matrix_matches_edge_list():
@@ -337,7 +340,21 @@ def test_packed_rows_at_word_boundaries(m, n):
         assert [[h.has_edge(i, j) for j in range(hn)] for i in range(hm)] == want.tolist()
 
 
-def test_searches_on_a_tall_host_stay_within_packed_memory():
+@pytest.mark.parametrize("size", [1, 8, 63, 64, 65, 343])
+def test_packed_codes_are_the_packed_row_of_their_mask(size):
+    # the sparse writer of one packed row (the sphere flats' membership
+    # table) lays out the bits as _pack does; repeated codes set one bit
+    r = np.random.default_rng(size)
+    mask = r.random(size) < 0.4
+    codes = np.concatenate([np.flatnonzero(mask)] * 2)
+    row = bigraph._pack_codes(codes, size)
+    assert row.nbytes == -(-size // 8)
+    assert row.tobytes() == bigraph._pack(mask[None])[0].tobytes()[: row.nbytes]
+    assert np.array_equal(bigraph._unpack(row, size), mask)
+    assert np.array_equal(bigraph._unpack(row, np.arange(size)), mask)
+
+
+def test_searches_on_a_tall_host_stay_within_packed_memory(monkeypatch):
     # the shape of a full-grid unit-distance block: 32,768 x 512 cells, 4 MB
     # packed both ways, 16 MB as one byte per cell. Each search may allocate
     # the packed size once more plus a few of its own blocks, never a dense
@@ -347,12 +364,13 @@ def test_searches_on_a_tall_host_stay_within_packed_memory():
     del mat
     packed = g.rows.nbytes + g.cols.nbytes
     searches = [
-        lambda: contains_kss(g, 3),
-        lambda: contains_kss(g, 4, probe_cap=10**6),
-        lambda: find_induced_pattern(g, Pattern(["10", "01"])),
-        lambda: find_induced_pattern(g, staircase_pattern(4), 10**5),
+        (bigraph.PROBE_CAP, lambda: contains_kss(g, 3)),
+        (10**6, lambda: contains_kss(g, 4)),
+        (bigraph.PROBE_CAP, lambda: find_induced_pattern(g, Pattern(["10", "01"]))),
+        (10**5, lambda: find_induced_pattern(g, staircase_pattern(4))),
     ]
-    for search in searches:
+    for cap, search in searches:
+        monkeypatch.setattr(bigraph, "PROBE_CAP", cap)
         tracemalloc.start()
         try:
             search()

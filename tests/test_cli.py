@@ -452,3 +452,24 @@ def test_point_variety_rejects_dim_and_alpha_before_any_work(flags, named):
     assert r.returncode == 1
     [line] = r.stderr.splitlines()  # no warning, no usage text
     assert line.startswith("error: need ") and named in line
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "1e308"])
+def test_point_variety_rejects_a_non_finite_alpha(alpha):
+    # --alpha times --dim must be finite before its ceiling is taken
+    test_point_variety_rejects_dim_and_alpha_before_any_work(("--alpha", alpha, "--dim", "2"), "--alpha")
+
+
+@pytest.mark.parametrize("argv", [
+    "point-variety --m 20 --alpha 3 --dim 2",  # C(72, 8) coefficients: 178 GiB
+    "zarankiewicz --p 3 --d1 4 --d2 4 --m 3 --n 3 --s 2",  # the same draw
+    "zero-patterns --p 3 --vars 5 --k 1 --degree 200",  # C(205, 5): 42.8 GiB
+    "point-variety --m 20 --alpha 20 --dim 2",  # a grid of 5^42 points
+    "point-variety --m 20 --alpha 1000 --dim 2",  # 20^1000 overflows a float
+    "point-variety --m 20 --alpha 1e300 --dim 1",  # 5^(1 + 10^300) is never formed
+], ids=["pv-terms", "zarankiewicz-terms", "zero-patterns-terms", "pv-grid", "pv-overflow", "pv-huge"])
+def test_oversized_random_polynomials_exit_3_before_any_draw(argv):
+    r = run_cli(*argv.split(), "--seed", "1")
+    assert r.returncode == 3
+    [line] = r.stderr.splitlines()
+    assert line.startswith("resource error:")

@@ -20,6 +20,7 @@ from ffil import (
     unit_distance_graph,
 )
 import ffil.geometry
+import ffil.mpoly
 from ffil.geometry import intersection_flats, sphere_family_check
 from ffil.mpoly import _plan, domain_points, lex_points
 from ffil.rng import Rng
@@ -308,7 +309,7 @@ def test_isotropic_unit_pair_search():
     assert all(form5.inner(w, b) == 0 for b in flat.basis)
 
 
-def test_isotropic_unit_pair_search_d5():
+def test_isotropic_unit_pair_search_d5(monkeypatch):
     for p in (3, 7):
         form = BilinearForm.for_dim(FieldCtx.prime(p), 5)
         assert isotropic_unit_pair_search(form) is None
@@ -316,10 +317,11 @@ def test_isotropic_unit_pair_search_d5():
         isotropic_unit_pair_search(BilinearForm.standard(FieldCtx.prime(3), 4))
     # the unit vectors come from the memoized sphere table, which still
     # enforces the cap once the table is built (it is, by the loop above)
+    monkeypatch.setattr(ffil.mpoly, "ENUM_CAP", 7**5 - 1)
     with pytest.raises(ResourceLimitError):
-        isotropic_unit_pair_search(form, cap=7**5 - 1)
+        isotropic_unit_pair_search(form)
     with pytest.raises(ResourceLimitError):
-        sphere_points(Sphere(form, (0,) * 5), cap=7**5 - 1)
+        sphere_points(Sphere(form, (0,) * 5))
 
 
 def test_unit_distance_graph_examples():

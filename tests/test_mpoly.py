@@ -147,11 +147,23 @@ def test_zero_set_matches_scalar_oracle():
         assert count_zeros(f) == len(scalar_zero_points(f))
 
 
-def test_zero_set_cap():
+def test_sample_uniform_term_cap(monkeypatch):
+    # C(3 + 4, 3) = 35 coefficients: a raise at cap 34 and the same draw at 35
+    ctx = FieldCtx.prime(7)
+    want = sample_uniform(ctx, 3, 4, Rng(5))
+    monkeypatch.setattr(mpoly, "TERM_CAP", 34)
+    with pytest.raises(ResourceLimitError):
+        sample_uniform(ctx, 3, 4, Rng(5))
+    monkeypatch.setattr(mpoly, "TERM_CAP", 35)
+    assert sample_uniform(ctx, 3, 4, Rng(5)) == want
+
+
+def test_zero_set_cap(monkeypatch):
     ctx = FieldCtx.prime(7)
     f = MultiPoly.variable(ctx, 4, 0)
+    monkeypatch.setattr(mpoly, "ENUM_CAP", 100)
     with pytest.raises(ResourceLimitError):
-        zero_set(f, cap=100)
+        zero_set(f)
 
 
 def test_zero_set_of_product_is_union():
@@ -397,8 +409,9 @@ def test_count_zeros_by_slabs_matches_mask(monkeypatch):
         assert count_zeros(f) == w
     for c, w in ((0, 1), (3, 0)):
         assert count_zeros(MultiPoly(FieldCtx.prime(5), 0, {(): c})) == w
+    monkeypatch.setattr(mpoly, "ENUM_CAP", 300)
     with pytest.raises(ResourceLimitError):
-        count_zeros(polys[-1], cap=300)
+        count_zeros(polys[-1])
 
 
 def test_coefficient_tensor_round_trip():

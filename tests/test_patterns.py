@@ -13,6 +13,7 @@ from ffil import (
     witness_rank_check,
     zero_patterns,
 )
+from ffil import mpoly
 from ffil.patterns import bound_tight_form, bound_with_ambient
 from ffil.rng import Rng
 
@@ -105,14 +106,18 @@ def test_containment_empty_system_is_whole_space():
     assert set(fam.witnesses) == {frozenset({0}), frozenset({0, 1})}
 
 
-def test_pattern_enumeration_cap_is_the_grid_size():
+def test_pattern_enumeration_cap_is_the_grid_size(monkeypatch):
     ctx = FieldCtx.prime(5)
     polys = [sample_uniform(ctx, 3, 2, Rng(30 + i)) for i in range(3)]
     systems = [polys[:2], polys[2:]]
     for build, arg in ((zero_patterns, polys), (containment_patterns, systems)):
+        want = build(arg)
+        monkeypatch.setattr(mpoly, "ENUM_CAP", 5**3 - 1)
         with pytest.raises(ResourceLimitError):
-            build(arg, cap=5**3 - 1)
-        assert build(arg, cap=5**3) == build(arg)
+            build(arg)
+        monkeypatch.setattr(mpoly, "ENUM_CAP", 5**3)
+        assert build(arg) == want
+        monkeypatch.undo()
 
 
 def test_shatter_examples():

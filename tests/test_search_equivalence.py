@@ -23,7 +23,7 @@ import ffil.constructions
 import ffil.geometry
 import search_reference as ref
 from search_reference import same_graph
-from ffil import bigraph, patterns
+from ffil import bigraph, mpoly, patterns
 from ffil.bigraph import (
     BipartiteGraph,
     Pattern,
@@ -68,13 +68,25 @@ def assert_exact_count(count, *searches):
         search(count)
 
 
+def under_cap(module, name, search):
+    """search() as a function of a cap, as the reference searches take one:
+    each call runs it with module.name monkeypatched to that cap."""
+
+    def run(cap):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(module, name, cap)
+            return search()
+
+    return run
+
+
 def check_kss(g, s):
     counters = {}
     got = contains_kss(g, s, counters=counters)
     assert got == ref.contains_kss(g, s)
     assert_exact_count(
         counters["kss_probes"],
-        lambda cap: contains_kss(g, s, probe_cap=cap),
+        under_cap(bigraph, "PROBE_CAP", lambda: contains_kss(g, s)),
         lambda cap: ref.contains_kss(g, s, probe_cap=cap),
     )
     return got
@@ -123,7 +135,7 @@ def test_kss_matches_reference_on_unit_distance_graphs():
     # the rooted block `unit-distance --d 3 --p 7` certifies: the full grid
     # against the origin's unit sphere, 343 x 42
     form = BilinearForm.for_dim(FieldCtx.prime(7), 3)
-    sphere = ffil.geometry._origin_sphere_points(form, ENUM_CAP)
+    sphere = ffil.geometry._origin_sphere_points(form)
     block = point_sphere_incidence(domain_points(7, 3).tolist(), sphere, form)
     assert (block.m, block.n) == (343, 42)
     counters = {}
@@ -148,12 +160,13 @@ def check_pattern(g, pat, rooted=False):
     counters = {}
     got = find_induced_pattern(g, pat, counters=counters, rooted=rooted)
     count = counters["pattern_nodes"]
-    assert find_induced_pattern(g, pat, node_cap=count, rooted=rooted) == got
+    kernel = under_cap(bigraph, "PROBE_CAP", lambda: find_induced_pattern(g, pat, rooted=rooted))
+    assert kernel(count) == got
     assert ref.find_induced_pattern(g, pat, node_cap=count, rooted=rooted) == got
     if count:
-        for search in (find_induced_pattern, ref.find_induced_pattern):
+        for search in (kernel, lambda cap: ref.find_induced_pattern(g, pat, node_cap=cap, rooted=rooted)):
             with pytest.raises(ResourceLimitError):
-                search(g, pat, node_cap=count - 1, rooted=rooted)
+                search(count - 1)
     return got
 
 
@@ -483,7 +496,7 @@ def test_flat_checks_match_reference_off_the_sphere(monkeypatch):
     # fail them, and the verdicts must agree all the same
     plane = [tuple(int(v) for v in pt) for pt in domain_points(5, 3) if pt[2] == 0]
     for module in (ffil.geometry, ref):
-        monkeypatch.setattr(module, "sphere_points", lambda sphere, cap=None: plane)
+        monkeypatch.setattr(module, "sphere_points", lambda sphere: plane)
     sphere = Sphere(BilinearForm.standard(FieldCtx.prime(5), 3), (0, 0, 1))
     got = flats_in_sphere_check(sphere, 2)
     assert [len(got.by_dim(r)) for r in range(3)] == [25, 30, 1]
@@ -586,18 +599,18 @@ def test_report_counters_equal_reference_counts(monkeypatch, capsys, argv):
     searches = []  # (reference search with a cap, count the kernel reported)
     on_root = []  # one entry per search run on a rooted host
 
-    def spy_kss(g, s, probe_cap=bigraph.PROBE_CAP, counters=None):
+    def spy_kss(g, s, counters=None):
         own = {}
-        hit = contains_kss(g, s, probe_cap, own)
+        hit = contains_kss(g, s, own)
         searches.append((lambda cap: ref.contains_kss(g, s, probe_cap=cap), own["kss_probes"]))
         counters["kss_probes"] += own["kss_probes"]
         if argv[0] == "unit-distance" and g.m != g.n:
             on_root.append(g)
         return hit
 
-    def spy_pattern(g, pat, node_cap=bigraph.PROBE_CAP, counters=None, rooted=False):
+    def spy_pattern(g, pat, counters=None, rooted=False):
         own = {}
-        hit = find_induced_pattern(g, pat, node_cap, own, rooted)
+        hit = find_induced_pattern(g, pat, own, rooted)
         searches.append(
             (
                 lambda cap: ref.find_induced_pattern(g, pat, node_cap=cap, rooted=rooted),
@@ -669,13 +682,14 @@ def check_shatter(monkeypatch, system, k, cap=ENUM_CAP):
     """Value and visited-subset count of the kernel against the reference, or
     the same error; returns the reference's (value, visited) or None."""
     counters = {}
+    kernel = under_cap(mpoly, "ENUM_CAP", lambda: shatter_function(system, k, counters))
     try:
         want = reference_shatter(monkeypatch, system, k, cap)
     except (DomainError, ResourceLimitError) as exc:
         with pytest.raises(type(exc)):
-            shatter_function(system, k, cap, counters)
+            kernel(cap)
         return None
-    assert (shatter_function(system, k, cap, counters), counters["shatter_subsets"]) == want
+    assert (kernel(cap), counters["shatter_subsets"]) == want
     return want
 
 
