@@ -41,7 +41,6 @@ from .geometry import (
     AffineFlat,
     BilinearForm,
     Sphere,
-    embed_to_standard_norm,
     flats_in_sphere_check,
     intersect_spheres_to_flat,
     intersection_flats,

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import asdict
 from datetime import datetime, timezone
 
@@ -522,6 +523,17 @@ def build_parser() -> _Parser:
     return top
 
 
+def _run_command(args, rng):
+    """args.func(args, rng), writing each warning it raises to stderr as one
+    `warning: <message>` line, without the source location."""
+    with warnings.catch_warnings(record=True) as caught:
+        try:
+            return args.func(args, rng)
+        finally:
+            for w in caught:
+                sys.stderr.write(f"warning: {w.message}\n")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -537,7 +549,7 @@ def main(argv=None) -> int:
     args._t0 = time.perf_counter()
     rng = Rng(args.seed)
     try:
-        body, csv_spec = args.func(args, rng)
+        body, csv_spec = _run_command(args, rng)
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT

@@ -33,7 +33,6 @@ from .bigraph import BipartiteGraph, _popcount, contains_kss, smallest_free_s
 from .geometry import (
     BilinearForm,
     _origin_sphere_points,
-    embed_to_standard_norm,
     point_sphere_incidence,
     unit_distance_graph,
 )
@@ -344,16 +343,12 @@ class UnitDistanceInstance:
     points: list
     form: BilinearForm
     report: ConstructionReport
-    # the points and form over F_p the graph is built from; they differ from
-    # points and form only when d = 1 (mod 4)
-    prime_points: list
-    prime_form: BilinearForm
 
     @cached_property
     def graph(self) -> BipartiteGraph:
         """unit_distance_graph of the points (the bipartite double), built on
         first access."""
-        return unit_distance_graph(self.prime_points, self.prime_form)
+        return unit_distance_graph(self.points, self.form)
 
 
 def unit_distance_instance(
@@ -368,9 +363,16 @@ def unit_distance_instance(
     base set U of size p^e, and samples nonzero shifts x until U and U + x
     span at least |U|^2/(2p) ordered unit pairs under the dimension form. The
     final set is U union (U + x), subsampled to n points when n is given and
-    smaller. The graph is always built over F_p under the dimension form;
-    when d = 1 (mod 4) the returned points and form are the re-embedding over
-    F_{p^2}, where the relation is the standard one and the graph the same.
+    smaller. The points, the dimension form `BilinearForm.for_dim` and the
+    graph are all over F_p.
+
+    When d = 1 (mod 4) the dimension form negates the last coordinate, and
+    the report flags the re-embedding (x_1, .., x_{d-1}, a * x_d) over
+    F_{p^2}, with a^2 = -1 (p = 3 mod 4, so a is not in F_p). The map
+    multiplies the last square by a^2 = -1, so the standard norm of the
+    images is the dimension norm of the points, and the images span the
+    standard unit distances of exactly the graph built here: the flag records
+    a fact about the set, not a computation.
 
     For d = 2, 3 (k = 1), U is all of F_p^d by construction: every point has
     the |S| points of x + S as unit neighbours, S being the origin-centered
@@ -449,15 +451,9 @@ def unit_distance_instance(
             idx = rng.sample_indices(len(merged), n)
             merged = [merged[i] for i in idx]
 
-    pts_final, form_final = merged, form
     if d % 4 == 1:
-        # a^2 = -1, so the embedded points under the standard form span the
-        # same unit pairs as `merged` under the dimension form
-        ext = FieldCtx.quadratic(p)
-        pts_final = embed_to_standard_norm(merged, ext)
-        form_final = BilinearForm.standard(ext, d)
         report.flags.append("re-embedded over the quadratic extension (d = 1 mod 4)")
-    inst = UnitDistanceInstance(pts_final, form_final, report, merged, form)
+    inst = UnitDistanceInstance(merged, form, report)
     rooted = whole and len(merged) == p**d  # no subsample: merged is F_p^d in lex order
     if rooted:
         sphere = _origin_sphere_points(form)
@@ -472,7 +468,7 @@ def unit_distance_instance(
         report.verification = kss_verdict(inst.graph, s, report.counters)  # lex-first witness
     report.achieved = {
         "U_size": u_size,
-        "P_size": len(pts_final),
+        "P_size": len(merged),
         "cross_pairs": cross,
         "unit_distances": edges // 2,
         "shift": list(shift),

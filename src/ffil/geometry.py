@@ -1,10 +1,9 @@
 """Bilinear forms, unit spheres, affine flats, and unit-distance graphs.
 
 All geometry is exact field arithmetic; membership tests never use
-probabilistic shortcuts. Grid sweeps (sphere tables, pairwise norms) and
-every graph are computed with numpy over prime fields. Extension-field
-points only relabel prime-field ones (the F_{p^2} re-embedding); the scalar
-context operations in `inner` are their reference. Sphere point tables for
+probabilistic shortcuts. Every form, sphere and graph lives over a prime
+field F_p: grid sweeps (sphere tables, pairwise norms) and graphs are numpy
+passes, and the scalar `inner` is their reference. Sphere point tables for
 origin-centered spheres are memoized in memory. Points are named by int64
 lexicographic codes (a point's row index in `domain_points`). The flats of
 `flats_in_sphere_check` test membership in the sphere by one lookup in a
@@ -77,48 +76,33 @@ class BilinearForm:
         return f"BilinearForm(p={self.ctx.p}, {sig})"
 
     def inner(self, u, v):
-        """Sum of sigma_i * u_i * v_i; raw field value."""
+        """Sum of sigma_i * u_i * v_i, an int in [0, p)."""
         if len(u) != self.dim or len(v) != self.dim:
             raise DomainError("vector dimension mismatch")
-        ctx = self.ctx
-        if ctx.kind == "prime":
-            p = ctx.p
-            acc = 0
-            for s, a, b in zip(self.signature, u, v):
-                acc += a * b if s == 1 else -a * b
-            return acc % p
-        acc = ctx.zero_raw()
+        acc = 0
         for s, a, b in zip(self.signature, u, v):
-            t = ctx.mul(a, b)
-            acc = ctx.add(acc, t) if s == 1 else ctx.sub(acc, t)
-        return acc
+            acc += a * b if s == 1 else -a * b
+        return acc % self.ctx.p
 
     def norm_sq(self, v):
         return self.inner(v, v)
 
     def diff(self, u, v):
-        ctx = self.ctx
-        if ctx.kind == "prime":
-            p = ctx.p
-            return tuple((a - b) % p for a, b in zip(u, v))
-        return tuple(ctx.sub(a, b) for a, b in zip(u, v))
+        p = self.ctx.p
+        return tuple((a - b) % p for a, b in zip(u, v))
 
     def norms_of_rows(self, arr) -> np.ndarray:
-        """Vectorized norm_sq along the last axis of an int array (prime ctx
-        only): the squared residues times the signature, one `matmul_mod`
-        product, exact for every p <= 2^31."""
-        if self.ctx.kind != "prime":
-            raise DomainError("vectorized norms require a prime context")
+        """Vectorized norm_sq along the last axis of an int array: the squared
+        residues times the signature, one `matmul_mod` product, exact for
+        every p <= 2^31."""
         p = self.ctx.p
         arr = np.asarray(arr, dtype=np.int64) % p
         return matmul_mod(arr * arr % p, np.array(self.signature)[:, None], p)[..., 0]
 
     def gram(self, a, b) -> np.ndarray:
         """int64 residues G[..., i, j] = inner(a[..., i, :], b[..., j, :]) for
-        int arrays of row vectors, with leading batch axes (prime ctx only):
-        one `matmul_mod` product, exact for every p <= 2^31."""
-        if self.ctx.kind != "prime":
-            raise DomainError("vectorized forms require a prime context")
+        int arrays of row vectors, with leading batch axes: one `matmul_mod`
+        product, exact for every p <= 2^31."""
         p = self.ctx.p
         a, b = (np.asarray(x, dtype=np.int64) for x in (a, b))
         # residues skip the int64 `% p`, most of the cost of a small product
@@ -127,7 +111,7 @@ class BilinearForm:
 
     def unit_pair_matrix(self, a, b) -> np.ndarray:
         """Boolean matrix M[i, j] = (norm_sq(a[i] - b[j]) == 1) for two point
-        arrays (prime ctx only), by polarization, in row blocks of a."""
+        arrays, by polarization, in row blocks of a."""
         a, b = (np.asarray(x, dtype=np.int64).reshape(len(x), self.dim) for x in (a, b))
         na, nb = self.norms_of_rows(a), self.norms_of_rows(b)
         out = np.empty((a.shape[0], b.shape[0]), dtype=bool)
@@ -149,8 +133,7 @@ class Sphere:
             raise DomainError("center dimension mismatch")
 
     def contains(self, x) -> bool:
-        one = 1 if self.form.ctx.kind == "prime" else (1, 0)
-        return self.form.norm_sq(self.form.diff(x, self.center)) == one
+        return self.form.norm_sq(self.form.diff(x, self.center)) == 1
 
 
 class AffineFlat:
@@ -260,8 +243,6 @@ def sphere_points(sphere: Sphere):
     Computed by translating the memoized origin-centered table.
     """
     form = sphere.form
-    if form.ctx.kind != "prime":
-        raise DomainError("sphere enumeration is supported over prime fields only")
     p = form.ctx.p
     w = np.array([c % p for c in sphere.center], dtype=np.int64)
     pts = (_origin_sphere_points(form) + w) % p
@@ -279,8 +260,6 @@ def _family_centers(families):
     form = families[0][0].form
     if any(s.form != form for f in families for s in f):
         raise DomainError("all spheres must share one bilinear form")
-    if form.ctx.kind != "prime":
-        raise DomainError("flat computation is supported over prime fields only")
     k = max(map(len, families))
     centers = [[s.center for s in f] + [f[0].center] * (k - len(f)) for f in families]
     return form, np.array(centers, dtype=np.int64).reshape(len(families), k, form.dim) % form.ctx.p
@@ -311,7 +290,7 @@ def intersect_spheres_to_flat(spheres) -> AffineFlat:
 
 def sphere_family_check(families, flats) -> list:
     """(identity_ok, orth_ok) for each family of unit spheres S_1, .., S_k in
-    `families` (lists of spheres of one form, prime ctx) and its flat U in
+    `families` (lists of spheres of one form) and its flat U in
     `flats`, such as `intersection_flats(families)`: the identity
     S_1 & ... & S_k = S_1 & U, and <u, w_j - w_1> = 0 for U's basis.
 
@@ -496,8 +475,6 @@ def isotropic_unit_pair_search(form: BilinearForm):
     d = form.dim
     if d % 2 == 0:
         raise DomainError("search is defined for odd dimensions d = 2k + 1")
-    if form.ctx.kind != "prime":
-        raise DomainError("search runs over prime fields only")
     p = form.ctx.p
     k = (d - 1) // 2
     units = _origin_sphere_points(form)
@@ -541,14 +518,12 @@ def _extend_isotropic(form, units, cands, chosen):
 
 
 def unit_distance_graph(points, form: BilinearForm) -> BipartiteGraph:
-    """Unit-distance graph of a point list under `form` (prime ctx only), as
-    its bipartite double: both classes are the point list, and (i, j) is an
+    """Unit-distance graph of a point list under `form`, as its bipartite
+    double: both classes are the point list, and (i, j) is an
     edge iff norm_sq(points[i] - points[j]) = 1. The relation is symmetric,
     so the two classes share one packed array (rows is cols). A point is
     never adjacent to itself: the difference has norm zero, not one.
     """
-    if form.ctx.kind != "prime":
-        raise DomainError("unit-distance graphs are built over prime fields only")
     points = [tuple(pt) for pt in points]
     if any(len(pt) != form.dim for pt in points):
         raise DomainError("point dimension mismatch")
@@ -561,23 +536,5 @@ def unit_distance_graph(points, form: BilinearForm) -> BipartiteGraph:
 def point_sphere_incidence(points, centers, form: BilinearForm) -> BipartiteGraph:
     """Incidence graph: rows are points, columns are unit spheres (by center);
     an edge means the point lies on the sphere."""
-    if form.ctx.kind != "prime":
-        raise DomainError("incidence builder runs over prime fields only")
     return BipartiteGraph.from_bool_matrix(form.unit_pair_matrix(points, centers))
 
-
-def embed_to_standard_norm(points, ext_ctx: FieldCtx):
-    """Map (x_1, .., x_d) to (x_1, .., x_{d-1}, a * x_d) over F_{p^2}.
-
-    Because a^2 = -1, the standard-form unit-distance relation between images
-    coincides with the last-coordinate-negated relation between the original
-    points. Requires an extension context (prime contexts are rejected).
-    """
-    if ext_ctx.kind != "ext":
-        raise DomainError("embedding requires a quadratic-extension context")
-    p = ext_ctx.p
-    out = []
-    for pt in points:
-        head = tuple((int(c) % p, 0) for c in pt[:-1])
-        out.append(head + (((0, int(pt[-1]) % p)),))
-    return out

@@ -1,9 +1,8 @@
-"""Exact arithmetic in prime fields F_p and the quadratic extension F_{p^2}.
+"""Prime fields F_p: primality, prime search, inverses and the field context.
 
-The extension is F_p[a] / (a^2 + 1) and is only defined for p = 3 (mod 4),
-which makes a^2 + 1 irreducible. Raw values are ints in [0, p) for prime
-contexts and pairs (x, y) meaning x + y*a for extension contexts; the rest of
-the package works on raw values through the context methods.
+Field elements are ints in [0, p). A `FieldCtx` names the field and checks its
+modulus once; the modules that use it compute mod `ctx.p` on ints and numpy
+arrays.
 """
 
 import math
@@ -81,66 +80,29 @@ def _inverse_mod(a: int, p: int) -> int:
 
 
 class FieldCtx:
-    """Field context: prime F_p or quadratic extension F_{p^2}, a^2 = -1.
+    """Field context of the prime field F_p.
 
-    Immutable after construction; all operations are pure functions on raw
-    values, so contexts are safe to share freely.
+    Immutable after construction, so contexts are safe to share freely.
     """
 
-    __slots__ = ("kind", "p")
+    __slots__ = ("p",)
 
-    def __init__(self, p: int, kind: str = "prime"):
-        if kind not in ("prime", "ext"):
-            raise DomainError(f"unknown field kind {kind!r}")
+    def __init__(self, p: int):
         if not 2 <= p <= MAX_MODULUS:
             raise DomainError(f"modulus {p} outside supported range [2, 2^31]")
         if not is_prime(p):
             raise DomainError(f"{p} is not prime")
-        if kind == "ext" and p % 4 != 3:
-            raise DomainError("quadratic extension needs p = 3 (mod 4)")
-        self.kind = kind
         self.p = p
 
     @classmethod
     def prime(cls, p: int) -> "FieldCtx":
-        return cls(p, "prime")
-
-    @classmethod
-    def quadratic(cls, p: int) -> "FieldCtx":
-        return cls(p, "ext")
+        return cls(p)
 
     def __repr__(self):
-        return f"FieldCtx(F_{self.p})" if self.kind == "prime" else f"FieldCtx(F_{self.p}^2)"
+        return f"FieldCtx(F_{self.p})"
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FieldCtx) and self.kind == other.kind and self.p == other.p
-        )
+        return isinstance(other, FieldCtx) and self.p == other.p
 
     def __hash__(self):
-        return hash((self.kind, self.p))
-
-    # -- raw-value arithmetic ------------------------------------------------
-
-    def zero_raw(self):
-        return 0 if self.kind == "prime" else (0, 0)
-
-    def add(self, x, y):
-        p = self.p
-        if self.kind == "prime":
-            return (x + y) % p
-        return ((x[0] + y[0]) % p, (x[1] + y[1]) % p)
-
-    def sub(self, x, y):
-        p = self.p
-        if self.kind == "prime":
-            return (x - y) % p
-        return ((x[0] - y[0]) % p, (x[1] - y[1]) % p)
-
-    def mul(self, x, y):
-        p = self.p
-        if self.kind == "prime":
-            return x * y % p
-        a, b = x
-        c, d = y
-        return ((a * c - b * d) % p, (a * d + b * c) % p)
+        return hash(self.p)

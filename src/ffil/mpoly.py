@@ -42,8 +42,6 @@ class MultiPoly:
     __slots__ = ("ctx", "nvars", "terms")
 
     def __init__(self, ctx: FieldCtx, nvars: int, terms):
-        if ctx.kind != "prime":
-            raise DomainError("polynomials are defined over prime fields only")
         if nvars < 0:
             raise DomainError("nvars must be nonnegative")
         p = ctx.p

@@ -16,7 +16,10 @@ give the same family verdicts and shatter values. The polynomial layer keeps
 sampler must match term for term and counter for counter, and `tensor_poly`,
 which turns a dense coefficient tensor back into a `MultiPoly`. The scalar
 searches read adjacency and set-system members as Python int bitmasks,
-converted from the packed rows by `int_masks`. Do not optimize this module.
+converted from the packed rows by `int_masks`. `QuadraticField` is the
+F_{p^2} arithmetic behind the re-embedding flag of d = 1 (mod 4)
+unit-distance reports, which the package only states. Do not optimize this
+module.
 """
 
 import math
@@ -25,6 +28,7 @@ import numpy as np
 
 from ffil.bigraph import BipartiteGraph, Pattern
 from ffil.errors import DomainError, ResourceLimitError
+from ffil.gf import is_prime
 from ffil.geometry import (
     AffineFlat,
     FlatRecord,
@@ -365,3 +369,40 @@ def tensor_poly(ctx, coef: np.ndarray) -> MultiPoly:
     exps = np.argwhere(coef)
     coeffs = coef[tuple(exps.T)].tolist()
     return MultiPoly(ctx, coef.ndim, dict(zip(map(tuple, exps.tolist()), coeffs)))
+
+
+class QuadraticField:
+    """F_{p^2} = F_p[a] / (a^2 + 1) for a prime p = 3 (mod 4), which makes
+    a^2 + 1 irreducible; x + y*a is the pair (x, y)."""
+
+    zero, one = (0, 0), (1, 0)
+
+    def __init__(self, p: int):
+        if not is_prime(p) or p % 4 != 3:
+            raise DomainError("quadratic extension needs a prime p = 3 (mod 4)")
+        self.p = p
+
+    def add(self, x, y):
+        return ((x[0] + y[0]) % self.p, (x[1] + y[1]) % self.p)
+
+    def sub(self, x, y):
+        return ((x[0] - y[0]) % self.p, (x[1] - y[1]) % self.p)
+
+    def mul(self, x, y):
+        (a, b), (c, d) = x, y
+        return ((a * c - b * d) % self.p, (a * d + b * c) % self.p)
+
+    def embed(self, points) -> list:
+        """(x_1, .., x_d) -> (x_1, .., x_{d-1}, a * x_d) for F_p points."""
+        p = self.p
+        return [tuple((int(c) % p, 0) for c in pt[:-1]) + ((0, int(pt[-1]) % p),) for pt in points]
+
+    def norm_sq(self, v):
+        """The standard form: the sum of the squared coordinates."""
+        acc = self.zero
+        for c in v:
+            acc = self.add(acc, self.mul(c, c))
+        return acc
+
+    def unit_distance(self, u, v) -> bool:
+        return self.norm_sq([self.sub(a, b) for a, b in zip(u, v)]) == self.one

@@ -473,3 +473,35 @@ def test_oversized_random_polynomials_exit_3_before_any_draw(argv):
     assert r.returncode == 3
     [line] = r.stderr.splitlines()
     assert line.startswith("resource error:")
+
+
+def test_a_warning_is_one_stderr_line_without_a_source_location(tmp_path):
+    # warnings stay on: the construction's UserWarning reaches stderr as one
+    # line, whatever the layout of the source files
+    env = dict(os.environ, PYTHONPATH=SRC)
+    env.pop("PYTHONWARNINGS", None)
+    r = subprocess.run([sys.executable, "-m", "ffil.cli", "zarankiewicz", "--p", "31", "--d1", "2",
+                        "--d2", "2", "--m", "400", "--n", "400", "--s", "4", "--seed", "1",
+                        "--output", str(tmp_path / "r.json")], capture_output=True, text=True, env=env)
+    assert r.returncode == 0
+    assert r.stderr == (
+        "warning: s^2 = 16 exceeds min(delta, sqrt(p)) = 5: point values are not guaranteed "
+        "independent at this scale; freeness is still verified exactly\n"
+    )
+
+
+@pytest.mark.parametrize("category", [RuntimeWarning, DeprecationWarning])
+def test_error_warning_filters_still_raise_from_a_command(tmp_path, monkeypatch, category):
+    # pyproject.toml turns these categories into errors; main must not record them away
+    import warnings
+
+    import ffil.cli
+
+    def warn(args, rng):
+        warnings.warn("checked", category)
+        return {"verification": {}}, None
+
+    monkeypatch.setattr(ffil.cli, "cmd_indep_set", warn)
+    with pytest.raises(category, match="checked"):
+        ffil.cli.main(["indep-set", "--n", "1", "--m", "0", "--k", "2", "--seed", "1",
+                       "--output", str(tmp_path / "r.json")])

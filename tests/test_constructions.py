@@ -26,7 +26,7 @@ from ffil.mpoly import (
 from ffil.rng import Rng
 
 from oracles import brute_kss
-from search_reference import tensor_poly
+from search_reference import QuadraticField, tensor_poly
 
 
 def test_integer_nth_root():
@@ -257,18 +257,19 @@ def test_unit_distance_replayable():
 
 def test_unit_distance_d5_extension_branch():
     # the graph is built over F_3 under the dimension form; every pair of it
-    # must match the scalar F_9 relation of the re-embedded points
-    one = (1, 0)
+    # must match the standard F_9 relation of the reference-embedded points
+    ext = QuadraticField(3)
     for seed, size in ((42, 111), (1, 145)):
         inst = unit_distance_instance(None, 5, Rng(seed), p=3, s=4)
         rep, g = inst.report, inst.graph
         assert rep.achieved["U_size"] == 81
-        assert rep.achieved["P_size"] == size == g.m == g.n
-        assert inst.form.ctx.kind == "ext"
+        assert rep.achieved["P_size"] == size == g.m == g.n == len(inst.points)
+        assert inst.form == BilinearForm.for_dim(FieldCtx.prime(3), 5)
         assert "re-embedded over the quadratic extension (d = 1 mod 4)" in rep.flags
-        for i, x in enumerate(inst.points):
-            for j, y in enumerate(inst.points):
-                assert g.has_edge(i, j) == (inst.form.norm_sq(inst.form.diff(x, y)) == one)
+        emb = ext.embed(inst.points)
+        for i, x in enumerate(emb):
+            for j, y in enumerate(emb):
+                assert g.has_edge(i, j) == ext.unit_distance(x, y)
         assert rep.achieved["unit_distances"] * 2 == g.edge_count()
         # witness, if any, is genuine: all pairs at unit distance
         ver = rep.verification
@@ -276,8 +277,7 @@ def test_unit_distance_d5_extension_branch():
             S, T = ver["witness"]
             for i in S:
                 for j in T:
-                    d = inst.form.diff(inst.points[i], inst.points[j])
-                    assert inst.form.norm_sq(d) == one
+                    assert ext.unit_distance(emb[i], emb[j])
             assert ver["smallest_free_s"] is None or ver["smallest_free_s"] > rep.params["s"]
 
 
@@ -326,7 +326,7 @@ def test_unit_distance_roots_exactly_the_whole_grid(d, p, strategy):
         whole = d <= 3 and n != size - 1
         assert (inst.report.counters["rooted_searches"] > 0) == whole
         if whole:
-            assert np.array_equal(inst.prime_points, domain_points(p, d))
+            assert np.array_equal(inst.points, domain_points(p, d))
 
 
 def test_unit_distance_full_grid_builds_no_pair_matrix(monkeypatch):

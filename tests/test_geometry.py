@@ -11,7 +11,6 @@ from ffil import (
     FieldCtx,
     ResourceLimitError,
     Sphere,
-    embed_to_standard_norm,
     flats_in_sphere_check,
     intersect_spheres_to_flat,
     isotropic_unit_pair_search,
@@ -24,7 +23,7 @@ import ffil.mpoly
 from ffil.geometry import intersection_flats, sphere_family_check
 from ffil.mpoly import _plan, domain_points, lex_points
 from ffil.rng import Rng
-from search_reference import is_totally_isotropic
+from search_reference import QuadraticField, is_totally_isotropic
 
 
 def grid(p, d):
@@ -341,15 +340,6 @@ def test_unit_distance_graph_examples():
         unit_distance_graph([(0, 0, 0)], form)
 
 
-def test_unit_distance_graph_rejects_extension_form():
-    # re-embedded F_{p^2} points are never graphed; their F_p preimages are,
-    # under BilinearForm.for_dim
-    ext = FieldCtx.quadratic(7)
-    pts = embed_to_standard_norm([(0, 0), (1, 0)], ext)
-    with pytest.raises(DomainError):
-        unit_distance_graph(pts, BilinearForm.standard(ext, 2))
-
-
 def test_bipartite_double_view():
     ctx = FieldCtx.prime(7)
     form = BilinearForm.standard(ctx, 2)
@@ -360,36 +350,37 @@ def test_bipartite_double_view():
 
 
 def test_embed_to_standard_norm_equivalence():
-    # pairwise unit relation is preserved exactly through the embedding
+    # pairwise unit relation is preserved exactly through the reference embedding
     p, d = 3, 5
     ctx = FieldCtx.prime(p)
-    ext = FieldCtx.quadratic(p)
+    ext = QuadraticField(p)
     form_d = BilinearForm.for_dim(ctx, d)
-    form_std = BilinearForm.standard(ext, d)
     rng = Rng(64)
     pts = grid(p, d)
     sample = [pts[rng.randbelow(len(pts))] for _ in range(50)]
-    emb = embed_to_standard_norm(sample, ext)
-    one = (1, 0)
+    emb = ext.embed(sample)
     for i in range(len(sample)):
         for j in range(i + 1, len(sample)):
             pre = form_d.norm_sq(form_d.diff(sample[i], sample[j])) == 1
-            post = form_std.norm_sq(form_std.diff(emb[i], emb[j])) == one
-            assert pre == post, (sample[i], sample[j])
+            assert pre == ext.unit_distance(emb[i], emb[j]), (sample[i], sample[j])
+    # the standard norm of an image is the dimension norm of its point
+    for x, y in zip(pts, ext.embed(pts)):
+        assert ext.norm_sq(y) == (form_d.norm_sq(x), 0)
 
 
 def test_embed_examples():
-    ext = FieldCtx.quadratic(3)
+    ext = QuadraticField(3)
     ctx = FieldCtx.prime(3)
     d = 5
     form_d = BilinearForm.for_dim(ctx, d)
     e_d = (0, 0, 0, 0, 1)
     assert form_d.norm_sq(e_d) == 2  # -1 mod 3: e_d is not unit under the form
-    emb = embed_to_standard_norm([(0,) * d, e_d], ext)
-    diff = BilinearForm.standard(ext, d).diff(emb[1], emb[0])
-    assert BilinearForm.standard(ext, d).norm_sq(diff) == (2, 0)  # alpha^2 = -1
+    emb = ext.embed([(0,) * d, e_d])
+    assert emb == [((0, 0),) * d, ((0, 0),) * (d - 1) + ((0, 1),)]
+    diff = [ext.sub(a, b) for a, b in zip(emb[1], emb[0])]
+    assert ext.norm_sq(diff) == (2, 0)  # alpha^2 = -1
     with pytest.raises(DomainError):
-        embed_to_standard_norm([(0,) * d], ctx)
+        QuadraticField(13)  # 13 = 1 mod 4: a^2 + 1 splits
 
 
 def test_incidence_hosts_avoid_staircase_pattern_p5():

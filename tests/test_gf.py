@@ -5,20 +5,29 @@ from ffil.gf import _inverse_mod
 from ffil.rng import Rng
 
 from oracles import trial_division_prime
+from search_reference import QuadraticField
 
 
-def _raw(ctx, rng):
-    if ctx.kind == "prime":
-        return rng.randbelow(ctx.p)
-    return (rng.randbelow(ctx.p), rng.randbelow(ctx.p))
+def _ops(field):
+    """(add, sub, mul, zero, one) of a prime context or a reference F_{p^2}."""
+    if isinstance(field, QuadraticField):
+        return field.add, field.sub, field.mul, field.zero, field.one
+    p = field.p
+    return (lambda x, y: (x + y) % p), (lambda x, y: (x - y) % p), (lambda x, y: x * y % p), 0, 1
 
 
-def _power(ctx, x, e):
-    out = 1 if ctx.kind == "prime" else (1, 0)
+def _raw(field, rng):
+    if isinstance(field, QuadraticField):
+        return (rng.randbelow(field.p), rng.randbelow(field.p))
+    return rng.randbelow(field.p)
+
+
+def _power(field, x, e):
+    _, _, mul, _, out = _ops(field)
     while e:
         if e & 1:
-            out = ctx.mul(out, x)
-        x = ctx.mul(x, x)
+            out = mul(out, x)
+        x = mul(x, x)
         e >>= 1
     return out
 
@@ -39,7 +48,7 @@ def test_inverse_identity_and_zero():
 
 
 def test_inverse_alpha_in_f49():
-    ext = FieldCtx.quadratic(7)
+    ext = QuadraticField(7)
     assert ext.mul((0, 1), (0, 6)) == (1, 0)  # alpha * (-alpha) = 1
 
 
@@ -75,35 +84,37 @@ def test_sqrt_minus_one():
     # p = 3 (mod 4): F_p has no square root of -1, and alpha is one in F_{p^2}
     for p in (3, 7, 11, 19):
         assert all(y * y % p != p - 1 for y in range(p))
-        assert FieldCtx.quadratic(p).mul((0, 1), (0, 1)) == (p - 1, 0)
+        assert QuadraticField(p).mul((0, 1), (0, 1)) == (p - 1, 0)
 
 
 def test_ctx_validation():
     with pytest.raises(DomainError):
         FieldCtx.prime(6)
     with pytest.raises(DomainError):
-        FieldCtx.quadratic(5)  # 5 = 1 mod 4
+        QuadraticField(5)  # 5 = 1 mod 4
     with pytest.raises(DomainError):
         FieldCtx.prime(2**31 + 11)
+    assert FieldCtx.__slots__ == ("p",)
+    assert FieldCtx(7) == FieldCtx.prime(7) != FieldCtx.prime(11)
 
 
 def test_field_axioms_property():
     rng = Rng(2024)
-    ctxs = [FieldCtx.prime(7), FieldCtx.prime(101), FieldCtx.quadratic(7), FieldCtx.quadratic(19)]
+    fields = [FieldCtx.prime(7), FieldCtx.prime(101), QuadraticField(7), QuadraticField(19)]
     for _ in range(10_000):
-        ctx = ctxs[rng.randbelow(len(ctxs))]
-        add, mul = ctx.add, ctx.mul
-        x, y, z = (_raw(ctx, rng) for _ in range(3))
+        field = fields[rng.randbelow(len(fields))]
+        add, sub, mul, zero, _ = _ops(field)
+        x, y, z = (_raw(field, rng) for _ in range(3))
         assert add(add(x, y), z) == add(x, add(y, z))
         assert mul(x, add(y, z)) == add(mul(x, y), mul(x, z))
-        assert ctx.sub(add(x, y), y) == x
-        if x == ctx.zero_raw():
+        assert sub(add(x, y), y) == x
+        if x == zero:
             continue
-        if ctx.kind == "prime":
-            assert mul(x, _inverse_mod(x, ctx.p)) == 1
+        if isinstance(field, FieldCtx):
+            assert mul(x, _inverse_mod(x, field.p)) == 1
         else:
             # x times its conjugate is its norm: a nonzero element of F_p
-            norm = mul(x, (x[0], -x[1] % ctx.p))
+            norm = mul(x, (x[0], -x[1] % field.p))
             assert norm[1] == 0 and norm[0] != 0
 
 
@@ -116,7 +127,7 @@ def test_frobenius_small_primes():
         p = find_prime(p)
     # on F_{p^2} the Frobenius map is conjugation: alpha^p = -alpha
     for p in (3, 7):
-        ext = FieldCtx.quadratic(p)
+        ext = QuadraticField(p)
         for a in range(p):
             for b in range(p):
                 assert _power(ext, (a, b), p) == (a, -b % p)
@@ -124,7 +135,7 @@ def test_frobenius_small_primes():
 
 def test_extension_arithmetic_consistency():
     # (a + b*alpha)(c + d*alpha) against the defining relation, exhaustively for p = 3
-    ext = FieldCtx.quadratic(3)
+    ext = QuadraticField(3)
     pairs = [(a, b) for a in range(3) for b in range(3)]
     for a, b in pairs:
         for c, d in pairs:

@@ -88,7 +88,7 @@ def test_rooted_unit_distance_block_has_the_closed_form_width(d, p):
     # the rooted host is the p^d x |S| block of the grid against the origin
     # unit sphere S, so every count the report derives from it is p^d |S|
     inst = unit_distance_instance(None, d, Rng(1), p=p, s=4)
-    width = quadric_count(inst.prime_form.signature, 1, p)
+    width = quadric_count(inst.form.signature, 1, p)
     assert inst.report.counters["rooted_searches"] > 0
     assert inst.report.achieved["cross_pairs"] == p**d * width
     assert 2 * inst.report.achieved["unit_distances"] == p**d * width
