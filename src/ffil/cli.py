@@ -109,7 +109,7 @@ def _load_json(path, counts, index_lists) -> dict:
         raise DomainError(f"{path} is not JSON: {exc}") from None
 
     def count(v):
-        return isinstance(v, int) and v >= 0
+        return isinstance(v, int) and not isinstance(v, bool) and v >= 0
 
     if not (
         isinstance(data, dict)
@@ -273,9 +273,9 @@ def cmd_sphere_geometry(args, rng):
     if args.kmax < 2:
         raise DomainError("--kmax must be >= 2: each family intersects at least two spheres")
     ctx = FieldCtx.prime(args.p)
-    form = geo.BilinearForm.standard(ctx, args.d)
     p, d = args.p, args.d
-    _check_enum_cap(p, d)  # the sphere tables' cap, before any draw
+    _check_enum_cap(p, d)  # the sphere tables' cap, before the form and any draw
+    form = geo.BilinearForm.standard(ctx, d)
     families = []
     for fi in range(args.families):
         r = rng.derive(fi)

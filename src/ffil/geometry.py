@@ -9,6 +9,10 @@ lexicographic codes (a point's row index in `domain_points`). The flats of
 `flats_in_sphere_check` test membership in the sphere by one lookup in a
 packed table of p^d bits, `sphere_family_check` tests it by polarization,
 and both are blocked array passes that never list the grid.
+`isotropic_unit_pair_search` is the same flats walk rooted at the origin
+sphere's lex-first point s_0: a pair (V, w) is a k-flat w + V in the sphere,
+and O(Q) is transitive on the sphere (Witt), so one exists iff one passes
+through s_0, the least point of every flat through it.
 
 Every product of point arrays through the form B is one `BilinearForm.gram`
 call. As p is odd, pair norms follow by polarization, Q(a - b) = Q(a) +
@@ -18,7 +22,7 @@ grid under `mpoly.ENUM_CAP`).
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
 
@@ -358,31 +362,11 @@ _FLAT_CELLS = 1 << 13
 
 def flats_in_sphere_check(sphere: Sphere, dim_cap: int) -> SphereFlatsReport:
     """Enumerate every flat of dimension <= dim_cap contained in the sphere
-    and check two identities on each: total isotropy of the flat, and
-    <x - w, x - y> = 0 for all flat points x, y (w the center).
-
-    Level r lists the r-flats in the point set S by sorted lex codes, with
-    base = least point and basis = RREF of the directions: the record of the
-    walk (the test reference) closing each flat of level r - 1, in discovery
-    order, with the points of S off it, a closure recorded at the first flat
-    F finding it, with F's base. By induction the walk finds each level in
-    nondecreasing least point, base = least point: level 0 is S in lex order,
-    and the (r - 1)-flats of an r-flat C through C's least point come first.
-
-    Membership in S is one lookup in a packed p^d-bit table. A level is one
-    pass over the pairs (F, q), x the base of F, keeping C = F + F_p (q - x)
-    at one pair: q least in C off F, F spanned by its points below q (so x is
-    least in C, other (r - 1)-flats in C miss a point below q, and q spans C
-    last). Pairs with q after F's last spanning point and 2q - x in S are
-    kept if their cosets F + t(q - x), 0 < t < p, are in S and not below q.
-    """
+    (the levels of `_flat_levels` from every point of it) and check two
+    identities on each: total isotropy of the flat, and <x - w, x - y> = 0
+    for all flat points x, y (w the center)."""
     form, (p, d) = sphere.form, (sphere.form.ctx.p, sphere.form.dim)
-    arr = np.array(sphere_points(sphere), dtype=np.int64).reshape(-1, d)
-    codes = arr @ _lex_weights(p, d)  # increasing: the points are in lex order
-    table = _pack_codes(codes, p**d)
-    levels = [(codes[:, None], arr[:, None])]  # flats as sorted codes and spanning points
-    while len(levels) <= dim_cap and (level := _flat_level(*levels[-1], arr, codes, table, p)):
-        levels.append(level)
+    levels = _flat_levels(np.array(sphere_points(sphere), dtype=np.int64).reshape(-1, d), p, dim_cap, False)
     report = SphereFlatsReport()
     for r, (rows, gens) in enumerate(levels):
         # <x - w, x - y> = G[x, x] - G[x, y], G the Gram matrix of the x - w,
@@ -400,13 +384,55 @@ def flats_in_sphere_check(sphere: Sphere, dim_cap: int) -> SphereFlatsReport:
     return report
 
 
-def _flat_level(rows, gens, arr, codes, table, p):
-    """The level after (rows, gens) in `flats_in_sphere_check`, or None if it is empty."""
+def _flat_levels(arr, p, dim_cap, rooted):
+    """The flats of dimension <= dim_cap in the set S of the lex-sorted rows
+    of `arr`: level r is (rows, gens), the r-flats as sorted lex codes, in lex
+    order, and as r + 1 spanning points, base = least point; level 0, then
+    each level up to the last nonempty one. `rooted` starts from S's least
+    point s_0 alone, so it lists the flats through s_0, and ends its last
+    level at the first pass block that yields a flat.
+
+    Level r is the record of the walk (the test reference) closing each flat
+    of level r - 1, in discovery order, with the points of S off it, a
+    closure recorded at the first flat F finding it, with F's base. By
+    induction each level comes in nondecreasing least point, base = least
+    point, as the (r - 1)-flats of an r-flat C through its least point come
+    first.
+
+    Membership in S is one lookup in a packed p^d-bit table. A level is one
+    pass over the pairs (F, q), x the base of F, keeping C = F + F_p (q - x)
+    at one pair: q least in C off F, F spanned by its points below q (so x is
+    least in C, other (r - 1)-flats in C miss a point below q, and q spans C
+    last). Pairs with q after F's last spanning point and 2q - x in S are
+    kept if their cosets F + t(q - x), 0 < t < p, are in S and not below q.
+    """
+    codes = arr @ _lex_weights(p, d := arr.shape[1])  # increasing: the points are in lex order
+    table, roots = _pack_codes(codes, p**d), 1 if rooted else len(arr)
+    levels = [(codes[:roots, None], arr[:roots, None])]  # flats as sorted codes and spanning points
+    while len(levels) <= dim_cap:
+        (rows, gens), pairs = levels[-1], []
+        for kept in _level_pairs(rows, gens, arr, codes, table, p):
+            pairs.append(kept)
+            if rooted and len(levels) == dim_cap and kept.size:
+                break
+        f, q = np.concatenate(pairs, axis=1)
+        if not len(f):
+            break
+        block = max(1, _FLAT_CELLS // (p * rows.shape[1] * d))
+        cl = np.concatenate([np.sort(_cosets(rows, arr, f[lo : lo + block], q[lo : lo + block], np.arange(p), p)
+                                     .reshape(-1, p * rows.shape[1])) for lo in range(0, len(f), block)])
+        order = np.lexsort(cl.T[::-1])
+        levels.append((cl[order], np.concatenate([gens[f], arr[q, None]], axis=1)[order]))
+    return levels
+
+
+def _level_pairs(rows, gens, arr, codes, table, p):
+    """The kept pairs (F, q) of the level after (rows, gens), as (2, n) arrays, one per pass block."""
     (nf, m), (n, d), weights = rows.shape, arr.shape, _lex_weights(p, arr.shape[1])
     pts, last, twice = lex_points(rows[:, 0], p, d), gens[:, -1] @ weights, 2 * arr % p
     twice_codes = twice @ weights
     fb = max(1, _FLAT_CELLS // m // (qb := min(n, _FLAT_CELLS // m) or 1))
-    pairs, todo, size = [], [np.zeros((2, 0), dtype=np.int64)], 0
+    todo, size = [np.zeros((2, 0), dtype=np.int64)], 0
     for lo in range(0, nf, fb):
         blk = slice(lo, lo + fb)
         for qlo in range(np.count_nonzero(codes <= last[blk].min()), n, qb):
@@ -417,17 +443,9 @@ def _flat_level(rows, gens, arr, codes, table, p):
                 two += p * wi * (twice[q, i] < pts[blk, i, None])
             todo.append(np.stack(np.nonzero(_unpack(table, two) & (codes[q] > last[blk, None]))) + [[lo], [qlo]])
             if (size := size + todo[-1].shape[1]) * m * d >= _FLAT_CELLS:
-                pairs.append(_coset_filter(todo, rows, arr, codes, table, p))
+                yield _coset_filter(todo, rows, arr, codes, table, p)
                 todo, size = todo[:1], 0
-    f, q = np.concatenate(pairs + [_coset_filter(todo, rows, arr, codes, table, p)], axis=1)
-    block = max(1, _FLAT_CELLS // (p * m * d))
-    cl = [np.sort(_cosets(rows, arr, f[lo : lo + block], q[lo : lo + block], np.arange(p), p).reshape(-1, p * m))
-          for lo in range(0, len(f), block)]
-    if not cl:
-        return None
-    cl = np.concatenate(cl)
-    order = np.lexsort(cl.T[::-1])
-    return cl[order], np.concatenate([gens[f], arr[q, None]], axis=1)[order]
+    yield _coset_filter(todo, rows, arr, codes, table, p)
 
 
 def _coset_filter(todo, rows, arr, codes, table, p):
@@ -448,70 +466,27 @@ def _cosets(rows, arr, f, q, ts, p):
     return (pts + ts[:, None, None] * step[:, None, None]) % p @ _lex_weights(p, arr.shape[1])
 
 
-def _rref_row_candidates(p, d, pivot, other_pivots):
-    """All RREF rows with leading 1 at `pivot`: zeros before it and at the
-    other pivot columns, free entries elsewhere."""
-    free = [c for c in range(pivot + 1, d) if c not in other_pivots]
-    if not free:
-        rows = np.zeros((1, d), dtype=np.int64)
-    else:
-        combos = domain_points(p, len(free))
-        rows = np.zeros((combos.shape[0], d), dtype=np.int64)
-        rows[:, free] = combos
-    rows[:, pivot] = 1
-    return rows
-
-
 def isotropic_unit_pair_search(form: BilinearForm):
-    """Exhaustive search for (V, w): a totally isotropic k-flat V and a
-    norm-1 vector w orthogonal to V, in odd dimension d = 2k + 1.
+    """Exhaustive search for (V, w): a totally isotropic k-space V and a
+    norm-1 vector w orthogonal to V, in odd dimension d = 2k + 1. Returns
+    (V as a flat through 0, w = s_0) for the first k-flat w + V that the
+    rooted walk of `_flat_levels` finds in the origin unit sphere S, or None.
 
-    When x^2 = -1 has no root in F_p no such pair exists; the search verifies
-    that by exhausting all totally isotropic k-dimensional direction spaces
-    (canonical RREF enumeration) against all unit vectors, taken from the
-    origin sphere table in lexicographic order. Returns the first pair found
-    (deterministic order) or None.
+    This is exact. As p is odd, Q(w + tv) = 1 for every t forces Q(v) = 0
+    and B(w, v) = 0, and B(v, v') = 0 follows from Q(v + v') = 0: the pairs
+    are the k-flats in S. O(Q) fixes 0 and is transitive on S = {Q = 1}
+    (Witt's theorem), so S holds a k-flat iff it holds one through its
+    lex-first point s_0. s_0 is the least point of every flat through it,
+    so those flats are exactly the rooted walk's.
     """
     d = form.dim
     if d % 2 == 0:
         raise DomainError("search is defined for odd dimensions d = 2k + 1")
-    p = form.ctx.p
-    k = (d - 1) // 2
-    units = _origin_sphere_points(form)
-    if k == 0:
-        if units.shape[0]:
-            w = tuple(int(v) for v in units[0])
-            return AffineFlat(form.ctx, d, (0,) * d, []), w
+    levels = _flat_levels(_origin_sphere_points(form), form.ctx.p, d // 2, True)
+    if len(levels) <= d // 2 or not len(levels[-1][1]):
         return None
-    for pivots in combinations(range(d), k):
-        pivot_set = set(pivots)
-        cands = []
-        for piv in pivots:
-            rows = _rref_row_candidates(p, d, piv, pivot_set - {piv})
-            cands.append(rows[form.norms_of_rows(rows) == 0])
-        hit = _extend_isotropic(form, units, cands, [])
-        if hit is not None:
-            basis, w = hit
-            flat = AffineFlat(form.ctx, d, (0,) * d, [tuple(int(v) for v in b) for b in basis])
-            return flat, tuple(int(v) for v in w)
-    return None
-
-
-def _extend_isotropic(form, units, cands, chosen):
-    """One isotropic row per pivot, each orthogonal to the rows before it,
-    then the first unit vector orthogonal to all of them."""
-    depth = len(chosen)
-    if depth == len(cands):
-        sols = units[~form.gram(chosen, units).any(axis=0)]
-        return (list(chosen), sols[0]) if len(sols) else None
-    pool = cands[depth]
-    if chosen:
-        pool = pool[~form.gram(chosen, pool).any(axis=0)]
-    for row in pool:
-        hit = _extend_isotropic(form, units, cands, chosen + [row])
-        if hit is not None:
-            return hit
-    return None
+    flat = _affine_closure(form.ctx, levels[-1][1][0].tolist())
+    return AffineFlat(form.ctx, d, (0,) * d, flat.basis), flat.base
 
 
 # -- unit-distance graphs ---------------------------------------------------

@@ -7,8 +7,11 @@ search has since gained the kernel's twin rule, and keeps the plain search
 behind `twins=False`), and with them
 the scalar `is_totally_isotropic` and the per-family loop of the
 `sphere-geometry` command as `sphere_family_check` (point sets of tuples
-over the whole grid), and the pattern-layer loops `_collect` (one frozenset
-per point) and `shatter_function` (one set of traces per k-subset). The
+over the whole grid), `isotropic_unit_pair_search` as the canonical RREF
+enumeration of totally isotropic direction spaces it was before the package
+answered it from the rooted flats walk, and the pattern-layer loops
+`_collect` (one frozenset per point) and `shatter_function` (one set of
+traces per k-subset). The
 fast kernels in `ffil` must return the same witness, raise
 `ResourceLimitError` at the same caps, list the same flats and patterns and
 give the same family verdicts and shatter values. The polynomial layer keeps
@@ -23,6 +26,7 @@ module.
 """
 
 import math
+from itertools import combinations
 
 import numpy as np
 
@@ -31,13 +35,15 @@ from ffil.errors import DomainError, ResourceLimitError
 from ffil.gf import is_prime
 from ffil.geometry import (
     AffineFlat,
+    BilinearForm,
     FlatRecord,
     Sphere,
     SphereFlatsReport,
     _affine_closure,
+    _origin_sphere_points,
     sphere_points,
 )
-from ffil.mpoly import ENUM_CAP, MultiPoly, monomials_upto
+from ffil.mpoly import ENUM_CAP, MultiPoly, domain_points, monomials_upto
 from ffil.patterns import PatternFamily, SetSystem
 
 PROBE_CAP = 10**8
@@ -317,6 +323,72 @@ def flats_in_sphere_check(sphere: Sphere, dim_cap: int, cap: int = ENUM_CAP) -> 
                     break
             report.entries.append(FlatRecord(flat.dim, flat.base, flat.basis, iso, radial))
     return report
+
+
+def _rref_row_candidates(p, d, pivot, other_pivots):
+    """All RREF rows with leading 1 at `pivot`: zeros before it and at the
+    other pivot columns, free entries elsewhere."""
+    free = [c for c in range(pivot + 1, d) if c not in other_pivots]
+    if not free:
+        rows = np.zeros((1, d), dtype=np.int64)
+    else:
+        combos = domain_points(p, len(free))
+        rows = np.zeros((combos.shape[0], d), dtype=np.int64)
+        rows[:, free] = combos
+    rows[:, pivot] = 1
+    return rows
+
+
+def isotropic_unit_pair_search(form: BilinearForm):
+    """Exhaustive search for (V, w): a totally isotropic k-flat V and a
+    norm-1 vector w orthogonal to V, in odd dimension d = 2k + 1.
+
+    When x^2 = -1 has no root in F_p no such pair exists; the search verifies
+    that by exhausting all totally isotropic k-dimensional direction spaces
+    (canonical RREF enumeration) against all unit vectors, taken from the
+    origin sphere table in lexicographic order. Returns the first pair found
+    (deterministic order) or None.
+    """
+    d = form.dim
+    if d % 2 == 0:
+        raise DomainError("search is defined for odd dimensions d = 2k + 1")
+    p = form.ctx.p
+    k = (d - 1) // 2
+    units = _origin_sphere_points(form)
+    if k == 0:
+        if units.shape[0]:
+            w = tuple(int(v) for v in units[0])
+            return AffineFlat(form.ctx, d, (0,) * d, []), w
+        return None
+    for pivots in combinations(range(d), k):
+        pivot_set = set(pivots)
+        cands = []
+        for piv in pivots:
+            rows = _rref_row_candidates(p, d, piv, pivot_set - {piv})
+            cands.append(rows[form.norms_of_rows(rows) == 0])
+        hit = _extend_isotropic(form, units, cands, [])
+        if hit is not None:
+            basis, w = hit
+            flat = AffineFlat(form.ctx, d, (0,) * d, [tuple(int(v) for v in b) for b in basis])
+            return flat, tuple(int(v) for v in w)
+    return None
+
+
+def _extend_isotropic(form, units, cands, chosen):
+    """One isotropic row per pivot, each orthogonal to the rows before it,
+    then the first unit vector orthogonal to all of them."""
+    depth = len(chosen)
+    if depth == len(cands):
+        sols = units[~form.gram(chosen, units).any(axis=0)]
+        return (list(chosen), sols[0]) if len(sols) else None
+    pool = cands[depth]
+    if chosen:
+        pool = pool[~form.gram(chosen, pool).any(axis=0)]
+    for row in pool:
+        hit = _extend_isotropic(form, units, cands, chosen + [row])
+        if hit is not None:
+            return hit
+    return None
 
 
 def _collect(pts, member_matrix) -> PatternFamily:

@@ -101,9 +101,15 @@ ZP = ("zero-patterns", "--p", "3", "--vars", "1", "--k", "1", "--degree", "1", "
         (b'{"ground": 3, "members": [[0], [-1]]}', ("shatter", "--k", "2", "--input")),
         (b"{ground", ("shatter", "--k", "2", "--input")),
         (b'{"n": 5, "k": 2}', ("indep-set", "--n", "5", "--m", "1", "--k", "2", "--hypergraph")),
+        # bool is a subclass of int: the first two used to end in a TypeError
+        # and an IndexError traceback, and the third read as the edge [0, 1]
+        (b'{"ground": true, "members": [[0]]}', ("shatter", "--k", "2", "--input")),
+        (b'{"ground": 3, "members": [[true]]}', ("shatter", "--k", "2", "--input")),
+        (b'{"n": 3, "k": 2, "edges": [[0, true]]}',
+         ("indep-set", "--n", "3", "--m", "1", "--k", "2", "--hypergraph")),
     ],
     ids=["poly-token", "missing-file", "not-text", "graph-token", "no-members",
-         "negative-member", "not-json", "no-edges"],
+         "negative-member", "not-json", "no-edges", "bool-ground", "bool-member", "bool-edge"],
 )
 def test_malformed_input_exit_1(tmp_path, data, args):
     path = tmp_path / "input"
@@ -307,6 +313,24 @@ def test_grid_over_cap_exit_3_before_any_grid(command, d):
     assert r.returncode == 3, r.stderr
     assert "Traceback" not in r.stderr
     assert r.stderr.startswith("resource error:")
+
+
+def test_sphere_geometry_checks_the_cap_before_building_the_form(capsys):
+    # the form's d-entry signature used to be built first: 0.9 s and about
+    # 180 MB before the exit 3 at --d 10^7
+    import tracemalloc
+
+    import ffil.cli
+
+    tracemalloc.start()
+    try:
+        code = ffil.cli.main(["sphere-geometry", "--p", "3", "--d", "10000000", "--seed", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert peak < 10 * 2**20
+    assert capsys.readouterr().err.startswith("resource error:")
 
 
 def test_pattern_scan_samples_sub_hosts_without_the_whole_host(tmp_path):

@@ -37,9 +37,12 @@ from ffil.geometry import (
     AffineFlat,
     BilinearForm,
     Sphere,
+    _affine_closure,
+    _flat_levels,
     flats_in_sphere_check,
     intersect_spheres_to_flat,
     intersection_flats,
+    isotropic_unit_pair_search,
     point_sphere_incidence,
     sphere_family_check,
     sphere_points,
@@ -504,6 +507,74 @@ def test_flat_checks_match_reference_off_the_sphere(monkeypatch):
         (False, False), (True, False), (True, True)
     }
     assert got.entries == ref.flats_in_sphere_check(sphere, 2).entries
+
+
+@pytest.mark.parametrize("p, d, dim_cap", FLAT_CASES)
+@pytest.mark.parametrize("sig", sorted(SIGNATURES))
+def test_rooted_walk_lists_the_reference_flats_through_the_least_point(p, d, dim_cap, sig):
+    # rooted at the origin sphere's lex-first point s_0, the walk lists the
+    # reference's flats with base s_0, level by level; the last level of a
+    # walk stops at its first pass block that yields a flat, so one level
+    # deeper every compared level is whole
+    form = BilinearForm(FieldCtx.prime(p), SIGNATURES[sig](d))
+    sphere = Sphere(form, (0,) * d)
+    arr = np.array(sphere_points(sphere), dtype=np.int64).reshape(-1, d)
+    s0 = tuple(arr[0].tolist()) if len(arr) else None
+    entries = ref.flats_in_sphere_check(sphere, dim_cap).entries
+    want = [[(e.base, e.basis) for e in entries if e.dim == r and e.base == s0] for r in range(dim_cap + 1)]
+
+    def walk(cap):
+        levels = [[(f.base, f.basis) for f in (_affine_closure(form.ctx, g) for g in gens.tolist())]
+                  for _, gens in _flat_levels(arr, p, cap, True)][: dim_cap + 1]
+        return levels + [[]] * (dim_cap + 1 - len(levels))
+
+    assert walk(dim_cap + 1) == want
+    *whole, last = walk(dim_cap)
+    assert whole == want[:-1]
+    assert all(rec in want[-1] for rec in last) and bool(last) == bool(want[-1])
+
+
+@pytest.mark.parametrize("p, d, dim_cap", FLAT_CASES)
+@pytest.mark.parametrize("sig", sorted(SIGNATURES))
+def test_rooted_walk_lists_the_reference_flats_in_blocks_of_one(monkeypatch, p, d, dim_cap, sig):
+    monkeypatch.setattr(ffil.geometry, "_FLAT_CELLS", 1)
+    test_rooted_walk_lists_the_reference_flats_through_the_least_point(p, d, dim_cap, sig)
+
+
+PAIR_CASES = [
+    (p, sig) for d in (1, 3) for sig in itertools.product((1, -1), repeat=d)
+    for p in (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+] + [
+    (p, sig) for sig in ((1,) * 5, (1,) * 4 + (-1,), (1,) * 3 + (-1,) * 2, (-1,) * 5)
+    for p in (3, 5, 7, 11)
+]
+SMALL_PAIR_CASES = [(p, sig) for p, sig in PAIR_CASES if p <= 5]
+
+
+def _pair_ids(cases):
+    return ["p%d%s" % (p, "".join("+-"[s < 0] for s in sig)) for p, sig in cases]
+
+
+@pytest.mark.parametrize("p, sig", PAIR_CASES, ids=_pair_ids(PAIR_CASES))
+def test_isotropic_unit_pair_search_matches_reference(p, sig):
+    # the rooted flats walk and the RREF enumeration agree on whether a pair
+    # exists, and each pair either returns is a pair
+    form = BilinearForm(FieldCtx.prime(p), sig)
+    got = isotropic_unit_pair_search(form)
+    want = ref.isotropic_unit_pair_search(form)
+    assert (got is None) == (want is None)
+    for flat, w in filter(None, (got, want)):
+        assert form.norm_sq(w) == 1 and all(form.inner(w, b) == 0 for b in flat.basis)
+        assert flat.base == (0,) * len(sig) and flat.dim == len(sig) // 2
+        assert ref.is_totally_isotropic(form, flat)
+
+
+@pytest.mark.parametrize("p, sig", SMALL_PAIR_CASES, ids=_pair_ids(SMALL_PAIR_CASES))
+def test_isotropic_unit_pair_search_matches_reference_in_blocks_of_one(monkeypatch, p, sig):
+    # one pair per pass block: the last level stops at the first block that
+    # yields a flat, not at the first block
+    monkeypatch.setattr(ffil.geometry, "_FLAT_CELLS", 1)
+    test_isotropic_unit_pair_search_matches_reference(p, sig)
 
 
 def _translated(flat):
