@@ -286,16 +286,17 @@ def cmd_sphere_geometry(args, rng):
     verdicts = geo.sphere_family_check(families, geo.intersection_flats(families)) if families else []
     rows = [[fi, len(f), int(i_ok), int(o_ok)] for fi, (f, (i_ok, o_ok)) in enumerate(zip(families, verdicts))]
     failures = sum(not (i_ok and o_ok) for i_ok, o_ok in verdicts)
-    flats_report = geo.flats_in_sphere_check(geo.Sphere(form, (0,) * d), args.flat_dim_cap)
+    counters = {"flat_pairs": 0}
+    flats_report = geo.flats_in_sphere_check(geo.Sphere(form, (0,) * d), args.flat_dim_cap, counters=counters)
     pair_checked = d % 2 == 1
-    pair = geo.isotropic_unit_pair_search(geo.BilinearForm.for_dim(ctx, d)) if pair_checked else None
+    pair = geo.isotropic_unit_pair_search(geo.BilinearForm.for_dim(ctx, d), counters) if pair_checked else None
     pair_expected_none = args.p % 4 == 3
     pair_ok = (pair is None) if (pair_checked and pair_expected_none) else True
     body = {
         "achieved": {
             "families": args.families,
             "identity_failures": failures,
-            "flats_in_unit_sphere": len(flats_report.entries),
+            "flats_in_unit_sphere": sum(flats_report.counts),
             "flats_all_pass": flats_report.all_pass,
             "isotropic_unit_pair_found": pair is not None if pair_checked else None,
         },
@@ -306,6 +307,7 @@ def cmd_sphere_geometry(args, rng):
         },
         "flags": [] if pair_expected_none or not pair_checked
         else ["p = 1 (mod 4): pair search outcome is informational"],
+        "counters": counters,
     }
     return body, (["family", "k", "identity_ok", "orthogonal_ok"], rows)
 

@@ -9,10 +9,13 @@ lexicographic codes (a point's row index in `domain_points`). The flats of
 `flats_in_sphere_check` test membership in the sphere by one lookup in a
 packed table of p^d bits, `sphere_family_check` tests it by polarization,
 and both are blocked array passes that never list the grid.
-`isotropic_unit_pair_search` is the same flats walk rooted at the origin
-sphere's lex-first point s_0: a pair (V, w) is a k-flat w + V in the sphere,
-and O(Q) is transitive on the sphere (Witt), so one exists iff one passes
-through s_0, the least point of every flat through it.
+
+Both flats searches walk from the sphere's lex-first point s_0 alone, the
+least point of every flat through it. O(Q) fixes the center and is
+transitive on the sphere S (Witt's theorem), and keeps both checked
+identities of a flat, so all flats pass iff those through s_0 do, and each
+point lies on the same number F_0(r) of r-flats: S holds |S| F_0(r) / p^r.
+FLAT_PAIR_CAP bounds the pair tests of one walk.
 
 Every product of point arrays through the form B is one `BilinearForm.gram`
 call. As p is odd, pair norms follow by polarization, Q(a - b) = Q(a) +
@@ -26,7 +29,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 from .gf import FieldCtx
 from . import linalg
 from .bigraph import BipartiteGraph, _pack, _pack_codes, _unpack
@@ -35,6 +38,8 @@ from .mpoly import _check_enum_cap, _lex_weights, domain_points, lex_points, mat
 # Rows of the left point array per block of the pairwise-norm sweep, so the
 # temporaries are O(_PAIR_BLOCK * n) whatever the number of pairs.
 _PAIR_BLOCK = 256
+
+FLAT_PAIR_CAP = 5 * 10**7  # pair tests (flat, sphere point) of one flats walk
 
 
 class BilinearForm:
@@ -46,7 +51,9 @@ class BilinearForm:
         if ctx.p == 2:
             raise DomainError("forms require characteristic != 2")
         sig = tuple(int(s) for s in signature)
-        if not sig or any(s not in (1, -1) for s in sig):
+        if not sig:
+            raise DomainError("form dimension must be >= 1, got 0")
+        if any(s not in (1, -1) for s in sig):
             raise DomainError("signature entries must be +1 or -1")
         self.ctx = ctx
         self.dim = len(sig)
@@ -241,17 +248,20 @@ def _origin_sphere_points(form: BilinearForm) -> np.ndarray:
     return pts
 
 
-def sphere_points(sphere: Sphere):
-    """All rational points of the sphere, lexicographic order.
-
-    Computed by translating the memoized origin-centered table.
-    """
-    form = sphere.form
-    p = form.ctx.p
+def _sphere_array(sphere: Sphere) -> np.ndarray:
+    """The sphere's points as int64 rows in lex order (the memoized table itself at the origin)."""
+    form, p = sphere.form, sphere.form.ctx.p
     w = np.array([c % p for c in sphere.center], dtype=np.int64)
-    pts = (_origin_sphere_points(form) + w) % p
-    pts = pts[np.lexsort(pts.T[::-1])]  # the first coordinate is the primary key
-    return [tuple(row) for row in pts.tolist()]
+    pts = _origin_sphere_points(form)
+    if w.any():
+        pts = (pts + w) % p
+        pts = pts[np.lexsort(pts.T[::-1])]  # the first coordinate is the primary key
+    return pts
+
+
+def sphere_points(sphere: Sphere):
+    """All rational points of the sphere, lexicographic order."""
+    return [tuple(row) for row in _sphere_array(sphere).tolist()]
 
 
 # -- sphere intersections and isotropy -------------------------------------
@@ -345,6 +355,10 @@ class FlatRecord:
 
 @dataclass
 class SphereFlatsReport:
+    """counts[r], the number of r-flats in the sphere, from r = 0 up to its
+    largest flats within the cap, and the records of the flats walked."""
+
+    counts: list = field(default_factory=list)
     entries: list = field(default_factory=list)
 
     @property
@@ -359,16 +373,26 @@ class SphereFlatsReport:
 # entries whatever p, k or the count of flats or families, plus O(d) per point or center.
 _FLAT_CELLS = 1 << 13
 
+# Walks of `_flat_levels`: from every point of S; from its least point s_0
+# alone; and from s_0, ending the last level at the first flat found.
+EVERY_POINT, ROOTED, FIRST_FLAT = "every-point", "rooted", "first-flat"
 
-def flats_in_sphere_check(sphere: Sphere, dim_cap: int) -> SphereFlatsReport:
-    """Enumerate every flat of dimension <= dim_cap contained in the sphere
-    (the levels of `_flat_levels` from every point of it) and check two
-    identities on each: total isotropy of the flat, and <x - w, x - y> = 0
-    for all flat points x, y (w the center)."""
+
+def flats_in_sphere_check(sphere: Sphere, dim_cap: int, mode=ROOTED, counters=None) -> SphereFlatsReport:
+    """Count every flat of dimension <= dim_cap contained in the sphere and
+    check two identities on each walked flat: total isotropy of the flat,
+    and <x - w, x - y> = 0 for all flat points x, y (w the center).
+
+    The ROOTED walk records the flats through s_0, and counts |S| F_0(r) / p^r
+    r-flats (module docstring); EVERY_POINT records and counts every flat, on
+    any point set. counters["flat_pairs"] is increased by the pair tests."""
+    if mode == FIRST_FLAT:
+        raise DomainError("a flats check needs whole levels")
     form, (p, d) = sphere.form, (sphere.form.ctx.p, sphere.form.dim)
-    levels = _flat_levels(np.array(sphere_points(sphere), dtype=np.int64).reshape(-1, d), p, dim_cap, False)
+    arr = _sphere_array(sphere)
     report = SphereFlatsReport()
-    for r, (rows, gens) in enumerate(levels):
+    for r, (rows, gens) in enumerate(_flat_levels(arr, p, dim_cap, mode, counters)):
+        report.counts.append(len(rows) if mode == EVERY_POINT else len(arr) * len(rows) // p**r)
         # <x - w, x - y> = G[x, x] - G[x, y], G the Gram matrix of the x - w,
         # for all flats of the level at once, in blocks of rows
         rel = lex_points(rows, p, d).reshape(*rows.shape, d) - np.array(sphere.center)
@@ -384,13 +408,14 @@ def flats_in_sphere_check(sphere: Sphere, dim_cap: int) -> SphereFlatsReport:
     return report
 
 
-def _flat_levels(arr, p, dim_cap, rooted):
+def _flat_levels(arr, p, dim_cap, mode, counters=None):
     """The flats of dimension <= dim_cap in the set S of the lex-sorted rows
     of `arr`: level r is (rows, gens), the r-flats as sorted lex codes, in lex
     order, and as r + 1 spanning points, base = least point; level 0, then
-    each level up to the last nonempty one. `rooted` starts from S's least
-    point s_0 alone, so it lists the flats through s_0, and ends its last
-    level at the first pass block that yields a flat.
+    each level up to the last nonempty one. `mode` starts from every point
+    (EVERY_POINT), or from S's least point s_0 alone, listing the flats
+    through s_0 (ROOTED), and FIRST_FLAT also ends its last level at the
+    first pass block that yields a flat.
 
     Level r is the record of the walk (the test reference) closing each flat
     of level r - 1, in discovery order, with the points of S off it, a
@@ -405,15 +430,19 @@ def _flat_levels(arr, p, dim_cap, rooted):
     least in C, other (r - 1)-flats in C miss a point below q, and q spans C
     last). Pairs with q after F's last spanning point and 2q - x in S are
     kept if their cosets F + t(q - x), 0 < t < p, are in S and not below q.
+    The pairs tested (blocks of F, each against the q after the block's least
+    last spanning point) are added to counters["flat_pairs"]; ResourceLimitError
+    is raised before a block that would take them past FLAT_PAIR_CAP.
     """
     codes = arr @ _lex_weights(p, d := arr.shape[1])  # increasing: the points are in lex order
-    table, roots = _pack_codes(codes, p**d), 1 if rooted else len(arr)
+    table, roots = _pack_codes(codes, p**d), len(arr) if mode == EVERY_POINT else 1
     levels = [(codes[:roots, None], arr[:roots, None])]  # flats as sorted codes and spanning points
+    spent = {"flat_pairs": 0}
     while len(levels) <= dim_cap:
         (rows, gens), pairs = levels[-1], []
-        for kept in _level_pairs(rows, gens, arr, codes, table, p):
+        for kept in _level_pairs(rows, gens, arr, codes, table, p, spent):
             pairs.append(kept)
-            if rooted and len(levels) == dim_cap and kept.size:
+            if mode == FIRST_FLAT and len(levels) == dim_cap and kept.size:
                 break
         f, q = np.concatenate(pairs, axis=1)
         if not len(f):
@@ -423,10 +452,12 @@ def _flat_levels(arr, p, dim_cap, rooted):
                                      .reshape(-1, p * rows.shape[1])) for lo in range(0, len(f), block)])
         order = np.lexsort(cl.T[::-1])
         levels.append((cl[order], np.concatenate([gens[f], arr[q, None]], axis=1)[order]))
+    if counters is not None:
+        counters["flat_pairs"] = counters.get("flat_pairs", 0) + spent["flat_pairs"]
     return levels
 
 
-def _level_pairs(rows, gens, arr, codes, table, p):
+def _level_pairs(rows, gens, arr, codes, table, p, spent):
     """The kept pairs (F, q) of the level after (rows, gens), as (2, n) arrays, one per pass block."""
     (nf, m), (n, d), weights = rows.shape, arr.shape, _lex_weights(p, arr.shape[1])
     pts, last, twice = lex_points(rows[:, 0], p, d), gens[:, -1] @ weights, 2 * arr % p
@@ -437,6 +468,9 @@ def _level_pairs(rows, gens, arr, codes, table, p):
         blk = slice(lo, lo + fb)
         for qlo in range(np.count_nonzero(codes <= last[blk].min()), n, qb):
             q = slice(qlo, qlo + qb)
+            spent["flat_pairs"] += len(rows[blk]) * len(codes[q])
+            if spent["flat_pairs"] > FLAT_PAIR_CAP:
+                raise ResourceLimitError(f"flats walk budget of {FLAT_PAIR_CAP} pair tests exhausted")
             # code(2q - x) = code(2q % p) - code(x), plus p w_i where (2q % p)_i < x_i
             two = twice_codes[q] - rows[blk, :1]
             for i, wi in enumerate(weights.tolist()):
@@ -466,23 +500,21 @@ def _cosets(rows, arr, f, q, ts, p):
     return (pts + ts[:, None, None] * step[:, None, None]) % p @ _lex_weights(p, arr.shape[1])
 
 
-def isotropic_unit_pair_search(form: BilinearForm):
+def isotropic_unit_pair_search(form: BilinearForm, counters=None):
     """Exhaustive search for (V, w): a totally isotropic k-space V and a
     norm-1 vector w orthogonal to V, in odd dimension d = 2k + 1. Returns
     (V as a flat through 0, w = s_0) for the first k-flat w + V that the
-    rooted walk of `_flat_levels` finds in the origin unit sphere S, or None.
+    FIRST_FLAT walk of `_flat_levels` finds in the origin unit sphere S, or
+    None; counters["flat_pairs"] is increased by the walk's pair tests.
 
     This is exact. As p is odd, Q(w + tv) = 1 for every t forces Q(v) = 0
     and B(w, v) = 0, and B(v, v') = 0 follows from Q(v + v') = 0: the pairs
-    are the k-flats in S. O(Q) fixes 0 and is transitive on S = {Q = 1}
-    (Witt's theorem), so S holds a k-flat iff it holds one through its
-    lex-first point s_0. s_0 is the least point of every flat through it,
-    so those flats are exactly the rooted walk's.
+    are the k-flats in S, and S holds one iff one passes through s_0.
     """
     d = form.dim
     if d % 2 == 0:
         raise DomainError("search is defined for odd dimensions d = 2k + 1")
-    levels = _flat_levels(_origin_sphere_points(form), form.ctx.p, d // 2, True)
+    levels = _flat_levels(_origin_sphere_points(form), form.ctx.p, d // 2, FIRST_FLAT, counters)
     if len(levels) <= d // 2 or not len(levels[-1][1]):
         return None
     flat = _affine_closure(form.ctx, levels[-1][1][0].tolist())

@@ -107,15 +107,20 @@ ZP = ("zero-patterns", "--p", "3", "--vars", "1", "--k", "1", "--degree", "1", "
         (b'{"ground": 3, "members": [[true]]}', ("shatter", "--k", "2", "--input")),
         (b'{"n": 3, "k": 2, "edges": [[0, true]]}',
          ("indep-set", "--n", "3", "--m", "1", "--k", "2", "--hypergraph")),
+        # a form of dimension 0 used to be reported as a bad signature entry;
+        # the path is a writable report name, so the run reaches the form
+        (None, ("sphere-geometry", "--p", "5", "--d", "0", "--output")),
+        (None, ("pattern-scan", "--p", "5", "--d", "0", "--output")),
     ],
     ids=["poly-token", "missing-file", "not-text", "graph-token", "no-members",
-         "negative-member", "not-json", "no-edges", "bool-ground", "bool-member", "bool-edge"],
+         "negative-member", "not-json", "no-edges", "bool-ground", "bool-member", "bool-edge",
+         "sphere-geometry-d0", "pattern-scan-d0"],
 )
 def test_malformed_input_exit_1(tmp_path, data, args):
     path = tmp_path / "input"
     if data is not None:
         path.write_bytes(data)
-    assert_usage_error(run_cli(*args, str(path), "--seed", "1"))
+    assert_usage_error(run_cli(*args, str(path), "--seed", "1"), "dimension must be >= 1" if "--d" in args else "")
 
 
 @pytest.mark.parametrize(
@@ -331,6 +336,25 @@ def test_sphere_geometry_checks_the_cap_before_building_the_form(capsys):
     assert code == 3
     assert peak < 10 * 2**20
     assert capsys.readouterr().err.startswith("resource error:")
+
+
+def test_sphere_geometry_flat_pair_budget(tmp_path, monkeypatch, capsys):
+    # at even d the report's flat_pairs are those of the one flats walk: the
+    # run passes at FLAT_PAIR_CAP = flat_pairs and exits 3 one below
+    import ffil.cli
+    import ffil.geometry
+
+    out = tmp_path / "r.json"
+    argv = ["sphere-geometry", "--p", "13", "--d", "4", "--families", "2", "--kmax", "2", "--seed", "1",
+            "--output", str(out)]
+    assert ffil.cli.main(argv) == 0
+    spent = load_report(out)["counters"]["flat_pairs"]
+    assert spent == 2183  # one test per point of S after s_0
+    monkeypatch.setattr(ffil.geometry, "FLAT_PAIR_CAP", spent)
+    assert ffil.cli.main(argv) == 0
+    monkeypatch.setattr(ffil.geometry, "FLAT_PAIR_CAP", spent - 1)
+    assert ffil.cli.main(argv) == 3
+    assert capsys.readouterr().err.startswith("resource error: flats walk budget")
 
 
 def test_pattern_scan_samples_sub_hosts_without_the_whole_host(tmp_path):

@@ -20,7 +20,7 @@ from ffil import (
 )
 import ffil.geometry
 import ffil.mpoly
-from ffil.geometry import intersection_flats, sphere_family_check
+from ffil.geometry import EVERY_POINT, intersection_flats, sphere_family_check
 from ffil.mpoly import _plan, domain_points, lex_points
 from ffil.rng import Rng
 from search_reference import QuadraticField, is_totally_isotropic
@@ -240,7 +240,8 @@ def test_isotropic_examples():
 def test_flats_in_sphere_f7_plane():
     report = flats_in_sphere_check(Sphere(BilinearForm.standard(FieldCtx.prime(7), 2), (0, 0)), 1)
     assert report.by_dim(1) == []  # x^2 = -1 unsolvable: no isotropic directions
-    assert len(report.by_dim(0)) == 8
+    assert report.counts == [8]
+    assert len(report.by_dim(0)) == 1  # the record of the point s_0
     assert report.all_pass
 
 
@@ -273,16 +274,21 @@ def _traced_peak(fn):
 
 
 def test_sphere_passes_keep_block_sized_temporaries(monkeypatch):
-    # the flats pass on F_13^4 (2,184 points) and the family pass over 2,000
+    # the every-point flats pass on F_13^4 (2,184 points), the rooted one on
+    # F_7^5 up to planes (2,450 points) and the family pass over 2,000
     # families on F_13^3 hold int64 temporaries of O(_FLAT_CELLS d) entries,
-    # plus O(d) per point of a level or per family and center; without
-    # blocks they take 86 MB (the |S|^2 d pair filter) and 30 MB (families
-    # times |S| times k)
+    # plus O(d) per point of the sphere or of a recorded flat, or per family
+    # and center; without blocks they take 86 MB (the |S|^2 d pair filter),
+    # 20 MB (the lines through s_0 against S) and 30 MB (families times |S|
+    # times k)
     cells = 1 << 14
     monkeypatch.setattr(ffil.geometry, "_FLAT_CELLS", cells)
     sphere = Sphere(BilinearForm.standard(FieldCtx.prime(13), 4), (0,) * 4)
-    points = sum(13**e.dim for e in flats_in_sphere_check(sphere, 1).entries)  # 32,760
-    assert _traced_peak(lambda: flats_in_sphere_check(sphere, 1)) < 4 * (cells + points) * 4 * 8
+    points = sum(13**e.dim for e in flats_in_sphere_check(sphere, 1, EVERY_POINT).entries)  # 32,760
+    assert _traced_peak(lambda: flats_in_sphere_check(sphere, 1, EVERY_POINT)) < 4 * (cells + points) * 4 * 8
+    sphere = Sphere(BilinearForm.standard(FieldCtx.prime(7), 5), (0,) * 5)
+    points = len(sphere_points(sphere)) + sum(7**e.dim for e in flats_in_sphere_check(sphere, 2).entries)
+    assert _traced_peak(lambda: flats_in_sphere_check(sphere, 2)) < 4 * (cells + points) * 5 * 8
     form = BilinearForm.standard(FieldCtx.prime(13), 3)
     rng = Rng(7)
     families = []
@@ -321,6 +327,27 @@ def test_isotropic_unit_pair_search_d5(monkeypatch):
         isotropic_unit_pair_search(form)
     with pytest.raises(ResourceLimitError):
         sphere_points(Sphere(form, (0,) * 5))
+
+
+def test_flat_pair_budget_is_exact(monkeypatch):
+    # a walk that spends c pair tests runs at FLAT_PAIR_CAP = c and raises
+    # at c - 1: the rooted check up to planes, and the pair search at d = 5
+    # found (p = 5) and absent (p = 7)
+    sphere = Sphere(BilinearForm.standard(FieldCtx.prime(7), 5), (0,) * 5)
+    forms = [BilinearForm.for_dim(FieldCtx.prime(p), 5) for p in (5, 7)]
+    runs = [lambda c: flats_in_sphere_check(sphere, 2, counters=c).counts]
+    runs += [lambda c, f=f: isotropic_unit_pair_search(f, c) is None for f in forms]
+    for run in runs:
+        counters = {}
+        want = run(counters)
+        monkeypatch.setattr(ffil.geometry, "FLAT_PAIR_CAP", counters["flat_pairs"])
+        again = {}
+        assert run(again) == want and again == counters
+        monkeypatch.setattr(ffil.geometry, "FLAT_PAIR_CAP", counters["flat_pairs"] - 1)
+        with pytest.raises(ResourceLimitError):
+            run({})
+        monkeypatch.undo()
+    assert [run({}) for run in runs] == [[2450, 22400, 800], False, True]
 
 
 def test_unit_distance_graph_examples():

@@ -10,10 +10,13 @@ The unit sphere is {Q = 1}. By Witt's theorem, in odd dimension d = 2k + 1
 the form splits as k hyperbolic planes plus <1>, so a totally isotropic
 k-space V with a unit vector w orthogonal to it exists, exactly when
 (-1)^k D is a square; then w + V is an affine k-flat on the origin unit
-sphere, and any such flat gives such a pair.
+sphere, and any such flat gives such a pair. A line s_0 + F_p v lies on
+the unit sphere iff v is a nonzero isotropic vector of s_0^perp, so the
+sphere's lines are counted in closed form too.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from ffil import (
 )
 from ffil.constructions import unit_distance_instance
 from ffil.geometry import _origin_sphere_points
+from ffil.gf import is_prime
 from ffil.mpoly import domain_points
 from ffil.rng import Rng
 
@@ -108,6 +112,36 @@ def test_isotropic_unit_pair_exists_exactly_when_witt_says(d, p, convention):
     # (V, w) -> w + V: a pair exists exactly when the unit sphere holds a k-flat
     flats = flats_in_sphere_check(Sphere(form, (0,) * d), k)
     assert bool(flats.by_dim(k)) == expected
+
+
+LINE_CASES = [(3, p) for p in range(3, 102) if is_prime(p)] + [(4, p) for p in PRIMES]
+
+
+@pytest.mark.parametrize("convention", sorted(CONVENTIONS))
+@pytest.mark.parametrize("d, p", LINE_CASES)
+def test_points_and_lines_in_the_sphere_are_the_closed_form(d, p, convention):
+    # a line s_0 + F_p v lies in S iff v is a nonzero isotropic vector of
+    # s_0^perp, nondegenerate of dimension d - 1 and discriminant D (as
+    # Q(s_0) = 1); those are N = #{Q' = 0} - 1 for Q' = <1, .., 1, D>. So
+    # N / (p - 1) lines pass through each point, and S holds
+    # |S| N / ((p - 1) p) lines, far past the reference walk's reach
+    sig = CONVENTIONS[convention](d)
+    size, isotropic = quadric_count(sig, 1, p), quadric_count((1,) * (d - 2) + (math.prod(sig),), 0, p) - 1
+    lines, rest = divmod(size * isotropic, (p - 1) * p)
+    report = flats_in_sphere_check(Sphere(BilinearForm(FieldCtx.prime(p), sig), (0,) * d), 1)
+    assert rest == 0 and report.counts == [size, lines][: 1 + (lines > 0)]
+    assert sum(report.counts) == size * (1 + Fraction(isotropic, (p - 1) * p))
+    assert report.all_pass and len(report.by_dim(1)) == isotropic // (p - 1)
+
+
+def test_line_counts_match_hand_checked_values():
+    # F_13^3 holds 182 points and 28 lines (24 isotropic vectors in s_0^perp);
+    # F_97^4 holds 1,834,560 points and lines
+    assert quadric_count((1, 1), 0, 13) - 1 == 24 and quadric_count((1, 1, 1), 1, 13) == 182
+    report = flats_in_sphere_check(Sphere(BilinearForm.standard(FieldCtx.prime(13), 3), (0,) * 3), 1)
+    assert report.counts == [182, 182 * 24 // (12 * 13)] == [182, 28]
+    size, isotropic = quadric_count((1,) * 4, 1, 97), quadric_count((1,) * 3, 0, 97) - 1
+    assert size + size * isotropic // (96 * 97) == 1834560
 
 
 def test_witt_cases_exercise_both_verdicts():

@@ -14,7 +14,7 @@ import ffil
 SRC = pathlib.Path(ffil.__file__).parent
 # `dim_cap`, `s_cap` and `degcap` size the question asked, not the work done
 BUDGET_PARAMS = {"cap", "probe_cap", "node_cap", "retry_cap", "size_cap"}
-OWNERS = {"ENUM_CAP": "mpoly", "PROBE_CAP": "bigraph"}
+OWNERS = {"ENUM_CAP": "mpoly", "PROBE_CAP": "bigraph", "FLAT_PAIR_CAP": "geometry"}
 
 
 def modules(sources=None):

@@ -5,8 +5,9 @@ searches, the sphere-family check and the pattern-family and shatter loops
 as they were written before vectorization. Here the fast kernels must give
 the same witness or None, spend exactly as many probes or nodes (the
 reference raises at cap c - 1 and not at c, c being the count the fast
-kernel reports), list the same flats in the same order, give the same
-family verdicts, collect the same patterns with the same witnesses in the
+kernel reports), list the same flats in the same order (a rooted flats
+check: those through the sphere's least point, with the same counts), give
+the same family verdicts, collect the same patterns with the same witnesses in the
 same order, and give the same shatter values after visiting as many
 subsets.
 """
@@ -34,6 +35,9 @@ from ffil.bigraph import (
 )
 from ffil.errors import DomainError, ResourceLimitError
 from ffil.geometry import (
+    EVERY_POINT,
+    FIRST_FLAT,
+    ROOTED,
     AffineFlat,
     BilinearForm,
     Sphere,
@@ -465,14 +469,28 @@ FLAT_CASES = [
 ] + [(3, 4, 3)]
 
 
+def _dim_counts(entries):
+    """The number of flat records of each dimension, up to the largest one present."""
+    dims = [e.dim for e in entries]
+    return [dims.count(r) for r in range(max(dims, default=0) + 1)]
+
+
 @pytest.mark.parametrize("p, d, dim_cap", FLAT_CASES)
 @pytest.mark.parametrize("sig", sorted(SIGNATURES))
 def test_flats_match_reference(p, d, dim_cap, sig):
+    # the rooted check records the reference's flats with base s_0, the
+    # sphere's least point, and counts all of the reference's flats; the
+    # every-point walk records them all
     form = BilinearForm(FieldCtx.prime(p), SIGNATURES[sig](d))
     for center in ((0,) * d, tuple((3 * i + 1) % p for i in range(d))):
         sphere = Sphere(form, center)
-        got = flats_in_sphere_check(sphere, dim_cap).entries
-        assert got == ref.flats_in_sphere_check(sphere, dim_cap).entries
+        want = ref.flats_in_sphere_check(sphere, dim_cap).entries
+        s0 = sphere_points(sphere)[:1]
+        got = flats_in_sphere_check(sphere, dim_cap)
+        assert got.entries == [e for e in want if [e.base] == s0]
+        assert got.counts == _dim_counts(want)
+        every = flats_in_sphere_check(sphere, dim_cap, EVERY_POINT)
+        assert every.entries == want and every.counts == got.counts
 
 
 @pytest.mark.parametrize("p, d, dim_cap", FLAT_CASES)
@@ -488,21 +506,25 @@ def test_flats_match_reference_through_level_3():
     # the unit sphere of F_3^4 holds no planes, so the search stops before
     # level 3 there; the one of F_3^5 holds 80, and level 3 is searched
     sphere = Sphere(BilinearForm.standard(FieldCtx.prime(3), 5), (0,) * 5)
+    want = ref.flats_in_sphere_check(sphere, 3).entries
     got = flats_in_sphere_check(sphere, 3)
-    assert [len(got.by_dim(r)) for r in range(4)] == [90, 480, 80, 0]
-    assert got.entries == ref.flats_in_sphere_check(sphere, 3).entries
+    assert got.counts == _dim_counts(want) == [90, 480, 80]
+    assert got.entries == [e for e in want if e.base == sphere_points(sphere)[0]]
+    assert flats_in_sphere_check(sphere, 3, EVERY_POINT).entries == want
 
 
 def test_flat_checks_match_reference_off_the_sphere(monkeypatch):
     # every flat inside a sphere passes both checks; on a point set that is
     # not a sphere, the plane x_3 = 0 of F_5^3, most lines and the plane
-    # fail them, and the verdicts must agree all the same
+    # fail them, and the verdicts must agree all the same. No isometry
+    # moves one point of the plane to another here, so the walk starts
+    # from every point: it gets the plane's points as the sphere's array
     plane = [tuple(int(v) for v in pt) for pt in domain_points(5, 3) if pt[2] == 0]
-    for module in (ffil.geometry, ref):
-        monkeypatch.setattr(module, "sphere_points", lambda sphere: plane)
+    monkeypatch.setattr(ref, "sphere_points", lambda sphere: plane)
+    monkeypatch.setattr(ffil.geometry, "_sphere_array", lambda sphere: np.array(plane, dtype=np.int64))
     sphere = Sphere(BilinearForm.standard(FieldCtx.prime(5), 3), (0, 0, 1))
-    got = flats_in_sphere_check(sphere, 2)
-    assert [len(got.by_dim(r)) for r in range(3)] == [25, 30, 1]
+    got = flats_in_sphere_check(sphere, 2, EVERY_POINT)
+    assert got.counts == [len(got.by_dim(r)) for r in range(3)] == [25, 30, 1]
     assert {(e.isotropic_ok, e.radial_ok) for e in got.by_dim(1)} == {
         (False, False), (True, False), (True, True)
     }
@@ -513,9 +535,9 @@ def test_flat_checks_match_reference_off_the_sphere(monkeypatch):
 @pytest.mark.parametrize("sig", sorted(SIGNATURES))
 def test_rooted_walk_lists_the_reference_flats_through_the_least_point(p, d, dim_cap, sig):
     # rooted at the origin sphere's lex-first point s_0, the walk lists the
-    # reference's flats with base s_0, level by level; the last level of a
-    # walk stops at its first pass block that yields a flat, so one level
-    # deeper every compared level is whole
+    # reference's flats with base s_0, level by level; the first-flat walk
+    # lists the same levels but stops its last one at the first pass block
+    # that yields a flat
     form = BilinearForm(FieldCtx.prime(p), SIGNATURES[sig](d))
     sphere = Sphere(form, (0,) * d)
     arr = np.array(sphere_points(sphere), dtype=np.int64).reshape(-1, d)
@@ -523,13 +545,13 @@ def test_rooted_walk_lists_the_reference_flats_through_the_least_point(p, d, dim
     entries = ref.flats_in_sphere_check(sphere, dim_cap).entries
     want = [[(e.base, e.basis) for e in entries if e.dim == r and e.base == s0] for r in range(dim_cap + 1)]
 
-    def walk(cap):
+    def walk(mode):
         levels = [[(f.base, f.basis) for f in (_affine_closure(form.ctx, g) for g in gens.tolist())]
-                  for _, gens in _flat_levels(arr, p, cap, True)][: dim_cap + 1]
+                  for _, gens in _flat_levels(arr, p, dim_cap, mode)]
         return levels + [[]] * (dim_cap + 1 - len(levels))
 
-    assert walk(dim_cap + 1) == want
-    *whole, last = walk(dim_cap)
+    assert walk(ROOTED) == want
+    *whole, last = walk(FIRST_FLAT)
     assert whole == want[:-1]
     assert all(rec in want[-1] for rec in last) and bool(last) == bool(want[-1])
 
