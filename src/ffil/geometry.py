@@ -225,7 +225,7 @@ def _origin_sphere_points(form: BilinearForm) -> np.ndarray:
 
     x_1..x_{d-1} range over the grid and sigma_d * x_d^2 = 1 - (partial norm)
     is solved with a square-root table: each head gives 0, 1 or 2 points, in
-    increasing x_d.
+    increasing x_d. The build holds about three times the table's bytes.
     """
     p, d = form.ctx.p, form.dim
     _check_enum_cap(p, d)  # also for a memoized table, so the cap never depends on call order
@@ -234,15 +234,17 @@ def _origin_sphere_points(form: BilinearForm) -> np.ndarray:
     if pts is not None:
         return pts
     head = domain_points(p, d - 1)
-    partial = form.norms_of_rows(np.pad(head, ((0, 0), (0, 1))))
-    target = form.signature[-1] * (1 - partial) % p
+    r = matmul_mod(head * head % p, np.array(form.signature[:-1], dtype=np.int64)[:, None], p)[:, 0]
     half = np.arange((p + 1) // 2, dtype=np.int64)  # one root of each square
     root = np.full(p, -1, dtype=np.int64)
     root[half * half % p] = half
-    r = root[target]
-    last = np.stack([r, p - r], axis=1).reshape(-1, 1)
-    keep = np.stack([r >= 0, r > 0], axis=1).reshape(-1)
-    pts = np.hstack([np.repeat(head, 2, axis=0), last])[keep]
+    r = root[form.signature[-1] * (1 - r) % p]  # of sigma_d x_d^2 = 1 - (partial norm), or -1
+    idx = np.repeat(np.arange(len(head)), np.sign(r) + 1)  # the head of each point: 0, 1 or 2 roots
+    pts = np.empty((len(idx), d), dtype=np.int64)
+    pts[:, :-1] = head[idx]
+    pts[:, -1] = r[idx]
+    second = np.flatnonzero(idx[1:] == idx[:-1]) + 1  # the root p - r of a head's second point
+    pts[second, -1] = p - pts[second, -1]
     pts.flags.writeable = False
     _ORIGIN_CACHE[key] = pts
     return pts
@@ -345,54 +347,38 @@ def _affine_closure(ctx: FieldCtx, pts):
 
 
 @dataclass
-class FlatRecord:
-    dim: int
-    base: tuple
-    basis: list
-    isotropic_ok: bool
-    radial_ok: bool
-
-
-@dataclass
 class SphereFlatsReport:
     """counts[r], the number of r-flats in the sphere, from r = 0 up to its
-    largest flats within the cap, and the records of the flats walked."""
+    largest flats within the cap, and per level r the r-flats through s_0:
+    rows[r], their sorted lex codes in lex order, and isotropic_ok[r] and
+    radial_ok[r], bool arrays of their two verdicts."""
 
     counts: list = field(default_factory=list)
-    entries: list = field(default_factory=list)
+    rows: list = field(default_factory=list)
+    isotropic_ok: list = field(default_factory=list)
+    radial_ok: list = field(default_factory=list)
 
     @property
     def all_pass(self) -> bool:
-        return all(e.isotropic_ok and e.radial_ok for e in self.entries)
-
-    def by_dim(self, d: int):
-        return [e for e in self.entries if e.dim == d]
+        return all(ok.all() for ok in self.isotropic_ok + self.radial_ok)
 
 
 # Block size of the sphere passes, so their int64 temporaries hold O(_FLAT_CELLS * d)
 # entries whatever p, k or the count of flats or families, plus O(d) per point or center.
 _FLAT_CELLS = 1 << 13
 
-# Walks of `_flat_levels`: from every point of S; from its least point s_0
-# alone; and from s_0, ending the last level at the first flat found.
-EVERY_POINT, ROOTED, FIRST_FLAT = "every-point", "rooted", "first-flat"
 
-
-def flats_in_sphere_check(sphere: Sphere, dim_cap: int, mode=ROOTED, counters=None) -> SphereFlatsReport:
-    """Count every flat of dimension <= dim_cap contained in the sphere and
-    check two identities on each walked flat: total isotropy of the flat,
-    and <x - w, x - y> = 0 for all flat points x, y (w the center).
-
-    The ROOTED walk records the flats through s_0, and counts |S| F_0(r) / p^r
-    r-flats (module docstring); EVERY_POINT records and counts every flat, on
-    any point set. counters["flat_pairs"] is increased by the pair tests."""
-    if mode == FIRST_FLAT:
-        raise DomainError("a flats check needs whole levels")
+def flats_in_sphere_check(sphere: Sphere, dim_cap: int, counters=None) -> SphereFlatsReport:
+    """Count every flat of dimension <= dim_cap contained in the sphere, |S|
+    F_0(r) / p^r r-flats from the F_0(r) through s_0 (module docstring), and
+    check two identities on each flat through s_0: total isotropy of the
+    flat, and <x - w, x - y> = 0 for all flat points x, y (w the center).
+    counters["flat_pairs"] is increased by the walk's pair tests."""
     form, (p, d) = sphere.form, (sphere.form.ctx.p, sphere.form.dim)
     arr = _sphere_array(sphere)
     report = SphereFlatsReport()
-    for r, (rows, gens) in enumerate(_flat_levels(arr, p, dim_cap, mode, counters)):
-        report.counts.append(len(rows) if mode == EVERY_POINT else len(arr) * len(rows) // p**r)
+    for r, (rows, gens) in enumerate(_flat_levels(arr, p, dim_cap, counters=counters)):
+        report.counts.append(len(arr) * len(rows) // p**r)
         # <x - w, x - y> = G[x, x] - G[x, y], G the Gram matrix of the x - w,
         # for all flats of the level at once, in blocks of rows
         rel = lex_points(rows, p, d).reshape(*rows.shape, d) - np.array(sphere.center)
@@ -400,22 +386,20 @@ def flats_in_sphere_check(sphere: Sphere, dim_cap: int, mode=ROOTED, counters=No
         step = max(1, _FLAT_CELLS // (rows.size or 1))
         for lo in range(0, rows.shape[1], step):
             radial &= (form.gram(rel[:, lo : lo + step], rel) == diag[:, lo : lo + step, None]).all(axis=(1, 2))
-        flats = [_affine_closure(form.ctx, g) for g in gens.tolist()]
-        basis = np.array([f.basis for f in flats], dtype=np.int64).reshape(len(flats), r, d)
-        iso = ~form.gram(basis, basis).any(axis=(1, 2))
-        report.entries += [FlatRecord(f.dim, f.base, f.basis, f_iso, f_radial)
-                           for f, f_iso, f_radial in zip(flats, iso.tolist(), radial.tolist())]
+        dirs = gens[:, 1:] - gens[:, :1]  # the spanning points' differences span each flat's directions
+        report.rows.append(rows)
+        report.isotropic_ok.append(~form.gram(dirs, dirs).any(axis=(1, 2)))
+        report.radial_ok.append(radial)
     return report
 
 
-def _flat_levels(arr, p, dim_cap, mode, counters=None):
-    """The flats of dimension <= dim_cap in the set S of the lex-sorted rows
-    of `arr`: level r is (rows, gens), the r-flats as sorted lex codes, in lex
-    order, and as r + 1 spanning points, base = least point; level 0, then
-    each level up to the last nonempty one. `mode` starts from every point
-    (EVERY_POINT), or from S's least point s_0 alone, listing the flats
-    through s_0 (ROOTED), and FIRST_FLAT also ends its last level at the
-    first pass block that yields a flat.
+def _flat_levels(arr, p, dim_cap, first_flat=False, counters=None):
+    """The flats of dimension <= dim_cap through the least point s_0 of the
+    set S of the lex-sorted rows of `arr`: level r is (rows, gens), the
+    r-flats as sorted lex codes, in lex order, and as r + 1 spanning points,
+    base = s_0; level 0, then each level up to the last nonempty one. With
+    `first_flat` the last level ends at the first pass block that yields a
+    flat.
 
     Level r is the record of the walk (the test reference) closing each flat
     of level r - 1, in discovery order, with the points of S off it, a
@@ -435,14 +419,14 @@ def _flat_levels(arr, p, dim_cap, mode, counters=None):
     is raised before a block that would take them past FLAT_PAIR_CAP.
     """
     codes = arr @ _lex_weights(p, d := arr.shape[1])  # increasing: the points are in lex order
-    table, roots = _pack_codes(codes, p**d), len(arr) if mode == EVERY_POINT else 1
-    levels = [(codes[:roots, None], arr[:roots, None])]  # flats as sorted codes and spanning points
+    table = _pack_codes(codes, p**d)
+    levels = [(codes[:1, None], arr[:1, None])]  # flats as sorted codes and spanning points
     spent = {"flat_pairs": 0}
     while len(levels) <= dim_cap:
         (rows, gens), pairs = levels[-1], []
         for kept in _level_pairs(rows, gens, arr, codes, table, p, spent):
             pairs.append(kept)
-            if mode == FIRST_FLAT and len(levels) == dim_cap and kept.size:
+            if first_flat and len(levels) == dim_cap and kept.size:
                 break
         f, q = np.concatenate(pairs, axis=1)
         if not len(f):
@@ -504,8 +488,8 @@ def isotropic_unit_pair_search(form: BilinearForm, counters=None):
     """Exhaustive search for (V, w): a totally isotropic k-space V and a
     norm-1 vector w orthogonal to V, in odd dimension d = 2k + 1. Returns
     (V as a flat through 0, w = s_0) for the first k-flat w + V that the
-    FIRST_FLAT walk of `_flat_levels` finds in the origin unit sphere S, or
-    None; counters["flat_pairs"] is increased by the walk's pair tests.
+    walk of `_flat_levels` finds in the origin unit sphere S, stopping there,
+    or None; counters["flat_pairs"] is increased by the walk's pair tests.
 
     This is exact. As p is odd, Q(w + tv) = 1 for every t forces Q(v) = 0
     and B(w, v) = 0, and B(v, v') = 0 follows from Q(v + v') = 0: the pairs
@@ -514,7 +498,7 @@ def isotropic_unit_pair_search(form: BilinearForm, counters=None):
     d = form.dim
     if d % 2 == 0:
         raise DomainError("search is defined for odd dimensions d = 2k + 1")
-    levels = _flat_levels(_origin_sphere_points(form), form.ctx.p, d // 2, FIRST_FLAT, counters)
+    levels = _flat_levels(_origin_sphere_points(form), form.ctx.p, d // 2, True, counters)
     if len(levels) <= d // 2 or not len(levels[-1][1]):
         return None
     flat = _affine_closure(form.ctx, levels[-1][1][0].tolist())

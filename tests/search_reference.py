@@ -4,7 +4,8 @@
 here verbatim as they were before the search kernels were vectorized (scalar
 probe loop, per-node `pick()`, closure of every point pair; the pattern
 search has since gained the kernel's twin rule, and keeps the plain search
-behind `twins=False`), and with them
+behind `twins=False`; the flats check walks from every point of the sphere
+and returns one `FlatRecord` per flat), and with them
 the scalar `is_totally_isotropic` and the per-family loop of the
 `sphere-geometry` command as `sphere_family_check` (point sets of tuples
 over the whole grid), `isotropic_unit_pair_search` as the canonical RREF
@@ -26,6 +27,7 @@ module.
 """
 
 import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -36,9 +38,7 @@ from ffil.gf import is_prime
 from ffil.geometry import (
     AffineFlat,
     BilinearForm,
-    FlatRecord,
     Sphere,
-    SphereFlatsReport,
     _affine_closure,
     _origin_sphere_points,
     sphere_points,
@@ -276,10 +276,20 @@ def sphere_family_check(spheres, flat):
     return identity_ok, orth_ok
 
 
-def flats_in_sphere_check(sphere: Sphere, dim_cap: int, cap: int = ENUM_CAP) -> SphereFlatsReport:
+@dataclass
+class FlatRecord:
+    dim: int
+    base: tuple
+    basis: list
+    isotropic_ok: bool
+    radial_ok: bool
+
+
+def flats_in_sphere_check(sphere: Sphere, dim_cap: int, cap: int = ENUM_CAP) -> list:
     """Enumerate every flat of dimension <= dim_cap contained in the sphere
     and check two identities on each: total isotropy of the flat, and
-    <x - w, x - y> = 0 for all flat points x, y (w the center).
+    <x - w, x - y> = 0 for all flat points x, y (w the center). Returns the
+    records by dimension, each dimension in lex order of the flats' points.
 
     Flats are built bottom-up: points, then closures of (flat, extra sphere
     point) pairs, deduplicated by their full point sets.
@@ -290,7 +300,7 @@ def flats_in_sphere_check(sphere: Sphere, dim_cap: int, cap: int = ENUM_CAP) -> 
         raise ResourceLimitError(f"enumeration of {ctx.p}^{form.dim} points exceeds cap {cap}")
     pts = sphere_points(sphere)
     pt_set = set(pts)
-    report = SphereFlatsReport()
+    records = []
     levels = {0: {frozenset((q,)): AffineFlat(ctx, form.dim, q, []) for q in pts}}
     for r in range(1, dim_cap + 1):
         nxt = {}
@@ -321,8 +331,8 @@ def flats_in_sphere_check(sphere: Sphere, dim_cap: int, cap: int = ENUM_CAP) -> 
                         break
                 if not radial:
                     break
-            report.entries.append(FlatRecord(flat.dim, flat.base, flat.basis, iso, radial))
-    return report
+            records.append(FlatRecord(flat.dim, flat.base, flat.basis, iso, radial))
+    return records
 
 
 def _rref_row_candidates(p, d, pivot, other_pivots):

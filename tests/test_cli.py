@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shlex
@@ -244,6 +245,24 @@ def test_readme_cli_examples(tmp_path, monkeypatch):
         else:
             report = json.loads(r.stdout)
         assert report["config"]["seed"] == int(args[args.index("--seed") + 1])
+
+
+def test_readme_csv_headers_are_the_help_columns(tmp_path, monkeypatch):
+    # each subcommand writes its CSV columns twice, in its --help epilog and
+    # in its cmd_* header list: every README example, run with --csv,
+    # writes the epilog's columns as its header row
+    from ffil.cli import build_parser, main
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    commands = readme_commands(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for args in commands:
+        if "--csv" not in args:
+            args = [*args, "--csv", "series.csv"]
+        assert main(args) == 0, args
+        header = (tmp_path / args[args.index("--csv") + 1]).read_text().splitlines()[0]
+        assert f"CSV: {header}" == sub.choices[args[0]].epilog
+    assert {args[0] for args in commands} == set(sub.choices)
 
 
 def test_missing_flag_exit_1():

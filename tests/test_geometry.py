@@ -20,7 +20,7 @@ from ffil import (
 )
 import ffil.geometry
 import ffil.mpoly
-from ffil.geometry import EVERY_POINT, intersection_flats, sphere_family_check
+from ffil.geometry import intersection_flats, sphere_family_check
 from ffil.mpoly import _plan, domain_points, lex_points
 from ffil.rng import Rng
 from search_reference import QuadraticField, is_totally_isotropic
@@ -239,16 +239,15 @@ def test_isotropic_examples():
 
 def test_flats_in_sphere_f7_plane():
     report = flats_in_sphere_check(Sphere(BilinearForm.standard(FieldCtx.prime(7), 2), (0, 0)), 1)
-    assert report.by_dim(1) == []  # x^2 = -1 unsolvable: no isotropic directions
-    assert report.counts == [8]
-    assert len(report.by_dim(0)) == 1  # the record of the point s_0
+    assert report.counts == [8]  # x^2 = -1 unsolvable: no isotropic directions
+    assert [rows.shape for rows in report.rows] == [(1, 1)]  # the point s_0
     assert report.all_pass
 
 
 def test_flats_in_sphere_f5_plane_has_no_lines():
     # the circle has 4 points; a line would need 5
     report = flats_in_sphere_check(Sphere(BilinearForm.standard(FieldCtx.prime(5), 2), (0, 0)), 1)
-    assert report.by_dim(1) == []
+    assert report.counts == [4] and len(report.rows) == 1
     assert report.all_pass
 
 
@@ -256,12 +255,12 @@ def test_flats_in_sphere_f5_space():
     # e.g. the line (1, t, 2t) lies in the unit sphere of F_5^3
     form = BilinearForm.standard(FieldCtx.prime(5), 3)
     report = flats_in_sphere_check(Sphere(form, (0, 0, 0)), 1)
-    lines = report.by_dim(1)
-    assert lines, "expected isotropic lines inside the sphere"
+    assert len(report.counts) == 2 and len(report.rows[1]), "expected isotropic lines inside the sphere"
     assert report.all_pass
     line_pts = {(1, t % 5, 2 * t % 5) for t in range(5)}
     sphere_pt_set = set(sphere_points(Sphere(form, (0, 0, 0))))
     assert line_pts <= sphere_pt_set
+    assert set(map(tuple, lex_points(report.rows[1].ravel(), 5, 3).tolist())) <= sphere_pt_set
 
 
 def _traced_peak(fn):
@@ -274,21 +273,18 @@ def _traced_peak(fn):
 
 
 def test_sphere_passes_keep_block_sized_temporaries(monkeypatch):
-    # the every-point flats pass on F_13^4 (2,184 points), the rooted one on
-    # F_7^5 up to planes (2,450 points) and the family pass over 2,000
-    # families on F_13^3 hold int64 temporaries of O(_FLAT_CELLS d) entries,
-    # plus O(d) per point of the sphere or of a recorded flat, or per family
-    # and center; without blocks they take 86 MB (the |S|^2 d pair filter),
-    # 20 MB (the lines through s_0 against S) and 30 MB (families times |S|
-    # times k)
+    # the flats pass up to planes on F_13^4 (2,184 points) and on F_7^5
+    # (2,450 points) and the family pass over 2,000 families on F_13^3 hold
+    # int64 temporaries of O(_FLAT_CELLS d) entries, plus O(d) per point of
+    # the sphere or of a flat through s_0, or per family and center; without
+    # blocks they take 3.0 MB and 20 MB (the lines through s_0 against S)
+    # and 30 MB (families times |S| times k)
     cells = 1 << 14
     monkeypatch.setattr(ffil.geometry, "_FLAT_CELLS", cells)
-    sphere = Sphere(BilinearForm.standard(FieldCtx.prime(13), 4), (0,) * 4)
-    points = sum(13**e.dim for e in flats_in_sphere_check(sphere, 1, EVERY_POINT).entries)  # 32,760
-    assert _traced_peak(lambda: flats_in_sphere_check(sphere, 1, EVERY_POINT)) < 4 * (cells + points) * 4 * 8
-    sphere = Sphere(BilinearForm.standard(FieldCtx.prime(7), 5), (0,) * 5)
-    points = len(sphere_points(sphere)) + sum(7**e.dim for e in flats_in_sphere_check(sphere, 2).entries)
-    assert _traced_peak(lambda: flats_in_sphere_check(sphere, 2)) < 4 * (cells + points) * 5 * 8
+    for p, d in ((13, 4), (7, 5)):
+        sphere = Sphere(BilinearForm.standard(FieldCtx.prime(p), d), (0,) * d)
+        points = len(sphere_points(sphere)) + sum(rows.size for rows in flats_in_sphere_check(sphere, 2).rows)
+        assert _traced_peak(lambda: flats_in_sphere_check(sphere, 2)) < 4 * (cells + points) * d * 8
     form = BilinearForm.standard(FieldCtx.prime(13), 3)
     rng = Rng(7)
     families = []
@@ -298,6 +294,16 @@ def test_sphere_passes_keep_block_sized_temporaries(monkeypatch):
     flats = intersection_flats(families)
     sphere_family_check(families[:1], flats[:1])
     assert _traced_peak(lambda: sphere_family_check(families, flats)) < 4 * (cells + 5 * 2000) * 3 * 8
+
+
+def test_sphere_table_build_holds_about_three_tables(monkeypatch):
+    # the table of F_31^4 comes from the heads' partial norms and one head
+    # index per point: about 3.0 times its bytes at the peak, where copying
+    # every head twice beside both candidate roots took 5.6
+    monkeypatch.setattr(ffil.geometry, "_ORIGIN_CACHE", {})
+    form = BilinearForm.standard(FieldCtx.prime(31), 4)
+    peak = _traced_peak(lambda: ffil.geometry._origin_sphere_points(form))
+    assert peak < 3.25 * ffil.geometry._origin_sphere_points(form).nbytes
 
 
 def test_isotropic_unit_pair_search():

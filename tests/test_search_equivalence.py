@@ -5,8 +5,8 @@ searches, the sphere-family check and the pattern-family and shatter loops
 as they were written before vectorization. Here the fast kernels must give
 the same witness or None, spend exactly as many probes or nodes (the
 reference raises at cap c - 1 and not at c, c being the count the fast
-kernel reports), list the same flats in the same order (a rooted flats
-check: those through the sphere's least point, with the same counts), give
+kernel reports), list the same flats in the same order (a flats check:
+those through the sphere's least point, with the same verdicts and counts), give
 the same family verdicts, collect the same patterns with the same witnesses in the
 same order, and give the same shatter values after visiting as many
 subsets.
@@ -35,9 +35,6 @@ from ffil.bigraph import (
 )
 from ffil.errors import DomainError, ResourceLimitError
 from ffil.geometry import (
-    EVERY_POINT,
-    FIRST_FLAT,
-    ROOTED,
     AffineFlat,
     BilinearForm,
     Sphere,
@@ -469,28 +466,47 @@ FLAT_CASES = [
 ] + [(3, 4, 3)]
 
 
-def _dim_counts(entries):
+def _dim_counts(records):
     """The number of flat records of each dimension, up to the largest one present."""
-    dims = [e.dim for e in entries]
+    dims = [e.dim for e in records]
     return [dims.count(r) for r in range(max(dims, default=0) + 1)]
+
+
+def _level_arrays(report):
+    """The level arrays of a flats report as lists: per level, each flat's
+    sorted lex codes, and its two verdicts."""
+    return [(rows.tolist(), iso.tolist(), radial.tolist())
+            for rows, iso, radial in zip(report.rows, report.isotropic_ok, report.radial_ok)]
+
+
+def _rooted_levels(records, s0, p, d):
+    """The reference's records with base s0 as level arrays, by dimension up
+    to the largest one present."""
+    rooted = [e for e in records if e.base == s0]
+    weights = [p ** (d - 1 - i) for i in range(d)]
+    levels = []
+    for r in range(max((e.dim for e in rooted), default=0) + 1):
+        flats = [e for e in rooted if e.dim == r]
+        points = [AffineFlat(FieldCtx.prime(p), d, e.base, e.basis).points() for e in flats]
+        codes = [sorted(sum(w * v for w, v in zip(weights, x)) for x in pts) for pts in points]
+        levels.append((codes, [e.isotropic_ok for e in flats], [e.radial_ok for e in flats]))
+    return levels
 
 
 @pytest.mark.parametrize("p, d, dim_cap", FLAT_CASES)
 @pytest.mark.parametrize("sig", sorted(SIGNATURES))
 def test_flats_match_reference(p, d, dim_cap, sig):
-    # the rooted check records the reference's flats with base s_0, the
-    # sphere's least point, and counts all of the reference's flats; the
-    # every-point walk records them all
+    # the check's level arrays are the reference's flats with base s_0, the
+    # sphere's least point, flat by flat with both verdicts, and it counts
+    # all of the reference's flats
     form = BilinearForm(FieldCtx.prime(p), SIGNATURES[sig](d))
     for center in ((0,) * d, tuple((3 * i + 1) % p for i in range(d))):
         sphere = Sphere(form, center)
-        want = ref.flats_in_sphere_check(sphere, dim_cap).entries
-        s0 = sphere_points(sphere)[:1]
+        want = ref.flats_in_sphere_check(sphere, dim_cap)
+        s0 = (sphere_points(sphere) or [None])[0]
         got = flats_in_sphere_check(sphere, dim_cap)
-        assert got.entries == [e for e in want if [e.base] == s0]
+        assert _level_arrays(got) == _rooted_levels(want, s0, p, d)
         assert got.counts == _dim_counts(want)
-        every = flats_in_sphere_check(sphere, dim_cap, EVERY_POINT)
-        assert every.entries == want and every.counts == got.counts
 
 
 @pytest.mark.parametrize("p, d, dim_cap", FLAT_CASES)
@@ -506,52 +522,51 @@ def test_flats_match_reference_through_level_3():
     # the unit sphere of F_3^4 holds no planes, so the search stops before
     # level 3 there; the one of F_3^5 holds 80, and level 3 is searched
     sphere = Sphere(BilinearForm.standard(FieldCtx.prime(3), 5), (0,) * 5)
-    want = ref.flats_in_sphere_check(sphere, 3).entries
+    want = ref.flats_in_sphere_check(sphere, 3)
     got = flats_in_sphere_check(sphere, 3)
     assert got.counts == _dim_counts(want) == [90, 480, 80]
-    assert got.entries == [e for e in want if e.base == sphere_points(sphere)[0]]
-    assert flats_in_sphere_check(sphere, 3, EVERY_POINT).entries == want
+    assert _level_arrays(got) == _rooted_levels(want, sphere_points(sphere)[0], 3, 5)
 
 
 def test_flat_checks_match_reference_off_the_sphere(monkeypatch):
     # every flat inside a sphere passes both checks; on a point set that is
-    # not a sphere, the plane x_3 = 0 of F_5^3, most lines and the plane
-    # fail them, and the verdicts must agree all the same. No isometry
-    # moves one point of the plane to another here, so the walk starts
-    # from every point: it gets the plane's points as the sphere's array
+    # not a sphere, the plane x_3 = 0 of F_5^3, some lines through s_0 = 0
+    # and the plane fail them, and the verdicts must agree all the same. The
+    # walk gets the plane's points as the sphere's array; translations move
+    # any of them to any other, so the rooted counts still hold
     plane = [tuple(int(v) for v in pt) for pt in domain_points(5, 3) if pt[2] == 0]
     monkeypatch.setattr(ref, "sphere_points", lambda sphere: plane)
     monkeypatch.setattr(ffil.geometry, "_sphere_array", lambda sphere: np.array(plane, dtype=np.int64))
-    sphere = Sphere(BilinearForm.standard(FieldCtx.prime(5), 3), (0, 0, 1))
-    got = flats_in_sphere_check(sphere, 2, EVERY_POINT)
-    assert got.counts == [len(got.by_dim(r)) for r in range(3)] == [25, 30, 1]
-    assert {(e.isotropic_ok, e.radial_ok) for e in got.by_dim(1)} == {
+    sphere = Sphere(BilinearForm.standard(FieldCtx.prime(5), 3), (2, 4, 1))
+    got = flats_in_sphere_check(sphere, 2)
+    assert got.counts == [25, 30, 1]
+    assert set(zip(got.isotropic_ok[1].tolist(), got.radial_ok[1].tolist())) == {
         (False, False), (True, False), (True, True)
     }
-    assert got.entries == ref.flats_in_sphere_check(sphere, 2).entries
+    assert _level_arrays(got) == _rooted_levels(ref.flats_in_sphere_check(sphere, 2), plane[0], 5, 3)
 
 
 @pytest.mark.parametrize("p, d, dim_cap", FLAT_CASES)
 @pytest.mark.parametrize("sig", sorted(SIGNATURES))
 def test_rooted_walk_lists_the_reference_flats_through_the_least_point(p, d, dim_cap, sig):
     # rooted at the origin sphere's lex-first point s_0, the walk lists the
-    # reference's flats with base s_0, level by level; the first-flat walk
+    # reference's flats with base s_0, level by level; with first_flat it
     # lists the same levels but stops its last one at the first pass block
     # that yields a flat
     form = BilinearForm(FieldCtx.prime(p), SIGNATURES[sig](d))
     sphere = Sphere(form, (0,) * d)
     arr = np.array(sphere_points(sphere), dtype=np.int64).reshape(-1, d)
     s0 = tuple(arr[0].tolist()) if len(arr) else None
-    entries = ref.flats_in_sphere_check(sphere, dim_cap).entries
-    want = [[(e.base, e.basis) for e in entries if e.dim == r and e.base == s0] for r in range(dim_cap + 1)]
+    records = ref.flats_in_sphere_check(sphere, dim_cap)
+    want = [[(e.base, e.basis) for e in records if e.dim == r and e.base == s0] for r in range(dim_cap + 1)]
 
-    def walk(mode):
+    def walk(first_flat):
         levels = [[(f.base, f.basis) for f in (_affine_closure(form.ctx, g) for g in gens.tolist())]
-                  for _, gens in _flat_levels(arr, p, dim_cap, mode)]
+                  for _, gens in _flat_levels(arr, p, dim_cap, first_flat)]
         return levels + [[]] * (dim_cap + 1 - len(levels))
 
-    assert walk(ROOTED) == want
-    *whole, last = walk(FIRST_FLAT)
+    assert walk(False) == want
+    *whole, last = walk(True)
     assert whole == want[:-1]
     assert all(rec in want[-1] for rec in last) and bool(last) == bool(want[-1])
 
