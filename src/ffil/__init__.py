@@ -15,7 +15,6 @@ from .mpoly import (
     monomials_upto,
     parse_poly,
     sample_uniform,
-    zero_set,
 )
 from .bigraph import (
     BipartiteGraph,

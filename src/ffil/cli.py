@@ -69,24 +69,23 @@ def _config_dict(args) -> dict:
     }
 
 
-def _write_outputs(args, body: dict, csv_spec) -> None:
+def _write_outputs(args, body: dict, rows) -> None:
     report = {"bound": {}, "retries": {}, "flags": [], **body}  # defaults of every command
     report["config"] = _config_dict(args)
     report["timing"] = {
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "wall_s": round(time.perf_counter() - args._t0, 6),
     }
-    text = json.dumps(report, indent=2, sort_keys=True, default=_jsonable)
+    text = json.dumps(report, indent=2, sort_keys=True)
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
     else:
         print(text)
-    if args.csv and csv_spec:
-        header, rows = csv_spec
+    if args.csv and rows is not None:
         with open(args.csv, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(header)
+            w.writerow(args._csv.split(","))  # the columns of the --help epilog
             w.writerows(rows)
 
 
@@ -127,27 +126,15 @@ def _load_json(path, counts, index_lists) -> dict:
     return data
 
 
-def _jsonable(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (set, frozenset, tuple)):
-        return sorted(obj) if isinstance(obj, (set, frozenset)) else list(obj)
-    raise TypeError(f"not JSON-serializable: {type(obj)}")
-
-
 # -- subcommands -------------------------------------------------------------
 
 
 def cmd_zarankiewicz(args, rng):
     inst = cons.random_algebraic_graph(args.p, args.d1, args.d2, args.m, args.n, args.s, rng)
     rep = inst.report
-    rows = [[args.p, args.d1, args.d2, args.m, args.n, args.s, args.seed,
-             rep.achieved["edges"], rep.bound["edges_min"],
-             rep.verification["outcome"]]]
-    header = ["p", "d1", "d2", "m", "n", "s", "seed", "edges", "edges_min", "outcome"]
-    return asdict(rep), (header, rows)
+    return asdict(rep), [[args.p, args.d1, args.d2, args.m, args.n, args.s, args.seed,
+                          rep.achieved["edges"], rep.bound["edges_min"],
+                          rep.verification["outcome"]]]
 
 
 def cmd_zero_patterns(args, rng):
@@ -179,7 +166,7 @@ def cmd_zero_patterns(args, rng):
     }
     rows = [[",".join(map(str, e["subset"])), ",".join(map(str, e["witness"]))]
             for e in report["patterns"]]
-    return body, (["subset", "witness"], rows)
+    return body, rows
 
 
 def cmd_containment_patterns(args, rng):
@@ -206,8 +193,7 @@ def cmd_containment_patterns(args, rng):
                          "dominated_by_zero_patterns": counts[-1] <= zp},
         "family": patmod.family_report(fam, flat, kind="containment-patterns"),
     }
-    rows = [[kk + 1, c] for kk, c in enumerate(counts)]
-    return body, (["k_prefix", "pattern_count"], rows)
+    return body, [[kk + 1, c] for kk, c in enumerate(counts)]
 
 
 def cmd_shatter(args, rng):
@@ -230,7 +216,7 @@ def cmd_shatter(args, rng):
         "verification": {},
         "counters": counters,
     }
-    return body, (["k", "shatter"], [[args.k, value]])
+    return body, [[args.k, value]]
 
 
 def cmd_zero_count(args, rng):
@@ -242,17 +228,14 @@ def cmd_zero_count(args, rng):
         "verification": {"fraction_ok": res.fraction >= 0.70},
         "flags": ["0.70 asserts the 3/4 guarantee with statistical slack"],
     }
-    rows = [[t, c, int(2 * c >= args.p ** (args.vars - 1))]
-            for t, c in enumerate(res.counts)]
-    return body, (["trial", "zeros", "success"], rows)
+    return body, [[t, c, int(2 * c >= args.p ** (args.vars - 1))]
+                  for t, c in enumerate(res.counts)]
 
 
 def cmd_point_variety(args, rng):
     inst = cons.point_variety_instance(args.m, args.alpha, args.dim, rng)
-    rows = [[qi, deg, zc]
-            for qi, (deg, zc) in enumerate(zip(inst.section_degrees, inst.incident_points))]
-    header = ["variety", "section_degree", "incident_points"]
-    return asdict(inst.report), (header, rows)
+    return asdict(inst.report), [[qi, deg, zc] for qi, (deg, zc) in
+                                 enumerate(zip(inst.section_degrees, inst.incident_points))]
 
 
 def cmd_unit_distance(args, rng):
@@ -261,12 +244,9 @@ def cmd_unit_distance(args, rng):
     )
     rep = inst.report
     a = rep.achieved
-    rows = [[rep.params["p"], args.d, a["U_size"], a["P_size"], a["cross_pairs"],
-             a["unit_distances"], rep.bound["cross_pairs_min"],
-             rep.verification["outcome"]]]
-    header = ["p", "d", "U_size", "P_size", "cross_pairs", "unit_distances",
-              "cross_pairs_min", "outcome"]
-    return asdict(rep), (header, rows)
+    return asdict(rep), [[rep.params["p"], args.d, a["U_size"], a["P_size"], a["cross_pairs"],
+                          a["unit_distances"], rep.bound["cross_pairs_min"],
+                          rep.verification["outcome"]]]
 
 
 def cmd_sphere_geometry(args, rng):
@@ -309,7 +289,7 @@ def cmd_sphere_geometry(args, rng):
         else ["p = 1 (mod 4): pair search outcome is informational"],
         "counters": counters,
     }
-    return body, (["family", "k", "identity_ok", "orthogonal_ok"], rows)
+    return body, rows
 
 
 def cmd_pattern_scan(args, rng):
@@ -375,7 +355,7 @@ def cmd_pattern_scan(args, rng):
         "verification": {"pattern_absent": not found_any},
         "counters": counters,
     }
-    return body, (["host", "found"], rows)
+    return body, rows
 
 
 def cmd_indep_set(args, rng):
@@ -407,8 +387,7 @@ def cmd_indep_set(args, rng):
         "verification": {"independent": not any(e <= set(out) for e in hg.edges),
                          "size_ok": len(out) >= target},
     }
-    return body, (["n", "m", "k", "size", "size_min"],
-                  [[hg.n, hg.m, hg.k, len(out), target]])
+    return body, [[hg.n, hg.m, hg.k, len(out), target]]
 
 
 # -- parser ---------------------------------------------------------------
@@ -423,6 +402,7 @@ def build_parser() -> _Parser:
         p.add_argument("--seed", type=int, required=True, help="64-bit experiment seed")
         p.add_argument("--output", help="JSON report path (default: stdout)")
         p.add_argument("--csv", help="CSV series path")
+        p.set_defaults(_csv=p.epilog.removeprefix("CSV: "))  # the CSV columns, named once
 
     p = sub.add_parser("zarankiewicz", help="random algebraic K_{s,s}-free graph",
                        epilog="CSV: p,d1,d2,m,n,s,seed,edges,edges_min,outcome")
@@ -551,7 +531,7 @@ def main(argv=None) -> int:
     args._t0 = time.perf_counter()
     rng = Rng(args.seed)
     try:
-        body, csv_spec = _run_command(args, rng)
+        body, rows = _run_command(args, rng)
     except DomainError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return USAGE_EXIT
@@ -563,7 +543,7 @@ def main(argv=None) -> int:
         if exc.best is not None:
             _write_outputs(args, asdict(exc.best), None)
         return RESOURCE_EXIT
-    _write_outputs(args, body, csv_spec)
+    _write_outputs(args, body, rows)
     ver = body["verification"]  # one rule for all: every boolean holds, any K_{s,s} outcome is free
     free = ver.get("outcome", "verified-free") == "verified-free"
     return 0 if free and all(v for v in ver.values() if isinstance(v, bool)) else VERIFY_EXIT

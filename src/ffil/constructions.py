@@ -139,11 +139,6 @@ class AlgebraicGraphInstance:
     col_zeros: list  # per chosen column, its zeros over all of F_p^D1
 
 
-def _product_zero_mask(f: MultiPoly, d1: int) -> np.ndarray:
-    """mask[i, j] is f(x_i, y_j) == 0 for x_i, y_j in lex order of F_p^d1, F_p^d2."""
-    return zero_mask(f).reshape(f.ctx.p**d1, -1)
-
-
 def random_algebraic_graph(p, d1, d2, m, n, s, rng) -> AlgebraicGraphInstance:
     """K_{s,s}-free bipartite graph from the zero set of a random polynomial.
 
@@ -183,7 +178,7 @@ def random_algebraic_graph(p, d1, d2, m, n, s, rng) -> AlgebraicGraphInstance:
     best_edges = -1
     for attempt in range(1, RETRY_POLY + 1):
         cand = sample_uniform(ctx, d1 + d2, delta, rng)
-        cand_mask = _product_zero_mask(cand, d1)
+        cand_mask = zero_mask(cand).reshape(p**d1, -1)  # [x, y], both in lex order
         e0 = int(cand_mask.sum())
         best_edges = max(best_edges, e0)
         if 2 * e0 < full_target:

@@ -177,11 +177,6 @@ class AffineFlat:
     def empty(cls, ctx: FieldCtx, ambient: int) -> "AffineFlat":
         return cls(ctx, ambient, None, [], is_empty=True)
 
-    @classmethod
-    def full(cls, ctx: FieldCtx, ambient: int) -> "AffineFlat":
-        basis = [tuple(1 if j == i else 0 for j in range(ambient)) for i in range(ambient)]
-        return cls(ctx, ambient, (0,) * ambient, basis)
-
     @property
     def dim(self) -> int:
         return -1 if self.is_empty else len(self.basis)

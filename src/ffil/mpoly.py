@@ -4,19 +4,20 @@ A MultiPoly maps exponent vectors to nonzero coefficients. The scalar
 `evaluate` is the reference semantics (term-by-term powering), and
 `bivariate_section` is the reference for fixing trailing variables.
 
-Whole-grid sweeps (`zero_mask`, `zero_set`, `count_zeros`, and the grid
-work in `constructions`) go through one separable kernel, `grid_slabs`: the
-dense coefficient tensor (one axis per variable) is contracted one axis at a
-time with the power table x^e mod p of that axis' coordinates, so a sweep of
-n^D points costs about D n^(D+1) multiply-adds instead of terms x n^D, and
-contracting only the trailing axes yields every section's coefficients at
-once (Kronecker-structured evaluation, as in Yates' algorithm). It reduces
-mod p only where a float64 product could reach 2^53 (the exactness rule of
-`matmul_mod`, which every other product mod p calls), in cache-sized slabs.
-`evaluate_batch` vectorizes the term-by-term arithmetic for scattered
-points. The test suite cross-checks every path against `evaluate`.
-`sample_uniform` draws all its coefficients in one block
-(`Rng.randbelow_many`), the same stream as one scalar draw per monomial.
+Whole-grid sweeps (`zero_mask` and `count_zeros`, both on `_zero_slabs`,
+and the grid work in `constructions`) go through one separable kernel,
+`grid_slabs`: the dense coefficient tensor (one axis per variable) is
+contracted one axis at a time with the power table x^e mod p of that axis'
+coordinates, so a sweep of n^D points costs about D n^(D+1) multiply-adds
+instead of terms x n^D, and contracting only the trailing axes yields every
+section's coefficients at once (Kronecker-structured evaluation, as in
+Yates' algorithm). It reduces mod p only where a float64 product could
+reach 2^53 (the exactness rule of `matmul_mod`, which every other product
+mod p calls), in cache-sized slabs. `evaluate_batch` vectorizes the
+term-by-term arithmetic for scattered points. The test suite cross-checks
+every path against `evaluate`. `sample_uniform` draws all its coefficients
+in one block (`Rng.randbelow_many`), the same stream as one scalar draw per
+monomial.
 
 Supported arithmetic is deliberately small: add, multiply, substitute. No
 GCDs, no factorization.
@@ -396,39 +397,38 @@ def section_tensors(f: MultiPoly, d2: int) -> np.ndarray:
     return out.reshape(p**d2, *coef.shape[:d1])
 
 
+def _zero_slabs(f: MultiPoly):
+    """f == 0 over F_p^nvars (nvars >= 1), as boolean slabs along the first
+    axis of the (p,) * nvars grid. The ENUM_CAP check runs at the call, not
+    at the first slab."""
+    p = f.ctx.p
+    _check_enum_cap(p, f.nvars)
+    coef = coefficient_tensor(f, fold=range(f.nvars))
+    return _grid(coef, p, [np.arange(p)] * f.nvars, _multiple_of_p)
+
+
 def zero_mask(f: MultiPoly) -> np.ndarray:
     """Boolean tensor of shape (p,) * nvars, True at the zeros of f.
 
     Entry [x_0, ..., x_{D-1}] is f(x) == 0, so C-order flattening follows the
     lexicographic row order of `domain_points`.
     """
-    p = f.ctx.p
-    _check_enum_cap(p, f.nvars)
     if f.nvars == 0:
         return np.array(f.evaluate(()) == 0)
-    mask = np.empty((p,) * f.nvars, dtype=bool)
+    slabs = _zero_slabs(f)  # the cap check comes before the allocation
+    mask = np.empty((f.ctx.p,) * f.nvars, dtype=bool)
     lo = 0
-    axes = [np.arange(p)] * f.nvars
-    for slab in _grid(coefficient_tensor(f, fold=range(f.nvars)), p, axes, _multiple_of_p):
+    for slab in slabs:
         mask[lo : lo + slab.shape[0]] = slab
         lo += slab.shape[0]
     return mask
-
-
-def zero_set(f: MultiPoly):
-    """All rational zeros of f in F_p^nvars, in lexicographic order."""
-    return [tuple(row) for row in np.argwhere(zero_mask(f)).tolist()]
 
 
 def count_zeros(f: MultiPoly) -> int:
     """Number of zeros of f in F_p^nvars, counted slab by slab (no full mask)."""
     if f.nvars == 0:
         return int(zero_mask(f))
-    p = f.ctx.p
-    _check_enum_cap(p, f.nvars)
-    coef = coefficient_tensor(f, fold=range(f.nvars))
-    slabs = _grid(coef, p, [np.arange(p)] * f.nvars, _multiple_of_p)
-    return sum(int(np.count_nonzero(slab)) for slab in slabs)
+    return sum(int(np.count_nonzero(slab)) for slab in _zero_slabs(f))
 
 
 def bivariate_section(f: MultiPoly, q) -> MultiPoly:

@@ -51,8 +51,8 @@ class PatternFamily:
 
 class SetSystem:
     """Family of subsets of a ground set, held as packed rows over it (see
-    bigraph). `members` is such an array, or a list of int bitmasks or of
-    iterables of ground elements."""
+    bigraph). `members` is such an array, or a list of iterables of ground
+    elements."""
 
     __slots__ = ("ground_size", "members")
 
@@ -61,8 +61,6 @@ class SetSystem:
         if not isinstance(members, np.ndarray):
             mat = np.zeros((len(members), ground_size), dtype=bool)
             for row, mem in zip(mat, members):
-                if isinstance(mem, int):  # a negative one has bits past the ground set
-                    mem = [v for v in range(max(mem.bit_length(), ground_size + 1)) if mem >> v & 1]
                 mem = list(mem)
                 if not all(0 <= v < ground_size for v in mem):
                     raise DomainError("member is not a subset of the ground set")
@@ -144,13 +142,9 @@ def containment_patterns(systems) -> PatternFamily:
     pts, zmat = _zero_matrix(flat)
     cols = []
     pos = 0
-    for sys in systems:
-        t = len(sys)
-        if t == 0:
-            cols.append(np.ones(zmat.shape[0], dtype=bool))
-        else:
-            cols.append(zmat[:, pos : pos + t].all(axis=1))
-        pos += t
+    for sys in systems:  # an empty slice is all true: no polynomials, the whole space
+        cols.append(zmat[:, pos : pos + len(sys)].all(axis=1))
+        pos += len(sys)
     return _collect(pts, np.stack(cols, axis=1))
 
 

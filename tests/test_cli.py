@@ -248,9 +248,9 @@ def test_readme_cli_examples(tmp_path, monkeypatch):
 
 
 def test_readme_csv_headers_are_the_help_columns(tmp_path, monkeypatch):
-    # each subcommand writes its CSV columns twice, in its --help epilog and
-    # in its cmd_* header list: every README example, run with --csv,
-    # writes the epilog's columns as its header row
+    # each subcommand names its CSV columns once, in its --help epilog, and
+    # the CSV header row is read from there: every README example, run with
+    # --csv, writes the epilog's columns as its header row
     from ffil.cli import build_parser, main
 
     sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

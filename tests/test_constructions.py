@@ -14,7 +14,7 @@ from ffil import (
 )
 from ffil import constructions
 from ffil.bigraph import smallest_free_s
-from ffil.constructions import _product_zero_mask, integer_nth_root, kss_verdict
+from ffil.constructions import integer_nth_root, kss_verdict
 from ffil.geometry import BilinearForm, Sphere, sphere_points
 from ffil.mpoly import (
     bivariate_section,
@@ -22,6 +22,7 @@ from ffil.mpoly import (
     evaluate_batch,
     sample_uniform,
     section_tensors,
+    zero_mask,
 )
 from ffil.rng import Rng
 
@@ -90,7 +91,7 @@ def test_algebraic_graph_rows_and_cols_are_the_chosen_grid_points():
     for pts in (inst.rows, inst.cols):
         assert len(set(pts)) == len(pts)
         assert all(type(v) is int and 0 <= v < 11 for x in pts for v in x)
-    mask = _product_zero_mask(inst.poly, 2)
+    mask = zero_mask(inst.poly).reshape(11**2, -1)
     ridx = [11 * a + b for a, b in inst.rows]
     cidx = [11 * a + b for a, b in inst.cols]
     sub = mask[np.ix_(ridx, cidx)]
@@ -129,7 +130,7 @@ def test_product_zero_mask_matches_pointwise_mask():
         n1, n2 = g1.shape[0], g2.shape[0]
         pts = np.hstack([np.repeat(g1, n2, axis=0), np.tile(g2, (n1, 1))])
         want = (evaluate_batch(f, pts) == 0).reshape(n1, n2)
-        assert np.array_equal(_product_zero_mask(f, d1), want)
+        assert np.array_equal(zero_mask(f).reshape(p**d1, -1), want)
 
 
 def test_algebraic_graph_input_validation():

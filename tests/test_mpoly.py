@@ -21,7 +21,6 @@ from ffil import (
     monomials_upto,
     parse_poly,
     sample_uniform,
-    zero_set,
 )
 from ffil import mpoly
 from ffil.mpoly import (
@@ -36,6 +35,11 @@ from ffil.rng import Rng
 
 import search_reference as ref
 from oracles import scalar_zero_points
+
+
+def zero_points(f):
+    """The rows of np.argwhere(zero_mask(f)) as tuples: the zeros in lex order."""
+    return [tuple(row) for row in np.argwhere(zero_mask(f)).tolist()]
 
 
 def test_evaluate_examples():
@@ -125,12 +129,12 @@ def test_multipoly_validates_exponents():
 def test_zero_set_examples():
     ctx3 = FieldCtx.prime(3)
     f = MultiPoly.variable(ctx3, 2, 0)
-    assert zero_set(f) == [(0, 0), (0, 1), (0, 2)]
+    assert zero_points(f) == [(0, 0), (0, 1), (0, 2)]
     ctx7 = FieldCtx.prime(7)
     circle = MultiPoly(ctx7, 2, {(2, 0): 1, (0, 2): 1, (0, 0): -1})
-    assert len(zero_set(circle)) == 8
+    assert len(zero_points(circle)) == 8
     one = MultiPoly.constant(ctx7, 2, 1)
-    assert zero_set(one) == []
+    assert zero_points(one) == []
 
 
 def test_zero_set_matches_scalar_oracle():
@@ -141,7 +145,7 @@ def test_zero_set_matches_scalar_oracle():
         p = (2, 3, 5, 7)[r.randbelow(4)]
         d = 1 + r.randbelow(3)
         f = sample_uniform(FieldCtx.prime(p), d, 1 + r.randbelow(8), r)
-        assert zero_set(f) == scalar_zero_points(f)
+        assert zero_points(f) == scalar_zero_points(f)
         assert count_zeros(f) == len(scalar_zero_points(f))
 
 
@@ -158,10 +162,14 @@ def test_sample_uniform_term_cap(monkeypatch):
 
 def test_zero_set_cap(monkeypatch):
     ctx = FieldCtx.prime(7)
+    # the cap is checked before the mask is allocated: 7^40 cells are too
+    # many for any array
+    with pytest.raises(ResourceLimitError):
+        zero_mask(MultiPoly.variable(ctx, 40, 0))
     f = MultiPoly.variable(ctx, 4, 0)
     monkeypatch.setattr(mpoly, "ENUM_CAP", 100)
     with pytest.raises(ResourceLimitError):
-        zero_set(f)
+        zero_mask(f)
 
 
 def test_zero_set_of_product_is_union():
@@ -171,8 +179,8 @@ def test_zero_set_of_product_is_union():
         r = rng.derive(trial)
         f = sample_uniform(ctx, 2, 2, r)
         g = sample_uniform(ctx, 2, 2, r)
-        want = sorted(set(zero_set(f)) | set(zero_set(g)))
-        assert zero_set(f * g) == want
+        want = sorted(set(zero_points(f)) | set(zero_points(g)))
+        assert zero_points(f * g) == want
 
 
 def test_zero_count_mean_matches_expectation():
@@ -427,7 +435,7 @@ def test_zero_set_with_exponents_above_p():
         f = MultiPoly(ctx, 3, {(1000, 999, 0): 1, (0, 0, p): 2, (p - 1, 2 * p, 1): 1,
                                (1, 0, 0): p - 1, (0, 0, 0): 1})
         assert all(k <= p for k in coefficient_tensor(f, fold=range(3)).shape)
-        assert zero_set(f) == scalar_zero_points(f)
+        assert zero_points(f) == scalar_zero_points(f)
 
 
 def test_section_tensors_match_bivariate_section():

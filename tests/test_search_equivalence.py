@@ -653,6 +653,7 @@ def test_sphere_family_rows_match_reference(monkeypatch, tmp_path, p, d):
     grid = [tuple(int(v) for v in r) for r in domain_points(p, d)]
     rng = Rng(seed)
     want, batch, wrong, fams, flats = [], [], [], [], []
+    full = AffineFlat(ctx, d, (0,) * d, np.eye(d, dtype=int).tolist())  # all of F_p^d
     assert len(drawn) == families
     for fi in range(families):
         r = rng.derive(fi)
@@ -668,7 +669,7 @@ def test_sphere_family_rows_match_reference(monkeypatch, tmp_path, p, d):
         # the empty flat is wrong if the spheres meet, the full space unless
         # the centers agree; a translate of U misses the common points
         for other, is_wrong in ((flat, False), (AffineFlat.empty(ctx, d), meet),
-                                (AffineFlat.full(ctx, d), flat.dim < d), (_translated(flat), meet)):
+                                (full, flat.dim < d), (_translated(flat), meet)):
             if other is not None:
                 batch.append((spheres, other))
                 wrong.append(is_wrong)
@@ -805,12 +806,10 @@ def random_system(r):
     """At most 10 ground elements and 14 members, duplicate and empty ones included."""
     n = int(r.integers(0, 11))
     density = r.random()
-    members = [
-        int(sum(1 << int(v) for v in np.flatnonzero(r.random(n) < density)))
-        for _ in range(int(r.integers(0, 15)))
-    ]
+    members = [np.flatnonzero(r.random(n) < density).tolist()
+               for _ in range(int(r.integers(0, 15)))]
     if len(members) > 2:
-        members[-1], members[1] = members[0], 0
+        members[-1], members[1] = members[0], []
     return SetSystem(n, members)
 
 
@@ -821,7 +820,8 @@ SHATTER_BLOCKS = {"one-prefix": 1, "few-prefixes": 200, "default": patterns._SHA
 def test_shatter_matches_reference(monkeypatch, cells):
     monkeypatch.setattr(patterns, "_SHATTER_CELLS", cells)
     r = np.random.default_rng(cells)
-    systems = [SetSystem(0, []), SetSystem(6, []), SetSystem(4, [0, 0]), SetSystem(3, [7, 7, 0])]
+    systems = [SetSystem(0, []), SetSystem(6, []), SetSystem(4, [[], []]),
+               SetSystem(3, [[0, 1, 2], [0, 1, 2], []])]
     systems += [random_system(r) for _ in range(80)]
     stops = {"first": 0, "later": 0, "none": 0}
     for system in systems:
@@ -855,7 +855,7 @@ def test_shatter_checks_k_and_cap_before_any_matrix(monkeypatch):
         raise AssertionError("the member matrix was built before the checks")
 
     monkeypatch.setattr(patterns, "_unpack", no_matrix)
-    system = SetSystem(200, [0b11, 0b1100 | 1 << 199])
+    system = SetSystem(200, [[0, 1], [2, 3, 199]])
     with pytest.raises(ResourceLimitError):
         shatter_function(system, 5)  # C(200, 5) > ENUM_CAP
     with pytest.raises(DomainError):
