@@ -10,12 +10,16 @@ lexicographic codes (a point's row index in `domain_points`). The flats of
 packed table of p^d bits, `sphere_family_check` tests it by polarization,
 and both are blocked array passes that never list the grid.
 
-Both flats searches walk from the sphere's lex-first point s_0 alone, the
-least point of every flat through it. O(Q) fixes the center and is
-transitive on the sphere S (Witt's theorem), and keeps both checked
-identities of a flat, so all flats pass iff those through s_0 do, and each
-point lies on the same number F_0(r) of r-flats: S holds |S| F_0(r) / p^r.
-FLAT_PAIR_CAP bounds the pair tests of one walk.
+Both flats searches walk a flag from the sphere's lex-first point s_0:
+level r is the r-flats through F_{r-1}, the first flat of level r - 1, and
+F_0 = s_0. O(Q) fixes the center, keeps both checked identities of a flat
+and is transitive on the sphere S, and by Witt's theorem the stabiliser of
+an (r - 1)-flat is transitive on the r-flats of S that contain it. So every
+r-flat moves onto one through F_{r-1}: all flats pass iff those of the flag
+levels do. Counting the pairs of an (r - 1)-flat in an r-flat two ways, S
+holds N_r = N_{r-1} E_r / A_r r-flats, an exact division: N_0 = |S|, E_r
+r-flats contain F_{r-1}, and an affine r-space has A_r = p(p^r - 1)/(p - 1)
+hyperplanes. FLAT_PAIR_CAP bounds the pair tests of one walk.
 
 Every product of point arrays through the form B is one `BilinearForm.gram`
 call. As p is odd, pair norms follow by polarization, Q(a - b) = Q(a) +
@@ -344,9 +348,10 @@ def _affine_closure(ctx: FieldCtx, pts):
 @dataclass
 class SphereFlatsReport:
     """counts[r], the number of r-flats in the sphere, from r = 0 up to its
-    largest flats within the cap, and per level r the r-flats through s_0:
-    rows[r], their sorted lex codes in lex order, and isotropic_ok[r] and
-    radial_ok[r], bool arrays of their two verdicts."""
+    largest flats within the cap, and per level r the r-flats of the walk,
+    those through the flag's (r - 1)-flat (module docstring): rows[r], their
+    sorted lex codes in lex order, and isotropic_ok[r] and radial_ok[r], bool
+    arrays of their two verdicts."""
 
     counts: list = field(default_factory=list)
     rows: list = field(default_factory=list)
@@ -364,16 +369,19 @@ _FLAT_CELLS = 1 << 13
 
 
 def flats_in_sphere_check(sphere: Sphere, dim_cap: int, counters=None) -> SphereFlatsReport:
-    """Count every flat of dimension <= dim_cap contained in the sphere, |S|
-    F_0(r) / p^r r-flats from the F_0(r) through s_0 (module docstring), and
-    check two identities on each flat through s_0: total isotropy of the
-    flat, and <x - w, x - y> = 0 for all flat points x, y (w the center).
-    counters["flat_pairs"] is increased by the walk's pair tests."""
+    """Count every flat of dimension <= dim_cap contained in the sphere from
+    the flats of its flag walk (module docstring), and check two identities
+    on each flat of the walk: total isotropy of the flat, and <x - w, x - y>
+    = 0 for all flat points x, y (w the center). counters["flat_pairs"] is
+    increased by the walk's pair tests."""
     form, (p, d) = sphere.form, (sphere.form.ctx.p, sphere.form.dim)
     arr = _sphere_array(sphere)
     report = SphereFlatsReport()
+    count = len(arr)
     for r, (rows, gens) in enumerate(_flat_levels(arr, p, dim_cap, counters=counters)):
-        report.counts.append(len(arr) * len(rows) // p**r)
+        if r:  # N_r = N_{r-1} E_r / A_r (module docstring)
+            count = count * len(rows) // (p * (p**r - 1) // (p - 1))
+        report.counts.append(count)
         # <x - w, x - y> = G[x, x] - G[x, y], G the Gram matrix of the x - w,
         # for all flats of the level at once, in blocks of rows
         rel = lex_points(rows, p, d).reshape(*rows.shape, d) - np.array(sphere.center)
@@ -388,112 +396,72 @@ def flats_in_sphere_check(sphere: Sphere, dim_cap: int, counters=None) -> Sphere
     return report
 
 
-def _flat_levels(arr, p, dim_cap, first_flat=False, counters=None):
-    """The flats of dimension <= dim_cap through the least point s_0 of the
-    set S of the lex-sorted rows of `arr`: level r is (rows, gens), the
-    r-flats as sorted lex codes, in lex order, and as r + 1 spanning points,
-    base = s_0; level 0, then each level up to the last nonempty one. With
-    `first_flat` the last level ends at the first pass block that yields a
-    flat.
+def _flat_levels(arr, p, dim_cap, counters=None):
+    """The flats of dimension <= dim_cap along a flag from the least point
+    s_0 of the set S of the lex-sorted rows of `arr`: level r is (rows, gens),
+    the r-flats in S through F, the first flat of level r - 1, as sorted lex
+    codes, in lex order, and as r + 1 spanning points, base = s_0; level 0 is
+    s_0, then each level up to the last nonempty one.
 
-    Level r is the record of the walk (the test reference) closing each flat
-    of level r - 1, in discovery order, with the points of S off it, a
-    closure recorded at the first flat F finding it, with F's base. By
-    induction each level comes in nondecreasing least point, base = least
-    point, as the (r - 1)-flats of an r-flat C through its least point come
-    first.
+    Level r lists the records of the walk (the test reference) with base
+    s_0 that contain F. Each C = F + F_p (q - s_0) is kept at q, its least point
+    off F, so the levels come in increasing q, which is lex order. q comes
+    after F's last spanning point: else F_{r-2} + F_p (q - s_0), an
+    (r - 1)-flat of C, would precede F.
 
-    Membership in S is one lookup in a packed p^d-bit table. A level is one
-    pass over the pairs (F, q), x the base of F, keeping C = F + F_p (q - x)
-    at one pair: q least in C off F, F spanned by its points below q (so x is
-    least in C, other (r - 1)-flats in C miss a point below q, and q spans C
-    last). Pairs with q after F's last spanning point and 2q - x in S are
-    kept if their cosets F + t(q - x), 0 < t < p, are in S and not below q.
-    The pairs tested (blocks of F, each against the q after the block's least
-    last spanning point) are added to counters["flat_pairs"]; ResourceLimitError
-    is raised before a block that would take them past FLAT_PAIR_CAP.
+    Membership in S is one lookup in a packed p^d-bit table. The points q
+    after F's last spanning point are the level's pair tests: they are added
+    to counters["flat_pairs"], and ResourceLimitError is raised before a
+    level that would take them past FLAT_PAIR_CAP. Each q needs 2q - s_0 in
+    S (on the line s_0 + F_p (q - s_0)), one filter for every level; the q
+    that pass have their cosets F + t(q - s_0), 0 < t < p, tested in blocks:
+    all in S, none below q.
     """
-    codes = arr @ _lex_weights(p, d := arr.shape[1])  # increasing: the points are in lex order
+    weights = _lex_weights(p, d := arr.shape[1])
+    codes = arr @ weights  # increasing: the points are in lex order
     table = _pack_codes(codes, p**d)
-    levels = [(codes[:1, None], arr[:1, None])]  # flats as sorted codes and spanning points
-    spent = {"flat_pairs": 0}
-    while len(levels) <= dim_cap:
-        (rows, gens), pairs = levels[-1], []
-        for kept in _level_pairs(rows, gens, arr, codes, table, p, spent):
-            pairs.append(kept)
-            if first_flat and len(levels) == dim_cap and kept.size:
-                break
-        f, q = np.concatenate(pairs, axis=1)
-        if not len(f):
+    ends = np.flatnonzero(_unpack(table, (2 * arr - arr[:1]) % p @ weights))  # the q with 2q - s_0 in S
+    levels, spent = [(codes[:1, None], arr[:1, None])], 0
+    while len(levels) <= dim_cap and len(levels[-1][0]):
+        flat, gens = lex_points(levels[-1][0][0], p, d), levels[-1][1][0]  # F's points and spanning points
+        after = int(np.searchsorted(codes, gens[-1] @ weights, side="right"))
+        if (spent := spent + len(codes) - after) > FLAT_PAIR_CAP:
+            raise ResourceLimitError(f"flats walk budget of {FLAT_PAIR_CAP} pair tests exhausted")
+        q = ends[ends >= after]
+        kept, step = [q[:0]], max(1, _FLAT_CELLS // (len(flat) * d))
+        for lo in range(0, len(q), step):
+            live, t = q[lo : lo + step], 1
+            while len(live) and t < p:
+                c = (flat + t * (arr[live, None] - arr[0])) % p @ weights
+                live, t = live[(_unpack(table, c) & (c >= codes[live, None])).all(axis=1)], t + 1
+            kept.append(live)
+        if not len(q := np.concatenate(kept)):
             break
-        block = max(1, _FLAT_CELLS // (p * rows.shape[1] * d))
-        cl = np.concatenate([np.sort(_cosets(rows, arr, f[lo : lo + block], q[lo : lo + block], np.arange(p), p)
-                                     .reshape(-1, p * rows.shape[1])) for lo in range(0, len(f), block)])
-        order = np.lexsort(cl.T[::-1])
-        levels.append((cl[order], np.concatenate([gens[f], arr[q, None]], axis=1)[order]))
+        step, ts = max(1, step // p), np.arange(p)[:, None, None]
+        cl = [(flat + ts * (arr[q[lo : lo + step], None, None] - arr[0])) % p @ weights for lo in range(0, len(q), step)]
+        gens = np.concatenate([np.repeat(gens[None], len(q), axis=0), arr[q, None]], axis=1)
+        levels.append((np.sort(np.concatenate(cl).reshape(len(q), -1)), gens))
     if counters is not None:
-        counters["flat_pairs"] = counters.get("flat_pairs", 0) + spent["flat_pairs"]
+        counters["flat_pairs"] = counters.get("flat_pairs", 0) + spent
     return levels
-
-
-def _level_pairs(rows, gens, arr, codes, table, p, spent):
-    """The kept pairs (F, q) of the level after (rows, gens), as (2, n) arrays, one per pass block."""
-    (nf, m), (n, d), weights = rows.shape, arr.shape, _lex_weights(p, arr.shape[1])
-    pts, last, twice = lex_points(rows[:, 0], p, d), gens[:, -1] @ weights, 2 * arr % p
-    twice_codes = twice @ weights
-    fb = max(1, _FLAT_CELLS // m // (qb := min(n, _FLAT_CELLS // m) or 1))
-    todo, size = [np.zeros((2, 0), dtype=np.int64)], 0
-    for lo in range(0, nf, fb):
-        blk = slice(lo, lo + fb)
-        for qlo in range(np.count_nonzero(codes <= last[blk].min()), n, qb):
-            q = slice(qlo, qlo + qb)
-            spent["flat_pairs"] += len(rows[blk]) * len(codes[q])
-            if spent["flat_pairs"] > FLAT_PAIR_CAP:
-                raise ResourceLimitError(f"flats walk budget of {FLAT_PAIR_CAP} pair tests exhausted")
-            # code(2q - x) = code(2q % p) - code(x), plus p w_i where (2q % p)_i < x_i
-            two = twice_codes[q] - rows[blk, :1]
-            for i, wi in enumerate(weights.tolist()):
-                two += p * wi * (twice[q, i] < pts[blk, i, None])
-            todo.append(np.stack(np.nonzero(_unpack(table, two) & (codes[q] > last[blk, None]))) + [[lo], [qlo]])
-            if (size := size + todo[-1].shape[1]) * m * d >= _FLAT_CELLS:
-                yield _coset_filter(todo, rows, arr, codes, table, p)
-                todo, size = todo[:1], 0
-    yield _coset_filter(todo, rows, arr, codes, table, p)
-
-
-def _coset_filter(todo, rows, arr, codes, table, p):
-    """The pairs (F, q) in `todo` whose cosets F + t(q - x), 0 < t < p, are in S, none below q."""
-    (f, q), t, run = np.concatenate(todo, axis=1), 1, 1
-    while len(f) and t < p:
-        c = _cosets(rows, arr, f, q, np.arange(t, min(p, t + run)), p)
-        keep = (_unpack(table, c) & (c >= codes[q, None, None])).all(axis=(1, 2))
-        f, q, t = f[keep], q[keep], t + run
-        run = min(2 * run, max(1, _FLAT_CELLS // (rows.shape[1] * arr.shape[1] * len(f) or 1)))
-    return np.stack([f, q])
-
-
-def _cosets(rows, arr, f, q, ts, p):
-    """Lex codes of the cosets F + t(q - x), x the base of F: (pairs, ts, F)."""
-    pts = lex_points(rows[f], p, arr.shape[1]).reshape(len(f), 1, -1, arr.shape[1])
-    step = (arr[q] - pts[:, 0, 0]) % p
-    return (pts + ts[:, None, None] * step[:, None, None]) % p @ _lex_weights(p, arr.shape[1])
 
 
 def isotropic_unit_pair_search(form: BilinearForm, counters=None):
     """Exhaustive search for (V, w): a totally isotropic k-space V and a
     norm-1 vector w orthogonal to V, in odd dimension d = 2k + 1. Returns
-    (V as a flat through 0, w = s_0) for the first k-flat w + V that the
-    walk of `_flat_levels` finds in the origin unit sphere S, stopping there,
-    or None; counters["flat_pairs"] is increased by the walk's pair tests.
+    (V as a flat through 0, w = s_0) for the first k-flat w + V of the walk
+    of `_flat_levels` in the origin unit sphere S, or None;
+    counters["flat_pairs"] is increased by the walk's pair tests.
 
     This is exact. As p is odd, Q(w + tv) = 1 for every t forces Q(v) = 0
     and B(w, v) = 0, and B(v, v') = 0 follows from Q(v + v') = 0: the pairs
-    are the k-flats in S, and S holds one iff one passes through s_0.
+    are the k-flats in S, and S holds one iff one contains the walk's
+    (k - 1)-flat (module docstring).
     """
     d = form.dim
     if d % 2 == 0:
         raise DomainError("search is defined for odd dimensions d = 2k + 1")
-    levels = _flat_levels(_origin_sphere_points(form), form.ctx.p, d // 2, True, counters)
+    levels = _flat_levels(_origin_sphere_points(form), form.ctx.p, d // 2, counters)
     if len(levels) <= d // 2 or not len(levels[-1][1]):
         return None
     flat = _affine_closure(form.ctx, levels[-1][1][0].tolist())

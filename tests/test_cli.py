@@ -376,6 +376,24 @@ def test_sphere_geometry_flat_pair_budget(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("resource error: flats walk budget")
 
 
+@pytest.mark.parametrize("p, d, flags, found, flats", [
+    ("23", "5", (), False, 7301810),
+    ("5", "7", ("--flat-dim-cap", "3"), True, 5640642),
+])
+def test_sphere_geometry_deep_flats_finish(tmp_path, p, d, flags, found, flats):
+    # each of these walks ran past FLAT_PAIR_CAP (exit 3) while a level
+    # paired all flats below it with the whole sphere; one flat per level
+    # takes well under a second
+    out = tmp_path / "r.json"
+    r = run_cli("sphere-geometry", "--p", p, "--d", d, "--families", "2", "--kmax", "2", *flags,
+                "--seed", "1", "--output", str(out))
+    assert r.returncode == 0, r.stderr
+    rep = load_report(out)
+    assert rep["achieved"]["isotropic_unit_pair_found"] is found
+    assert rep["achieved"]["flats_in_unit_sphere"] == flats
+    assert rep["achieved"]["flats_all_pass"]
+
+
 def test_pattern_scan_samples_sub_hosts_without_the_whole_host(tmp_path):
     # F_1009^2 has 1,018,081 points: the whole point-sphere host would be a
     # 965 GiB matrix, a 1 x 25 x 25 sample needs only its own block

@@ -274,17 +274,18 @@ def _traced_peak(fn):
 
 def test_sphere_passes_keep_block_sized_temporaries(monkeypatch):
     # the flats pass up to planes on F_13^4 (2,184 points) and on F_7^5
-    # (2,450 points) and the family pass over 2,000 families on F_13^3 hold
-    # int64 temporaries of O(_FLAT_CELLS d) entries, plus O(d) per point of
-    # the sphere or of a flat through s_0, or per family and center; without
-    # blocks they take 3.0 MB and 20 MB (the lines through s_0 against S)
-    # and 30 MB (families times |S| times k)
+    # (2,450 points), up to 3-flats on F_5^7 (15,750 points; its coset tests
+    # run over flats of 25 and 125 points) and the family pass over 2,000
+    # families on F_13^3 hold int64 temporaries of O(_FLAT_CELLS d) entries,
+    # plus O(d) per point of the sphere or of a flat of the walk, or per
+    # family and center; without blocks the family pass takes 30 MB
+    # (families times |S| times k)
     cells = 1 << 14
     monkeypatch.setattr(ffil.geometry, "_FLAT_CELLS", cells)
-    for p, d in ((13, 4), (7, 5)):
+    for p, d, cap in ((13, 4, 2), (7, 5, 2), (5, 7, 3)):
         sphere = Sphere(BilinearForm.standard(FieldCtx.prime(p), d), (0,) * d)
-        points = len(sphere_points(sphere)) + sum(rows.size for rows in flats_in_sphere_check(sphere, 2).rows)
-        assert _traced_peak(lambda: flats_in_sphere_check(sphere, 2)) < 4 * (cells + points) * d * 8
+        points = len(sphere_points(sphere)) + sum(rows.size for rows in flats_in_sphere_check(sphere, cap).rows)
+        assert _traced_peak(lambda: flats_in_sphere_check(sphere, cap)) < 4 * (cells + points) * d * 8
     form = BilinearForm.standard(FieldCtx.prime(13), 3)
     rng = Rng(7)
     families = []

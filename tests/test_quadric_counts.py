@@ -10,17 +10,17 @@ The unit sphere is {Q = 1}. By Witt's theorem, in odd dimension d = 2k + 1
 the form splits as k hyperbolic planes plus <1>, so a totally isotropic
 k-space V with a unit vector w orthogonal to it exists, exactly when
 (-1)^k D is a square; then w + V is an affine k-flat on the origin unit
-sphere, and any such flat gives such a pair. A line s_0 + F_p v lies on
-the unit sphere iff v is a nonzero isotropic vector of s_0^perp, so the
-sphere's lines are counted in closed form too.
+sphere, and any such flat gives such a pair. An r-flat s_0 + V lies on
+the unit sphere iff V is a totally singular r-space of s_0^perp, so the
+sphere's flats of every dimension are counted in closed form too.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import ffil.geometry
 from ffil import (
     BilinearForm,
     FieldCtx,
@@ -114,24 +114,51 @@ def test_isotropic_unit_pair_exists_exactly_when_witt_says(d, p, convention):
     assert bool(sum(flats.counts[k:])) == expected  # the number of k-flats, if the walk reached level k
 
 
-LINE_CASES = [(3, p) for p in range(3, 102) if is_prime(p)] + [(4, p) for p in PRIMES]
+def witt_type(sig, p: int):
+    """(m, e) of s_0^perp in the unit sphere of sig: its Witt index m, and e =
+    0, 1 or 2 for hyperbolic, parabolic or elliptic type. s_0^perp is
+    nondegenerate of dimension n = d - 1 and discriminant D, as Q(s_0) = 1:
+    parabolic for n odd, else hyperbolic iff (-1)^(n/2) D is a square."""
+    n = len(sig) - 1
+    if n % 2:
+        return (n - 1) // 2, 1
+    return (n // 2, 0) if eta((-1) ** (n // 2) * math.prod(sig), p) == 1 else (n // 2 - 1, 2)
+
+
+def gaussian_binomial(m: int, r: int, p: int) -> int:
+    """[m choose r]_p, the number of r-subspaces of F_p^m."""
+    return math.prod(p ** (m - i) - 1 for i in range(r)) // math.prod(p ** (i + 1) - 1 for i in range(r))
+
+
+# spheres of at most 10^6 points (p^(d-1) of them), which reach F_97^4
+LINE_CASES = [(d, p) for d in range(2, 8) for p in range(3, 102) if is_prime(p) and p ** (d - 1) <= 10**6]
 
 
 @pytest.mark.parametrize("convention", sorted(CONVENTIONS))
 @pytest.mark.parametrize("d, p", LINE_CASES)
-def test_points_and_lines_in_the_sphere_are_the_closed_form(d, p, convention):
-    # a line s_0 + F_p v lies in S iff v is a nonzero isotropic vector of
-    # s_0^perp, nondegenerate of dimension d - 1 and discriminant D (as
-    # Q(s_0) = 1); those are N = #{Q' = 0} - 1 for Q' = <1, .., 1, D>. So
-    # N / (p - 1) lines pass through each point, and S holds
-    # |S| N / ((p - 1) p) lines, far past the reference walk's reach
+def test_points_and_lines_in_the_sphere_are_the_closed_form(monkeypatch, d, p, convention):
+    monkeypatch.setattr(ffil.geometry, "_ORIGIN_CACHE", {})  # no table outlives its test
+    # an r-flat s_0 + V lies in S iff V is a totally singular r-space of
+    # s_0^perp. There are F_0(r) = [m choose r]_p prod_{i<r} (p^(m-1-i+e) + 1)
+    # of them (Taylor, The Geometry of the Classical Groups, 1992), so S
+    # holds |S| F_0(r) / p^r r-flats and none past level m; those through a
+    # totally singular (r - 1)-space U are the isotropic points of U^perp / U,
+    # of Witt index m - r + 1 and type e. At r = 1, (p - 1) F_0(1) is the
+    # number of nonzero isotropic vectors of s_0^perp = <1, .., 1, D>
     sig = CONVENTIONS[convention](d)
-    size, isotropic = quadric_count(sig, 1, p), quadric_count((1,) * (d - 2) + (math.prod(sig),), 0, p) - 1
-    lines, rest = divmod(size * isotropic, (p - 1) * p)
-    report = flats_in_sphere_check(Sphere(BilinearForm(FieldCtx.prime(p), sig), (0,) * d), 1)
-    assert rest == 0 and report.counts == [size, lines][: 1 + (lines > 0)]
-    assert sum(report.counts) == size * (1 + Fraction(isotropic, (p - 1) * p))
-    assert report.all_pass and [len(rows) for rows in report.rows] == [1, isotropic // (p - 1)][: len(report.counts)]
+    (m, e), size = witt_type(sig, p), quadric_count(sig, 1, p)
+
+    def through(r):  # F_0(r)
+        return gaussian_binomial(m, r, p) * math.prod(p ** (m - 1 - i + e) + 1 for i in range(r))
+
+    assert (p - 1) * through(1) == quadric_count((1,) * (d - 2) + (math.prod(sig),), 0, p) - 1
+    counts = [divmod(size * through(r), p**r) for r in range(m + 1)]
+    report = flats_in_sphere_check(Sphere(BilinearForm(FieldCtx.prime(p), sig), (0,) * d), d)
+    assert all(rest == 0 for _, rest in counts) and report.counts == [n for n, _ in counts]
+    assert [len(rows) for rows in report.rows] == [1] + [
+        (p ** (m - r + 1) - 1) // (p - 1) * (p ** (m - r + e) + 1) for r in range(1, m + 1)
+    ]
+    assert report.all_pass
 
 
 def test_line_counts_match_hand_checked_values():

@@ -479,18 +479,29 @@ def _level_arrays(report):
             for rows, iso, radial in zip(report.rows, report.isotropic_ok, report.radial_ok)]
 
 
-def _rooted_levels(records, s0, p, d):
-    """The reference's records with base s0 as level arrays, by dimension up
-    to the largest one present."""
-    rooted = [e for e in records if e.base == s0]
+def _flag_records(records, s0, p, d):
+    """The reference's records with base s0 along the walk's flag, as lists
+    of (sorted lex codes, record) per dimension: level 0, then at each
+    dimension r the records that contain the first flat of level r - 1, up
+    to the last nonempty level."""
     weights = [p ** (d - 1 - i) for i in range(d)]
-    levels = []
-    for r in range(max((e.dim for e in rooted), default=0) + 1):
-        flats = [e for e in rooted if e.dim == r]
-        points = [AffineFlat(FieldCtx.prime(p), d, e.base, e.basis).points() for e in flats]
-        codes = [sorted(sum(w * v for w, v in zip(weights, x)) for x in pts) for pts in points]
-        levels.append((codes, [e.isotropic_ok for e in flats], [e.radial_ok for e in flats]))
-    return levels
+    ctx, levels, first = FieldCtx.prime(p), [], set()
+    for r in range(max((e.dim for e in records if e.base == s0), default=0) + 1):
+        rooted = [e for e in records if e.dim == r and e.base == s0]
+        coded = [(sorted(sum(w * v for w, v in zip(weights, x)) for x in AffineFlat(ctx, d, e.base, e.basis).points()), e)
+                 for e in rooted]
+        flats = [(codes, e) for codes, e in coded if first <= set(codes)]
+        if not flats:
+            break
+        levels.append(flats)
+        first = set(flats[0][0])
+    return levels or [[]]
+
+
+def _rooted_levels(records, s0, p, d):
+    """`_flag_records` as level arrays."""
+    return [([c for c, _ in flats], [e.isotropic_ok for _, e in flats], [e.radial_ok for _, e in flats])
+            for flats in _flag_records(records, s0, p, d)]
 
 
 @pytest.mark.parametrize("p, d, dim_cap", FLAT_CASES)
@@ -528,6 +539,24 @@ def test_flats_match_reference_through_level_3():
     assert _level_arrays(got) == _rooted_levels(want, sphere_points(sphere)[0], 3, 5)
 
 
+@pytest.mark.parametrize("p, d, dim_cap", [(3, 4, 3), (5, 3, 2), (3, 5, 2)])
+@pytest.mark.parametrize("sig", ["plus", "mixed"])
+def test_every_flat_lies_in_equally_many_flats_one_level_up(p, d, dim_cap, sig):
+    # the count N_r = N_{r-1} E_r / A_r needs every (r - 1)-flat of S in the
+    # same number E_r of r-flats, which the walk reads off its flag's
+    # (r - 1)-flat: brute force over all of the reference's flats, on a
+    # sphere off the origin
+    form = BilinearForm(FieldCtx.prime(p), SIGNATURES[sig](d))
+    sphere = Sphere(form, tuple((3 * i + 1) % p for i in range(d)))
+    records = ref.flats_in_sphere_check(sphere, dim_cap)
+    flats = [[frozenset(AffineFlat(form.ctx, d, e.base, e.basis).points()) for e in records if e.dim == r]
+             for r in range(dim_cap + 1)]
+    got = flats_in_sphere_check(sphere, dim_cap)
+    assert len(got.counts) > 1
+    for r in range(1, len(got.counts)):
+        assert {sum(f < c for c in flats[r]) for f in flats[r - 1]} == {len(got.rows[r])}
+
+
 def test_flat_checks_match_reference_off_the_sphere(monkeypatch):
     # every flat inside a sphere passes both checks; on a point set that is
     # not a sphere, the plane x_3 = 0 of F_5^3, some lines through s_0 = 0
@@ -550,25 +579,16 @@ def test_flat_checks_match_reference_off_the_sphere(monkeypatch):
 @pytest.mark.parametrize("sig", sorted(SIGNATURES))
 def test_rooted_walk_lists_the_reference_flats_through_the_least_point(p, d, dim_cap, sig):
     # rooted at the origin sphere's lex-first point s_0, the walk lists the
-    # reference's flats with base s_0, level by level; with first_flat it
-    # lists the same levels but stops its last one at the first pass block
-    # that yields a flat
+    # reference's flats with base s_0 along its flag, level by level, with
+    # the same base and basis
     form = BilinearForm(FieldCtx.prime(p), SIGNATURES[sig](d))
     sphere = Sphere(form, (0,) * d)
     arr = np.array(sphere_points(sphere), dtype=np.int64).reshape(-1, d)
     s0 = tuple(arr[0].tolist()) if len(arr) else None
-    records = ref.flats_in_sphere_check(sphere, dim_cap)
-    want = [[(e.base, e.basis) for e in records if e.dim == r and e.base == s0] for r in range(dim_cap + 1)]
-
-    def walk(first_flat):
-        levels = [[(f.base, f.basis) for f in (_affine_closure(form.ctx, g) for g in gens.tolist())]
-                  for _, gens in _flat_levels(arr, p, dim_cap, first_flat)]
-        return levels + [[]] * (dim_cap + 1 - len(levels))
-
-    assert walk(False) == want
-    *whole, last = walk(True)
-    assert whole == want[:-1]
-    assert all(rec in want[-1] for rec in last) and bool(last) == bool(want[-1])
+    want = [[(e.base, e.basis) for _, e in flats]
+            for flats in _flag_records(ref.flats_in_sphere_check(sphere, dim_cap), s0, p, d)]
+    assert [[(f.base, f.basis) for f in (_affine_closure(form.ctx, g) for g in gens.tolist())]
+            for _, gens in _flat_levels(arr, p, dim_cap)] == want
 
 
 @pytest.mark.parametrize("p, d, dim_cap", FLAT_CASES)
