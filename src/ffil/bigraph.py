@@ -107,7 +107,7 @@ class BipartiteGraph:
 _BLOCK_CELLS = 1 << 16
 
 
-def contains_kss(g: BipartiteGraph, s: int, counters=None):
+def contains_kss(g: BipartiteGraph, s: int, counters=None, rooted=False):
     """Exact K_{s,s} detection; witness (rows_in_A, cols_in_B) or None.
 
     Searches s-subsets of the smaller class in increasing lexicographic
@@ -127,10 +127,18 @@ def contains_kss(g: BipartiteGraph, s: int, counters=None):
     unpacked common neighborhoods against the candidates' columns, and below
     depth 1 the candidates are the first row's depth-1 children, kept while
     the descendants of their depth-1 block are walked.
+
+    With rooted=True the search runs on A whatever the class sizes, and depth
+    0 considers only row 0, as one probe: the witness returned is the
+    lex-first one through row 0. When the plain search of A finds that one
+    first, both spend the same probes. On a Cayley graph of F_p^d it does, as
+    a translation moves every witness onto one through row 0, and the block
+    of the columns N(0) alone gives the same witness and probes (see
+    `constructions.unit_distance_instance`).
     """
     if s < 1:
         raise DomainError("s must be >= 1")
-    swap = g.n < g.m
+    swap = g.n < g.m and not rooted
     adj, inc = (g.cols, g.rows) if swap else (g.rows, g.cols)  # inc: the other class's rows
     size, other = (g.n, g.m) if swap else (g.m, g.n)
     deg_ok = _popcount(adj) >= s
@@ -138,7 +146,7 @@ def contains_kss(g: BipartiteGraph, s: int, counters=None):
 
     def expand(hosts, t):
         nonlocal first
-        hi = size - s + t + 1  # the last candidate leaves room for the rest
+        hi = 1 if rooted and not t else size - s + t + 1  # row 0, or room for the rest
         last = hosts[:, -1] if t else np.full(1, -1)
         if t < 2:
             cols, ok = np.flatnonzero(deg_ok), True

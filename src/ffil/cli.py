@@ -137,6 +137,11 @@ def cmd_zarankiewicz(args, rng):
                           rep.verification["outcome"]]]
 
 
+def _check_draw_vars(nvars: int):
+    if nvars < 1:
+        raise DomainError(f"need --vars >= 1 for random polynomials, got --vars {nvars}")
+
+
 def cmd_zero_patterns(args, rng):
     ctx = FieldCtx.prime(args.p)
     if args.fixture:
@@ -152,6 +157,7 @@ def cmd_zero_patterns(args, rng):
                     f"fixture polynomial of degree {f.total_degree} exceeds --degree {args.degree}"
                 )
     else:
+        _check_draw_vars(args.vars)
         polys = [
             sample_uniform(ctx, args.vars, args.degree, rng.derive(i))
             for i in range(args.k)
@@ -171,6 +177,7 @@ def cmd_zero_patterns(args, rng):
 
 def cmd_containment_patterns(args, rng):
     ctx = FieldCtx.prime(args.p)
+    _check_draw_vars(args.vars)
     systems = [
         [
             sample_uniform(ctx, args.vars, args.degree, rng.derive(i * args.t + j))

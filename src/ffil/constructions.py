@@ -150,6 +150,8 @@ def random_algebraic_graph(p, d1, d2, m, n, s, rng) -> AlgebraicGraphInstance:
     """
     if not is_prime(p):
         raise DomainError("p must be prime")
+    if d1 + d2 < 1:  # the polynomial needs a variable
+        raise DomainError(f"need --d1 + --d2 >= 1, got --d1 {d1} --d2 {d2}")
     if m < 1 or n < 1 or m > p**d1 or n > p**d2:
         raise DomainError("need 1 <= m <= p^d1 and 1 <= n <= p^d2")
     if s < 1:
@@ -302,8 +304,8 @@ def point_variety_instance(m, alpha, dim, rng) -> PointVarietyInstance:
 # -- evasive point sets ----------------------------------------------------------
 
 
-def evasive_point_set(p, d, k, strategy, rng):
-    """Point set of size exactly p^(d-k) in F_p^d.
+def evasive_point_set(p, d, k, strategy, rng) -> np.ndarray:
+    """Point set of size exactly p^(d-k) in F_p^d, as int64 rows in lex order.
 
     'map-image' returns the graph {(y, g_1(y), .., g_k(y))} of monomial maps
     with strictly increasing odd total degrees; 'random' returns a uniform
@@ -322,11 +324,9 @@ def evasive_point_set(p, d, k, strategy, rng):
         # y_1^(2i+1) * prod_{j>=2} y_j^2 for i = 1..k: odd total degrees
         # 2i + 1 + 2(d-k-1), strictly increasing in i
         odd = _power_table(base[:, 0], 2 * k + 2, p)[:, 3::2]
-        arr = np.hstack([base, odd * squares[:, None] % p])
-        return list(map(tuple, arr.tolist()))
+        return np.hstack([base, odd * squares[:, None] % p])
     if strategy == "random":
-        idx = rng.sample_indices(p**d, size)
-        return list(map(tuple, lex_points(idx, p, d).tolist()))
+        return lex_points(rng.sample_indices(p**d, size), p, d)
     raise DomainError(f"unknown strategy {strategy!r}")
 
 
@@ -335,14 +335,17 @@ def evasive_point_set(p, d, k, strategy, rng):
 
 @dataclass
 class UnitDistanceInstance:
-    points: list
+    """The point set as one (n, d) int64 array in lex order (a subsample
+    keeps it), its form and its report."""
+
+    points: np.ndarray
     form: BilinearForm
     report: ConstructionReport
 
     @cached_property
     def graph(self) -> BipartiteGraph:
         """unit_distance_graph of the points (the bipartite double), built on
-        first access."""
+        first access: never by a rooted run."""
         return unit_distance_graph(self.points, self.form)
 
 
@@ -378,9 +381,15 @@ def unit_distance_instance(
     onto one through the origin, vertex 0, whose neighbours are S. So the
     n x |S| block of the graph on the columns S contains K_{s,s} exactly
     when the graph does, for every s: the verdict and smallest_free_s are
-    decided on that block, and the graph (`inst.graph`, built on first
-    access) is searched only for the lex-first witness when the block has
-    one. counters["rooted_searches"] counts the searches run on the block.
+    decided on that block, by the plain search of its smaller class. The
+    graph's lex-first witness contains row 0, since moving a witness by minus
+    its least row gives one through 0, lex-smaller unless that row is 0, and
+    its columns lie in N(0) = S. The rooted search of the block
+    (`contains_kss(..., rooted=True)`) walks the same states below row 0, in
+    the same order and with the same probes, as the graph's search. So a
+    witness the block has is taken from that search, its columns read as the
+    lex codes of the sphere points, and the graph (`inst.graph`) is never
+    built. counters["rooted_searches"] counts the searches run on the block.
     """
     if d < 2:
         raise DomainError("construction needs d >= 2")
@@ -399,9 +408,8 @@ def unit_distance_instance(
             raise DomainError("p must be a prime congruent to 3 mod 4")
     ctx = FieldCtx.prime(p)
     form = BilinearForm.for_dim(ctx, d)
-    u_set = evasive_point_set(p, d, k - 1, strategy, rng)
-    u_arr = np.asarray(u_set, dtype=np.int64)
-    u_size = len(u_set)
+    u = evasive_point_set(p, d, k - 1, strategy, rng)
+    u_size = len(u)
 
     report = ConstructionReport(
         kind="unit-distance",
@@ -427,7 +435,7 @@ def unit_distance_instance(
         if whole:
             count = u_size * len(_origin_sphere_points(form))
         else:
-            count = int(np.count_nonzero(form.unit_pair_matrix(u_arr, (u_arr + x) % p)))
+            count = int(np.count_nonzero(form.unit_pair_matrix(u, (u + x) % p)))
         if 2 * p * count >= u_size**2:
             shift, cross = x, count
             report.retries["shift"] = attempt
@@ -437,33 +445,35 @@ def unit_distance_instance(
             f"no admissible shift in {RETRY_SHIFT} tries", best=report
         )
 
-    codes = np.sort(np.vstack((u_arr, (u_arr + shift) % p)) @ _lex_weights(p, d))  # U, U + x
-    merged = list(map(tuple, lex_points(codes[np.diff(codes, prepend=-1) > 0], p, d).tolist()))
+    weights = _lex_weights(p, d)
+    codes = np.sort(np.vstack((u, (u + shift) % p)) @ weights)  # U, U + x
+    points = lex_points(codes[np.diff(codes, prepend=-1) > 0], p, d)
     if n is not None:
-        if n > len(merged):
-            raise DomainError(f"requested n = {n} exceeds constructed {len(merged)} points")
-        if n < len(merged):
-            idx = rng.sample_indices(len(merged), n)
-            merged = [merged[i] for i in idx]
+        if n > len(points):
+            raise DomainError(f"requested n = {n} exceeds constructed {len(points)} points")
+        if n < len(points):
+            points = points[rng.sample_indices(len(points), n)]
 
     if d % 4 == 1:
         report.flags.append("re-embedded over the quadratic extension (d = 1 mod 4)")
-    inst = UnitDistanceInstance(merged, form, report)
-    rooted = whole and len(merged) == p**d  # no subsample: merged is F_p^d in lex order
+    inst = UnitDistanceInstance(points, form, report)
+    rooted = whole and len(points) == p**d  # no subsample: the points are F_p^d in lex order
     if rooted:
         sphere = _origin_sphere_points(form)
-        host = point_sphere_incidence(merged, sphere, form)
-        edges = len(merged) * len(sphere)
+        host = point_sphere_incidence(points, sphere, form)
+        edges = len(points) * len(sphere)
     else:
         host = inst.graph
         edges = host.edge_count()
     report.counters["rooted_searches"] += rooted
     report.verification = kss_verdict(host, s, report.counters)
-    if rooted and report.verification["witness"] is not None:
-        report.verification = kss_verdict(inst.graph, s, report.counters)  # lex-first witness
+    if rooted and report.verification["witness"] is not None:  # the graph's lex-first witness
+        rows, cols = contains_kss(host, s, report.counters, rooted=True)
+        report.verification["witness"] = (rows, (sphere[cols] @ weights).tolist())
+        report.counters["rooted_searches"] += 1
     report.achieved = {
         "U_size": u_size,
-        "P_size": len(merged),
+        "P_size": len(points),
         "cross_pairs": cross,
         "unit_distances": edges // 2,
         "shift": list(shift),

@@ -472,14 +472,15 @@ def isotropic_unit_pair_search(form: BilinearForm, counters=None):
 
 
 def unit_distance_graph(points, form: BilinearForm) -> BipartiteGraph:
-    """Unit-distance graph of a point list under `form`, as its bipartite
-    double: both classes are the point list, and (i, j) is an
-    edge iff norm_sq(points[i] - points[j]) = 1. The relation is symmetric,
-    so the two classes share one packed array (rows is cols). A point is
-    never adjacent to itself: the difference has norm zero, not one.
+    """Unit-distance graph of a point array under `form` (int rows, or any
+    array-like of them, the empty list included), as its bipartite double:
+    both classes are the points, and (i, j) is an edge iff
+    norm_sq(points[i] - points[j]) = 1. The relation is symmetric, so the two
+    classes share one packed array (rows is cols). A point is never adjacent
+    to itself: the difference has norm zero, not one.
     """
-    points = [tuple(pt) for pt in points]
-    if any(len(pt) != form.dim for pt in points):
+    points = np.asarray(points, dtype=np.int64)
+    if points.size and points.shape[1:] != (form.dim,):
         raise DomainError("point dimension mismatch")
     g = BipartiteGraph.__new__(BipartiteGraph)
     g.m = g.n = len(points)

@@ -77,7 +77,7 @@ def _first_bits(mask: int, s: int):
     return out
 
 
-def contains_kss(g: BipartiteGraph, s: int, probe_cap: int = PROBE_CAP):
+def contains_kss(g: BipartiteGraph, s: int, probe_cap: int = PROBE_CAP, rooted: bool = False):
     """Exact K_{s,s} detection; witness (rows_in_A, cols_in_B) or None.
 
     Iterates s-subsets of the smaller class in increasing lexicographic order,
@@ -85,12 +85,14 @@ def contains_kss(g: BipartiteGraph, s: int, probe_cap: int = PROBE_CAP):
     common neighborhood falls below s, so the first witness found is the
     lexicographically least. Every subset extension counts against probe_cap;
     exhausting it raises ResourceLimitError (never a silent approximation).
+    With rooted=True the subsets are of class A, and the first member picked
+    may only be row 0.
     """
     if s < 1:
         raise DomainError("s must be >= 1")
     if s > g.m or s > g.n:
         return None
-    swap = g.n < g.m
+    swap = g.n < g.m and not rooted
     adj = int_masks(g.cols if swap else g.rows)
     size = g.n if swap else g.m
     other = g.m if swap else g.n
@@ -99,7 +101,7 @@ def contains_kss(g: BipartiteGraph, s: int, probe_cap: int = PROBE_CAP):
 
     def extend(start, chosen, common):
         nonlocal probes
-        for v in range(start, size - (s - len(chosen)) + 1):
+        for v in range(start, 1 if rooted and not chosen else size - (s - len(chosen)) + 1):
             probes += 1
             if probes > probe_cap:
                 raise ResourceLimitError("K_{s,s} search probe budget exhausted")

@@ -7,6 +7,10 @@ import sys
 
 import pytest
 
+from ffil.geometry import BilinearForm
+from ffil.gf import FieldCtx
+from ffil.mpoly import lex_points
+
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 SRC = os.path.join(ROOT, "src")
 
@@ -197,6 +201,41 @@ def test_unit_distance_empty_point_set(tmp_path):
     assert r.returncode == 0, r.stderr
     rep = load_report(out)
     assert rep["achieved"]["P_size"] == 0 and rep["achieved"]["unit_distances"] == 0
+    # an empty subsample of a d = 4 set: the graph of no points, a (0, d) array
+    r = run_cli("unit-distance", "--d", "4", "--p", "3", "--n", "0", "--s", "2", "--seed", "3",
+                "--output", str(out))
+    assert r.returncode == 0, r.stderr
+    rep = load_report(out)
+    assert rep["achieved"] == {"P_size": 0, "U_size": 27, "cross_pairs": 214,
+                               "shift": [0, 2, 2, 0], "unit_distances": 0}
+    assert rep["verification"] == {"outcome": "verified-free", "s": 2, "witness": None}
+    assert rep["counters"] == {"kss_probes": 0, "rooted_searches": 0}
+
+
+def _address_space_3_gib():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+
+
+def test_rooted_unit_distance_witness_without_the_whole_graph(tmp_path):
+    # the lex-first witness comes from the 94,249 x 308 rooted block; the
+    # 94,249 x 94,249 graph would need 8.27 GiB as a bool matrix
+    out = tmp_path / "r.json"
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONWARNINGS="ignore", OPENBLAS_NUM_THREADS="1")
+    r = subprocess.run([sys.executable, "-m", "ffil.cli", "unit-distance", "--d", "2", "--p", "307",
+                        "--s", "2", "--seed", "1", "--output", str(out)],
+                       capture_output=True, text=True, env=env, preexec_fn=_address_space_3_gib)
+    assert r.returncode == 2, r.stderr
+    rep = load_report(out)
+    assert rep["verification"]["outcome"] == "witness-found"
+    rows, cols = rep["verification"]["witness"]
+    assert len(rows) == len(cols) == 2 and rows[0] == 0
+    form = BilinearForm.for_dim(FieldCtx.prime(307), 2)
+    for x in lex_points(rows, 307, 2).tolist():
+        for y in lex_points(cols, 307, 2).tolist():
+            diff = form.diff(x, y)
+            assert form.inner(diff, diff) == 1
 
 
 def readme_commands(tmp_path):
@@ -529,14 +568,37 @@ def test_point_variety_cli(tmp_path):
     (("--alpha", "1.0", "--dim", "0"), "--dim"),
 ])
 def test_point_variety_rejects_dim_and_alpha_before_any_work(flags, named):
+    assert_rejected_before_any_work(("point-variety", "--m", "20", *flags), named)
+
+
+def assert_rejected_before_any_work(argv, named):
     # warnings stay on, so a construction started before the check would show
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("PYTHONWARNINGS", None)
-    r = subprocess.run([sys.executable, "-m", "ffil.cli", "point-variety", "--m", "20", *flags,
-                        "--seed", "1"], capture_output=True, text=True, env=env)
+    r = subprocess.run([sys.executable, "-m", "ffil.cli", *argv, "--seed", "1"],
+                       capture_output=True, text=True, env=env)
     assert r.returncode == 1
     [line] = r.stderr.splitlines()  # no warning, no usage text
     assert line.startswith("error: need ") and named in line
+
+
+@pytest.mark.parametrize("argv, named", [
+    ("zarankiewicz --p 7 --d1 0 --d2 0 --m 1 --n 1 --s 2", "--d1 + --d2"),  # before the s^2 warning
+    ("zero-patterns --p 3 --vars 0 --k 2 --degree 1", "--vars"),
+    ("containment-patterns --p 3 --vars 0 --k 2 --degree 1 --t 1", "--vars"),
+], ids=["zarankiewicz", "zero-patterns", "containment-patterns"])
+def test_random_draws_in_zero_variables_name_the_flags(argv, named):
+    assert_rejected_before_any_work(argv.split(), named)
+
+
+def test_zero_patterns_fixture_in_zero_variables(tmp_path):
+    # constants need no draw, so a fixture may have no variables
+    fixture = tmp_path / "consts.txt"
+    fixture.write_text("p=3; vars=0; 1\np=3; vars=0; 0\n")
+    r = run_cli("zero-patterns", "--p", "3", "--vars", "0", "--k", "2", "--degree", "1",
+                "--fixture", str(fixture), "--seed", "1")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["achieved"] == {"pattern_count": 1}
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf", "1e308"])

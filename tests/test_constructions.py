@@ -13,9 +13,9 @@ from ffil import (
     zero_count_experiment,
 )
 from ffil import constructions
-from ffil.bigraph import smallest_free_s
+from ffil.bigraph import contains_kss, smallest_free_s
 from ffil.constructions import integer_nth_root, kss_verdict
-from ffil.geometry import BilinearForm, Sphere, sphere_points
+from ffil.geometry import BilinearForm, Sphere, point_sphere_incidence, sphere_points
 from ffil.mpoly import (
     bivariate_section,
     domain_points,
@@ -205,8 +205,8 @@ def test_point_variety_section_degrees_of_truncated_sections(monkeypatch):
 
 def test_evasive_set_map_image():
     U = evasive_point_set(7, 3, 1, "map-image", Rng(1))
-    assert len(U) == 49
-    assert len({u[:2] for u in U}) == 49  # graph of a function
+    assert U.shape == (49, 3) and U.dtype == np.int64
+    assert np.array_equal(U[:, :2], domain_points(7, 2))  # graph of a function, in lex order
     U0 = evasive_point_set(5, 2, 0, "map-image", Rng(1))
     assert len(U0) == 25  # k = 0: the whole grid
     with pytest.raises(DomainError):
@@ -215,10 +215,9 @@ def test_evasive_set_map_image():
 
 def test_evasive_set_random():
     U = evasive_point_set(5, 3, 1, "random", Rng(9))
-    assert len(U) == 25
-    assert len(set(U)) == 25
-    grid = {tuple(int(v) for v in r) for r in domain_points(5, 3)}
-    assert set(U) <= grid
+    assert U.shape == (25, 3) and U.dtype == np.int64
+    codes = U @ np.array([25, 5, 1])
+    assert np.all((0 <= U) & (U < 5)) and np.all(np.diff(codes) > 0)  # distinct, in lex order
 
 
 def test_unit_distance_d2():
@@ -253,7 +252,7 @@ def test_unit_distance_replayable():
     a = unit_distance_instance(None, 2, Rng(99), p=11, s=4)
     b = unit_distance_instance(None, 2, Rng(99), p=11, s=4)
     assert a.report.achieved == b.report.achieved
-    assert a.points == b.points
+    assert np.array_equal(a.points, b.points)
 
 
 def test_unit_distance_d5_extension_branch():
@@ -282,16 +281,35 @@ def test_unit_distance_d5_extension_branch():
             assert ver["smallest_free_s"] is None or ver["smallest_free_s"] > rep.params["s"]
 
 
-# every full-grid host (d = 2, 3 without --n) with p^d <= 400
-FULL_GRIDS = [(2, 3), (2, 7), (2, 11), (2, 19), (3, 3), (3, 7)]
+# every full-grid host (d = 2, 3 without --n) with p^d <= 2,500
+FULL_GRIDS = [(2, p) for p in (3, 7, 11, 19, 23, 31, 43, 47)] + [(3, p) for p in (3, 7, 11)]
+# the plain search of all of F_11^3 runs past PROBE_CAP on a K_{s,s}-free grid
+PLAIN_OVER_CAP = {(3, 11)}
 
 
 @pytest.mark.parametrize("d, p", FULL_GRIDS)
 def test_unit_distance_rooted_matches_plain(d, p):
+    grid = domain_points(p, d)
+    form = BilinearForm.for_dim(FieldCtx.prime(p), d)
+    sphere = sphere_points(Sphere(form, (0,) * d))
+    block = point_sphere_incidence(grid, sphere, form)
     witnesses = 0
-    for s in range(2, 6):
+    for s in range(1, 6):
         inst = unit_distance_instance(None, d, Rng(42), p=p, s=s)
         rooted = inst.report
+        witness = rooted.verification["witness"]
+        witnesses += witness is not None
+        if witness is not None:
+            # the rooted block search spends the probes of the graph's search
+            # up to the same witness, its columns being sphere indices
+            on_block, on_graph = {}, {}
+            rows, cols = contains_kss(block, s, on_block, rooted=True)
+            assert contains_kss(inst.graph, s, on_graph) == witness
+            assert witness[0] == rows and rows[0] == 0
+            assert grid[witness[1]].tolist() == [list(sphere[c]) for c in cols]
+            assert on_block == on_graph
+        if (d, p) in PLAIN_OVER_CAP:
+            continue
         # the plain reference: the same checks on the whole graph
         plain = {"kss_probes": 0, "rooted_searches": 0}
         verdict = kss_verdict(inst.graph, s, plain)
@@ -303,15 +321,12 @@ def test_unit_distance_rooted_matches_plain(d, p):
         assert rooted.counters["rooted_searches"] >= 1
         assert plain["rooted_searches"] == 0
         assert rooted.counters["kss_probes"] < plain["kss_probes"]
-        witnesses += rooted.verification["witness"] is not None
         # the counts read from the sphere table equal the pair-matrix counts
-        grid = domain_points(p, d)
-        form = BilinearForm.for_dim(FieldCtx.prime(p), d)
         shifted = (grid + np.asarray(rooted.achieved["shift"])) % p
         assert rooted.achieved["cross_pairs"] == np.count_nonzero(
             form.unit_pair_matrix(grid, shifted)
         )
-    assert witnesses >= 1  # s = 2 finds K_{2,2} on every grid
+    assert witnesses >= 2  # s = 1, 2 find K_{s,s} on every grid
 
 
 @pytest.mark.parametrize("strategy", ["map-image", "random"])
@@ -340,10 +355,15 @@ def test_unit_distance_full_grid_builds_no_pair_matrix(monkeypatch):
         return out
 
     monkeypatch.setattr(BilinearForm, "unit_pair_matrix", spy)
-    for d, p, s in ((2, 47, 3), (3, 7, 4), (3, 11, 4)):
+    for d, p, s, outcome in (
+        (2, 47, 3, "verified-free"),
+        (3, 7, 4, "verified-free"),
+        (3, 11, 4, "verified-free"),
+        (2, 47, 2, "witness-found"),  # the witness comes from the block too
+    ):
         cells.clear()
         inst = unit_distance_instance(None, d, Rng(1), p=p, s=s)
-        assert inst.report.verification["outcome"] == "verified-free"
+        assert inst.report.verification["outcome"] == outcome
         n = p**d
         size = len(sphere_points(Sphere(BilinearForm.for_dim(FieldCtx.prime(p), d), (0,) * d)))
         assert cells and max(cells) <= n * size

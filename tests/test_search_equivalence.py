@@ -84,14 +84,14 @@ def under_cap(module, name, search):
     return run
 
 
-def check_kss(g, s):
+def check_kss(g, s, rooted=False):
     counters = {}
-    got = contains_kss(g, s, counters=counters)
-    assert got == ref.contains_kss(g, s)
+    got = contains_kss(g, s, counters=counters, rooted=rooted)
+    assert got == ref.contains_kss(g, s, rooted=rooted)
     assert_exact_count(
         counters["kss_probes"],
-        under_cap(bigraph, "PROBE_CAP", lambda: contains_kss(g, s)),
-        lambda cap: ref.contains_kss(g, s, probe_cap=cap),
+        under_cap(bigraph, "PROBE_CAP", lambda: contains_kss(g, s, rooted=rooted)),
+        lambda cap: ref.contains_kss(g, s, probe_cap=cap, rooted=rooted),
     )
     return got
 
@@ -115,19 +115,25 @@ WORD_SHAPES = [(63, 64), (64, 65), (65, 129), (129, 63), (1, 130)]
 def test_kss_matches_reference(monkeypatch, cells):
     monkeypatch.setattr(bigraph, "_BLOCK_CELLS", cells)
     rng = Rng(2024)
-    found = 0
+    found, on_root = 0, 0
     for trial in range(120):
         r = rng.derive(trial)
         g = random_graph(r, 24, (0.25, 0.5, 0.75, 0.9)[r.randbelow(4)])
-        found += check_kss(g, 1 + r.randbelow(5)) is not None
+        s = 1 + r.randbelow(5)
+        found += check_kss(g, s) is not None
+        on_root += check_kss(g, s, rooted=True) is not None
     assert 10 < found < 110  # both verdicts are exercised
-    found = 0
+    assert 10 < on_root < found  # the rooted search finds only witnesses through row 0
+    found, on_root = 0, 0
     for m, n in WORD_SHAPES:
         r = rng.derive(m * n)
         for density, s in ((0.05, 3), (0.1, 3), (0.3, 4)):
             edges = [(i, j) for i in range(m) for j in range(n) if r.bernoulli(density)]
-            found += check_kss(BipartiteGraph(m, n, edges), min(s, m)) is not None
+            g = BipartiteGraph(m, n, edges)
+            found += check_kss(g, min(s, m)) is not None
+            on_root += check_kss(g, min(s, m), rooted=True) is not None
     assert 0 < found < 3 * len(WORD_SHAPES)
+    assert 0 < on_root < found  # on A even where A is the larger class (129 x 63)
 
 
 def test_kss_matches_reference_on_unit_distance_graphs():
@@ -728,10 +734,12 @@ def test_report_counters_equal_reference_counts(monkeypatch, capsys, argv):
     searches = []  # (reference search with a cap, count the kernel reported)
     on_root = []  # one entry per search run on a rooted host
 
-    def spy_kss(g, s, counters=None):
+    def spy_kss(g, s, counters=None, rooted=False):
         own = {}
-        hit = contains_kss(g, s, own)
-        searches.append((lambda cap: ref.contains_kss(g, s, probe_cap=cap), own["kss_probes"]))
+        hit = contains_kss(g, s, own, rooted)
+        searches.append(
+            (lambda cap: ref.contains_kss(g, s, probe_cap=cap, rooted=rooted), own["kss_probes"])
+        )
         counters["kss_probes"] += own["kss_probes"]
         if argv[0] == "unit-distance" and g.m != g.n:
             on_root.append(g)
