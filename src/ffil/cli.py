@@ -400,115 +400,81 @@ def cmd_indep_set(args, rng):
 # -- parser ---------------------------------------------------------------
 
 
-def build_parser() -> _Parser:
+_COUNT = {"type": nonnegative_int}  # the add_argument keywords most flags share
+_REQ_COUNT = {"type": nonnegative_int, "required": True}
+_REQ_INT = {"type": int, "required": True}
+
+# Each subcommand, keyed by name: its help, its CSV columns (the --help
+# epilog and the CSV header row) and its own flags, as add_argument keywords
+# by flag in --help order; --seed, --output and --csv follow in every
+# subcommand. The handler of subcommand `a-b` is `cmd_a_b`.
+_COMMANDS = {
+    "zarankiewicz": (
+        "random algebraic K_{s,s}-free graph", "p,d1,d2,m,n,s,seed,edges,edges_min,outcome",
+        {"--p": _REQ_INT, "--d1": _REQ_COUNT, "--d2": _REQ_COUNT, "--m": _REQ_COUNT,
+         "--n": _REQ_COUNT, "--s": _REQ_COUNT}),
+    "zero-patterns": (
+        "enumerate zero-patterns", "subset,witness",
+        {"--p": _REQ_INT, "--vars": _REQ_COUNT, "--k": _REQ_COUNT, "--degree": _REQ_COUNT,
+         "--fixture": {"help": "file of polynomial fixtures, one per line"}}),
+    "containment-patterns": (
+        "containment patterns of random systems", "k_prefix,pattern_count",
+        {"--p": _REQ_INT, "--vars": _REQ_COUNT, "--k": _REQ_COUNT,
+         "--degree": dict(_COUNT, default=2),
+         "--t": dict(_COUNT, default=2, help="polynomials per system")}),
+    "shatter": (
+        "exact shatter function of a set system", "k,shatter",
+        {"--k": _REQ_COUNT, "--input": {"help": "JSON {ground, members}"},
+         "--graph": {"help": "graph fixture; use neighborhoods as members"},
+         "--side": {"choices": ["a", "b"], "default": "a"}}),
+    "zero-count": (
+        "zero-count statistics of random polynomials", "trial,zeros,success",
+        {"--p": _REQ_INT, "--vars": _REQ_COUNT, "--degree": _REQ_COUNT,
+         "--trials": _REQ_COUNT}),
+    "point-variety": (
+        "point/hypersurface incidence instance", "variety,section_degree,incident_points",
+        {"--m": _REQ_COUNT, "--alpha": {"type": float, "required": True}, "--dim": _REQ_COUNT}),
+    "unit-distance": (
+        "unit-distance point-set construction",
+        "p,d,U_size,P_size,cross_pairs,unit_distances,cross_pairs_min,outcome",
+        {"--d": _REQ_COUNT, "--n": _COUNT,
+         "--p": {"type": int, "help": "drive the modulus directly"},
+         "--s": dict(_COUNT, default=4),
+         "--strategy": {"choices": ["map-image", "random"], "default": "map-image"}}),
+    "sphere-geometry": (
+        "sphere intersection/isotropy sweeps", "family,k,identity_ok,orthogonal_ok",
+        {"--p": _REQ_INT, "--d": _REQ_COUNT, "--families": dict(_COUNT, default=50),
+         "--kmax": dict(_COUNT, default=4), "--flat-dim-cap": dict(_COUNT, default=1)}),
+    "pattern-scan": (
+        "forbidden-pattern absence scan", "host,found",
+        {"--p": _REQ_INT, "--d": _REQ_COUNT,
+         "--pattern": {"choices": ["pi", "tree"], "default": "pi"},
+         "--full-scan": {"action": "store_true"},
+         "--hosts": dict(_COUNT, default=0, help="random sub-hosts to scan"),
+         "--host-size": dict(_COUNT, default=25)}),
+    "indep-set": (
+        "hypergraph independent set procedure", "n,m,k,size,size_min",
+        {"--n": _REQ_COUNT, "--m": _REQ_COUNT, "--k": _REQ_COUNT,
+         "--hypergraph": {"help": "JSON {n, k, edges}; must agree with --n, --k and --m"}}),
+}
+
+
+def build_parser(command=None) -> _Parser:
+    """The CLI parser. With `command` one of the subcommands it holds that
+    subcommand's parser alone, which is all that parsing its arguments reads;
+    otherwise it holds all of them, for the top-level usage and help."""
     top = _Parser(prog="ffil", description=__doc__,
                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", metavar="SUBCOMMAND")
-
-    def common(p):
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_, columns, flags = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_, epilog=f"CSV: {columns}")
+        for flag, kwargs in flags.items():
+            p.add_argument(flag, **kwargs)
         p.add_argument("--seed", type=int, required=True, help="64-bit experiment seed")
         p.add_argument("--output", help="JSON report path (default: stdout)")
         p.add_argument("--csv", help="CSV series path")
-        p.set_defaults(_csv=p.epilog.removeprefix("CSV: "))  # the CSV columns, named once
-
-    p = sub.add_parser("zarankiewicz", help="random algebraic K_{s,s}-free graph",
-                       epilog="CSV: p,d1,d2,m,n,s,seed,edges,edges_min,outcome")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--d1", type=nonnegative_int, required=True)
-    p.add_argument("--d2", type=nonnegative_int, required=True)
-    p.add_argument("--m", type=nonnegative_int, required=True)
-    p.add_argument("--n", type=nonnegative_int, required=True)
-    p.add_argument("--s", type=nonnegative_int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_zarankiewicz)
-
-    p = sub.add_parser("zero-patterns", help="enumerate zero-patterns",
-                       epilog="CSV: subset,witness")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--vars", type=nonnegative_int, required=True)
-    p.add_argument("--k", type=nonnegative_int, required=True)
-    p.add_argument("--degree", type=nonnegative_int, required=True)
-    p.add_argument("--fixture", help="file of polynomial fixtures, one per line")
-    common(p)
-    p.set_defaults(func=cmd_zero_patterns)
-
-    p = sub.add_parser("containment-patterns", help="containment patterns of random systems",
-                       epilog="CSV: k_prefix,pattern_count")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--vars", type=nonnegative_int, required=True)
-    p.add_argument("--k", type=nonnegative_int, required=True)
-    p.add_argument("--degree", type=nonnegative_int, default=2)
-    p.add_argument("--t", type=nonnegative_int, default=2, help="polynomials per system")
-    common(p)
-    p.set_defaults(func=cmd_containment_patterns)
-
-    p = sub.add_parser("shatter", help="exact shatter function of a set system",
-                       epilog="CSV: k,shatter")
-    p.add_argument("--k", type=nonnegative_int, required=True)
-    p.add_argument("--input", help="JSON {ground, members}")
-    p.add_argument("--graph", help="graph fixture; use neighborhoods as members")
-    p.add_argument("--side", choices=["a", "b"], default="a")
-    common(p)
-    p.set_defaults(func=cmd_shatter)
-
-    p = sub.add_parser("zero-count", help="zero-count statistics of random polynomials",
-                       epilog="CSV: trial,zeros,success")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--vars", type=nonnegative_int, required=True)
-    p.add_argument("--degree", type=nonnegative_int, required=True)
-    p.add_argument("--trials", type=nonnegative_int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_zero_count)
-
-    p = sub.add_parser("point-variety", help="point/hypersurface incidence instance",
-                       epilog="CSV: variety,section_degree,incident_points")
-    p.add_argument("--m", type=nonnegative_int, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--dim", type=nonnegative_int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_point_variety)
-
-    p = sub.add_parser("unit-distance", help="unit-distance point-set construction",
-                       epilog="CSV: p,d,U_size,P_size,cross_pairs,unit_distances,"
-                              "cross_pairs_min,outcome")
-    p.add_argument("--d", type=nonnegative_int, required=True)
-    p.add_argument("--n", type=nonnegative_int)
-    p.add_argument("--p", type=int, help="drive the modulus directly")
-    p.add_argument("--s", type=nonnegative_int, default=4)
-    p.add_argument("--strategy", choices=["map-image", "random"], default="map-image")
-    common(p)
-    p.set_defaults(func=cmd_unit_distance)
-
-    p = sub.add_parser("sphere-geometry", help="sphere intersection/isotropy sweeps",
-                       epilog="CSV: family,k,identity_ok,orthogonal_ok")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--d", type=nonnegative_int, required=True)
-    p.add_argument("--families", type=nonnegative_int, default=50)
-    p.add_argument("--kmax", type=nonnegative_int, default=4)
-    p.add_argument("--flat-dim-cap", type=nonnegative_int, default=1)
-    common(p)
-    p.set_defaults(func=cmd_sphere_geometry)
-
-    p = sub.add_parser("pattern-scan", help="forbidden-pattern absence scan",
-                       epilog="CSV: host,found")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--d", type=nonnegative_int, required=True)
-    p.add_argument("--pattern", choices=["pi", "tree"], default="pi")
-    p.add_argument("--full-scan", action="store_true")
-    p.add_argument("--hosts", type=nonnegative_int, default=0, help="random sub-hosts to scan")
-    p.add_argument("--host-size", type=nonnegative_int, default=25)
-    common(p)
-    p.set_defaults(func=cmd_pattern_scan)
-
-    p = sub.add_parser("indep-set", help="hypergraph independent set procedure",
-                       epilog="CSV: n,m,k,size,size_min")
-    p.add_argument("--n", type=nonnegative_int, required=True)
-    p.add_argument("--m", type=nonnegative_int, required=True)
-    p.add_argument("--k", type=nonnegative_int, required=True)
-    p.add_argument("--hypergraph", help="JSON {n, k, edges}; must agree with --n, --k and --m")
-    common(p)
-    p.set_defaults(func=cmd_indep_set)
-
+        p.set_defaults(_csv=columns, func=globals()["cmd_" + name.replace("-", "_")])
     return top
 
 
@@ -524,7 +490,8 @@ def _run_command(args, rng):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     args = parser.parse_args(argv)
     if not getattr(args, "command", None):
         parser.print_help(sys.stderr)

@@ -218,13 +218,27 @@ class AffineFlat:
 _ORIGIN_CACHE = {}
 
 
+def _smaller_root_of_pm1(p: int, t: int) -> int:
+    """The smaller square root of t = 1 or p - 1 mod p, or -1 if t is not a
+    square: 1 for t = 1, and for t = -1, c^((p-1)/4) (or p minus it) for a
+    non-square c when p = 1 (mod 4)."""
+    if t == 1:
+        return 1
+    if p % 4 == 3:
+        return -1
+    c = next(c for c in range(2, p) if pow(c, (p - 1) // 2, p) == p - 1)  # Euler's criterion
+    root = pow(c, (p - 1) // 4, p)
+    return min(root, p - root)
+
+
 def _origin_sphere_points(form: BilinearForm) -> np.ndarray:
     """Points of the origin-centered unit sphere, lexicographic order: a
     memoized, read-only int64 array with one row per point.
 
     x_1..x_{d-1} range over the grid and sigma_d * x_d^2 = 1 - (partial norm)
     is solved with a square-root table: each head gives 0, 1 or 2 points, in
-    increasing x_d. The build holds about three times the table's bytes.
+    increasing x_d. The build holds about three times the table's bytes. At
+    d = 1 the one target, sigma_1 = +-1, is solved directly, with no table.
     """
     p, d = form.ctx.p, form.dim
     _check_enum_cap(p, d)  # also for a memoized table, so the cap never depends on call order
@@ -234,10 +248,14 @@ def _origin_sphere_points(form: BilinearForm) -> np.ndarray:
         return pts
     head = domain_points(p, d - 1)
     r = matmul_mod(head * head % p, np.array(form.signature[:-1], dtype=np.int64)[:, None], p)[:, 0]
-    half = np.arange((p + 1) // 2, dtype=np.int64)  # one root of each square
-    root = np.full(p, -1, dtype=np.int64)
-    root[half * half % p] = half
-    r = root[form.signature[-1] * (1 - r) % p]  # of sigma_d x_d^2 = 1 - (partial norm), or -1
+    r = form.signature[-1] * (1 - r) % p  # x_d^2 of sigma_d x_d^2 = 1 - (partial norm)
+    if d == 1:
+        r = np.array([_smaller_root_of_pm1(p, int(r[0]))], dtype=np.int64)
+    else:
+        half = np.arange((p + 1) // 2, dtype=np.int64)  # one root of each square
+        root = np.full(p, -1, dtype=np.int64)
+        root[half * half % p] = half
+        r = root[r]  # the smaller root x_d, or -1
     idx = np.repeat(np.arange(len(head)), np.sign(r) + 1)  # the head of each point: 0, 1 or 2 roots
     pts = np.empty((len(idx), d), dtype=np.int64)
     pts[:, :-1] = head[idx]

@@ -304,6 +304,46 @@ def test_readme_csv_headers_are_the_help_columns(tmp_path, monkeypatch):
     assert {args[0] for args in commands} == set(sub.choices)
 
 
+def _subcommands(parser):
+    return list(next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices)
+
+
+def test_one_subcommand_parser_parses_like_the_full_parser(tmp_path):
+    from ffil.cli import build_parser
+
+    full = build_parser()
+    for args in readme_commands(tmp_path):
+        assert _subcommands(build_parser(args[0])) == [args[0]]
+        assert vars(build_parser(args[0]).parse_args(args)) == vars(full.parse_args(args))
+
+
+def test_main_builds_only_the_subparser_it_runs(tmp_path, monkeypatch):
+    # a known subcommand builds its own parser alone; help and usage errors
+    # without one build every subcommand, which the top-level text lists
+    import ffil.cli
+
+    built, build_parser = [], ffil.cli.build_parser
+
+    def spy(*args):
+        parser = build_parser(*args)
+        built.append(_subcommands(parser))
+        return parser
+
+    monkeypatch.setattr(ffil.cli, "build_parser", spy)
+    monkeypatch.chdir(tmp_path)
+    commands = readme_commands(tmp_path)
+    assert [ffil.cli.main(args) for args in commands] == [0] * len(commands)
+    assert built == [[args[0]] for args in commands]
+    everything = _subcommands(build_parser())
+    for args in ([], ["--help"], ["no-such-command"], ["--seed", "1"]):
+        built.clear()
+        try:
+            ffil.cli.main(args)
+        except SystemExit:
+            pass
+        assert built == [everything], args
+
+
 def test_missing_flag_exit_1():
     r = run_cli("zarankiewicz", "--p", "7", "--seed", "1")
     assert r.returncode == 1

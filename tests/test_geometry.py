@@ -307,6 +307,27 @@ def test_sphere_table_build_holds_about_three_tables(monkeypatch):
     assert peak < 3.25 * ffil.geometry._origin_sphere_points(form).nbytes
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("p", [3, 5, 7, 13, 17])
+def test_d1_sphere_table_is_the_brute_force_roots(monkeypatch, p, sign):
+    # sigma x^2 = 1 at d = 1: x = +-1 for sigma = 1, the square roots of -1
+    # (p = 1 mod 4: 5, 13, 17) or none (p = 3 mod 4: 3, 7) for sigma = -1
+    monkeypatch.setattr(ffil.geometry, "_ORIGIN_CACHE", {})
+    pts = ffil.geometry._origin_sphere_points(BilinearForm(FieldCtx.prime(p), (sign,)))
+    assert pts.dtype == np.int64 and pts.shape[1] == 1
+    assert pts[:, 0].tolist() == [x for x in range(p) if sign * x * x % p == 1]
+
+
+@pytest.mark.parametrize("p", [99_999_971, 99_999_989])  # 3 and 1 (mod 4)
+def test_d1_sphere_table_holds_no_p_sized_table(monkeypatch, p):
+    monkeypatch.setattr(ffil.geometry, "_ORIGIN_CACHE", {})
+    for sign in (1, -1):
+        form = BilinearForm(FieldCtx.prime(p), (sign,))
+        assert _traced_peak(lambda: ffil.geometry._origin_sphere_points(form)) < 1 << 20
+        pts = ffil.geometry._origin_sphere_points(form)
+        assert all(sign * x * x % p == 1 for x in pts[:, 0].tolist())
+
+
 def test_isotropic_unit_pair_search():
     for p in (3, 7, 11):
         form = BilinearForm.for_dim(FieldCtx.prime(p), 3)

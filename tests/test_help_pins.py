@@ -37,3 +37,33 @@ def test_help_text_is_pinned(monkeypatch, capsys, command, sha):
     out, err = capsys.readouterr()
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+# Usage errors, taken at COLUMNS=80 like the help text: the exit code and the
+# sha256 of stdout followed by stderr. The unknown subcommand and the option
+# before the subcommand list every subcommand; the others print one
+# subcommand's usage, or the top usage for an argument no parser knows.
+USAGE_PINS = {
+    "": (1, "d5bc373feaa9dfe080e32d9e14f260daaa71dae10d2005591980a44a0b993de2"),
+    "no-such-command": (1, "5947a885d187c8ca9332336b25d32e82cd432addecf1145f2e97926c584922fd"),
+    "zarankiewicz --p 7 --seed 1":
+        (1, "dfcda938c2e457afc7837c06a3a7fc7b35f834d0323425bfe68ebcb24b80339a"),
+    "unit-distance --d 3 --p 7 --seed 1 --bogus 1":
+        (1, "7f3ddfff902de64a04ae48d79658d55c9763af4c34e5663a21602348dc487975"),
+    "unit-distance --d -1 --seed 1":
+        (1, "a3ffb95ea4b603461bae7077a8903993466f793337c1140e481469a12d668962"),
+    "unit-distance --d 3 --strategy x --seed 1":
+        (1, "e61d217142cdd17c755e6ccc050485d3614c8bda64aa23c318c827501a9fc433"),
+    "--seed 1": (1, "ec1a5736a90c5acda9e1b4b9c71c35e55f1029af395d4112273beeca027fde56"),
+}
+
+
+@pytest.mark.parametrize("args, pin", USAGE_PINS.items(), ids=[a or "ffil" for a in USAGE_PINS])
+def test_usage_error_is_pinned(monkeypatch, capsys, args, pin):
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(args.split())
+    except SystemExit as exit_:
+        code = exit_.code
+    out, err = capsys.readouterr()
+    assert (code, hashlib.sha256((out + err).encode()).hexdigest()) == pin
