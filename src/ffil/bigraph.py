@@ -172,8 +172,8 @@ def contains_kss(g: BipartiteGraph, s: int, counters=None, rooted=False):
         before = np.cumsum(spend) - spend
         return parent, cand, before[parent] + cand - last[parent], int(spend.sum())
 
-    block = [max(1, _BLOCK_CELLS // max(1, size))] * s  # an empty class: no walk, 0 probes
-    rows, probes = _lex_walk(expand, s, block) if s <= min(g.m, g.n) else (None, 0)
+    fits = s <= min(g.m, g.n)  # else no walk and 0 probes, an empty class too
+    rows, probes = _lex_walk(expand, s, [max(1, _BLOCK_CELLS // size)] * s) if fits else (None, 0)
     if counters is not None:
         counters["kss_probes"] = counters.get("kss_probes", 0) + probes
     if rows is None:
@@ -278,10 +278,12 @@ def find_induced_pattern(g: BipartiteGraph, pat: Pattern, counters=None, rooted=
     With rooted=True the vertex mapped at depth 0 may only go to host vertex 0
     of its class. That is exact for existence on a host whose automorphisms
     move every vertex of each class onto vertex 0 while acting on both
-    classes at once, such as `point_sphere_incidence(grid, grid)` on all of
-    F_p^d in lex order (see `constructions.unit_distance_instance`): moving
-    an embedding with its depth-0 vertex on the origin gives another, and
-    twin swaps then leave the root in place (its twins lie above host 0).
+    classes at once: `point_sphere_incidence(grid, grid)` on all of F_p^d in
+    lex order under the translations (see `constructions.unit_distance_instance`),
+    or the points of F_p^d against its affine hyperplanes, each once, under
+    AGL(d, p). Moving an embedding with its depth-0 vertex on vertex 0 gives
+    another, and twin swaps then leave the root in place (its twins lie above
+    host 0).
     The embedding returned is not the one the plain search would return.
     """
     a, b = pat.a, pat.b

@@ -340,12 +340,12 @@ def cmd_pattern_scan(args, rng):
     counters = {"pattern_nodes": 0, "rooted_searches": 0}
     if args.full_scan:
         host = host_block(domain_points(p, d), np.arange(ncols))
-        # points against unit spheres centered on the same full grid: every
-        # translation of F_p^d maps the host onto itself, so an embedding
-        # exists iff one maps the first pattern vertex to the origin
-        rooted = args.pattern == "pi"
-        counters["rooted_searches"] += rooted
-        hit = find_induced_pattern(host, pat, counters=counters, rooted=rooted)
+        # the translations of F_p^d permute the points and the grid-centered
+        # spheres, and AGL(d, p) the points and the hyperplanes, one column
+        # each, transitively: an embedding exists iff one maps the first
+        # pattern vertex to vertex 0 of its class
+        counters["rooted_searches"] += 1
+        hit = find_induced_pattern(host, pat, counters=counters, rooted=True)
         found_any |= hit is not None
         rows.append(["full", int(hit is not None)])
     for hi in range(args.hosts):

@@ -73,11 +73,10 @@ def integer_nth_root(n: int, e: int) -> int:
     """Largest r with r^e <= n (exact integer arithmetic)."""
     if n < 0 or e < 1:
         raise DomainError("nth root needs n >= 0, e >= 1")
-    r = max(0, round(n ** (1.0 / e)))
-    while r**e > n:
-        r -= 1
-    while (r + 1) ** e <= n:
-        r += 1
+    r = 1 << -(-n.bit_length() // e)  # above the root, as n < 2^bit_length
+    # Newton's steps from above decrease to the root (to 0 at n = 0)
+    while r and (q := ((e - 1) * r + n // r ** (e - 1)) // e) < r:
+        r = q
     return r
 
 
@@ -393,6 +392,8 @@ def unit_distance_instance(
     """
     if d < 2:
         raise DomainError("construction needs d >= 2")
+    if s < 1:
+        raise DomainError(f"need --s >= 1, got --s {s}")
     k = d // 2
     e = (d + 1) // 2 + 1  # = ceil(d/2) + 1
     if p is None:
@@ -446,8 +447,10 @@ def unit_distance_instance(
         )
 
     weights = _lex_weights(p, d)
-    codes = np.sort(np.vstack((u, (u + shift) % p)) @ weights)  # U, U + x
-    points = lex_points(codes[np.diff(codes, prepend=-1) > 0], p, d)
+    points = u  # U = F_p^d in lex order holds U + x
+    if not whole:
+        codes = np.sort(np.vstack((u, (u + shift) % p)) @ weights)  # U, U + x
+        points = lex_points(codes[np.diff(codes, prepend=-1) > 0], p, d)
     if n is not None:
         if n > len(points):
             raise DomainError(f"requested n = {n} exceeds constructed {len(points)} points")

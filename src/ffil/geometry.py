@@ -198,14 +198,6 @@ class AffineFlat:
         for row in arr:
             yield tuple(int(v) for v in row)
 
-    def contains(self, x) -> bool:
-        if self.is_empty:
-            return False
-        p = self.ctx.p
-        diff = [(a - b) % p for a, b in zip(x, self.base)]
-        rows = [list(b) for b in self.basis]
-        return linalg.rank(rows + [diff], p) == len(self.basis)
-
     def __repr__(self):
         if self.is_empty:
             return "AffineFlat(empty)"

@@ -224,6 +224,21 @@ def test_kss_on_an_empty_class(m, n):
     assert smallest_free_s(g, 3) == 1
 
 
+@pytest.mark.parametrize("rooted", [False, True], ids=["plain", "rooted"])
+def test_kss_above_a_class_size_builds_nothing(rooted):
+    # s past both class sizes is answered before any list of s entries
+    g = BipartiteGraph(3, 3, [(i, j) for i in range(3) for j in range(3)])
+    counters = {}
+    tracemalloc.start()
+    try:
+        assert contains_kss(g, 10**9, counters=counters, rooted=rooted) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counters == {"kss_probes": 0}
+    assert peak < 1 << 20
+
+
 def test_hypergraph_validation():
     with pytest.raises(DomainError):
         Hypergraph(4, 2, [(0, 0)])

@@ -626,8 +626,9 @@ def assert_rejected_before_any_work(argv, named):
     ("zarankiewicz --p 7 --d1 0 --d2 0 --m 1 --n 1 --s 2", "--d1 + --d2"),  # before the s^2 warning
     ("zero-patterns --p 3 --vars 0 --k 2 --degree 1", "--vars"),
     ("containment-patterns --p 3 --vars 0 --k 2 --degree 1 --t 1", "--vars"),
-], ids=["zarankiewicz", "zero-patterns", "containment-patterns"])
-def test_random_draws_in_zero_variables_name_the_flags(argv, named):
+    ("unit-distance --d 3 --p 43 --s 0", "--s 0"),  # before the 79,507-point grid
+], ids=["zarankiewicz", "zero-patterns", "containment-patterns", "unit-distance-s"])
+def test_degenerate_sizes_name_the_flags_before_any_work(argv, named):
     assert_rejected_before_any_work(argv.split(), named)
 
 
@@ -645,6 +646,17 @@ def test_zero_patterns_fixture_in_zero_variables(tmp_path):
 def test_point_variety_rejects_a_non_finite_alpha(alpha):
     # --alpha times --dim must be finite before its ceiling is taken
     test_point_variety_rejects_dim_and_alpha_before_any_work(("--alpha", alpha, "--dim", "2"), "--alpha")
+
+
+@pytest.mark.parametrize("command, code", [
+    ("point-variety --m {} --alpha 1.0 --dim 2", 3),  # the prime above 10^200 makes a grid past ENUM_CAP
+    ("unit-distance --d 2 --n {}", 1),  # the prime above 10^200 is no supported modulus
+], ids=["point-variety", "unit-distance"])
+def test_sizes_past_a_float_end_in_one_line(command, code):
+    # the root of n = 10^400 is taken in integers: n ** (1 / e) overflows
+    r = run_cli(*command.format(10**400).split(), "--seed", "1")
+    assert r.returncode == code
+    assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
 
 
 @pytest.mark.parametrize("argv", [

@@ -35,10 +35,18 @@ def test_integer_nth_root():
     assert integer_nth_root(48, 2) == 6
     assert integer_nth_root(343, 3) == 7
     assert integer_nth_root(8, 3) == 2
-    for n in (0, 1, 2, 10**6, 10**6 + 1):
+    for n in (10**6, 10**6 + 1):
         for e in (1, 2, 3, 5):
             r = integer_nth_root(n, e)
             assert r**e <= n < (r + 1) ** e
+    for e in range(1, 8):  # against the largest r with r^e <= n, counted up
+        r = 0
+        for n in range(3000):
+            r += (r + 1) ** e <= n
+            assert integer_nth_root(n, e) == r
+    for e in (2, 3):  # past a float: n ** (1 / e) overflows
+        r = integer_nth_root(10**400, e)
+        assert r**e <= 10**400 < (r + 1) ** e
 
 
 def test_zero_count_preconditions():

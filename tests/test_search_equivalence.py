@@ -50,6 +50,7 @@ from ffil.geometry import (
     unit_distance_graph,
 )
 from ffil.gf import FieldCtx
+from ffil.linalg import rank
 from ffil.mpoly import ENUM_CAP, domain_points
 from ffil.patterns import SetSystem, _collect, shatter_function
 from ffil.rng import Rng
@@ -385,13 +386,48 @@ def is_embedding(g, pat, hit):
     )
 
 
-# every full-scan `pi` host with p^d <= 81
-@pytest.mark.parametrize("p, d", [(3, 2), (3, 3), (3, 4), (5, 2), (7, 2)])
-def test_rooted_pattern_search_matches_plain(p, d):
-    host = pi_host(domain_points(p, d).tolist(), p, d)
-    pats = [staircase_pattern(k) for k in range(2, d + 2)]  # the last is pattern-scan's
+# every full-scan host with p^d <= 125 and p odd: points against the unit
+# spheres centered on them (`pi`, p^d <= 81) or against the affine
+# hyperplanes (`tree`)
+FULL_HOSTS = [("pi", 3, 2), ("pi", 3, 3), ("pi", 3, 4), ("pi", 5, 2), ("pi", 7, 2),
+              ("tree", 3, 2), ("tree", 5, 2), ("tree", 7, 2), ("tree", 11, 2),
+              ("tree", 3, 3), ("tree", 5, 3), ("tree", 3, 4)]
+
+# the scalar reference walks about 10^5 nodes a second, and without the twin
+# rule it may walk every order of the twins: a reference search is run where
+# the kernel's search of the same kind spends at most this many nodes
+REFERENCE_NODES = 50_000
+
+
+def full_host(kind, p, d):
+    return pi_host(domain_points(p, d).tolist(), p, d) if kind == "pi" else tree_host(p, d)
+
+
+def known_patterns(kind, p, d):
+    """The staircases up to pattern-scan's (`pi`); or p^(d-2) + 1 points on
+    two hyperplanes, absent as two distinct hyperplanes share at most p^(d-2)
+    points, and from d = 3 prefix_tree_pattern(2, 1), pattern-scan's at
+    d = 3 (`tree`; its d = 4 pattern exhausts PROBE_CAP on F_3^4)."""
+    if kind == "pi":
+        return [staircase_pattern(k) for k in range(2, d + 2)]
+    return [Pattern(["11"] * (p ** (d - 2) + 1))] + [prefix_tree_pattern(2, 1)] * (d >= 3)
+
+
+def nodes_of(host, pat, rooted):
+    counters = {}
+    find_induced_pattern(host, pat, counters=counters, rooted=rooted)
+    return counters["pattern_nodes"]
+
+
+@pytest.mark.parametrize("kind, p, d", FULL_HOSTS)
+def test_rooted_pattern_search_matches_plain(kind, p, d):
+    host = full_host(kind, p, d)
+    pats = known_patterns(kind, p, d)
     rng = Rng(100 * p + d)
-    if d < 4:
+    if kind == "tree":  # random patterns with and without twins
+        pats += [twin_pattern(rng.derive(i), 2, 2) if i % 2 else random_pattern(rng.derive(i), 3, 3)
+                 for i in range(20)]
+    elif d < 4:
         for _ in range(20):
             pa, pb = 2 + rng.randbelow(2), 2 + rng.randbelow(2)
             pats.append(
@@ -399,63 +435,68 @@ def test_rooted_pattern_search_matches_plain(p, d):
             )
     found = 0
     for pat in pats:
-        if d < 4:  # the scalar reference takes seconds per search on F_3^4
+        nodes = nodes_of(host, pat, rooted=True)
+        if nodes <= REFERENCE_NODES:  # the count too, at PROBE_CAP c - 1 and c
             rooted = check_pattern(host, pat, rooted=True)
         else:
             rooted = find_induced_pattern(host, pat, rooted=True)
-        plain = find_induced_pattern(host, pat)
-        assert (rooted is None) == (plain is None)
+        # F_5^3's prefix_tree_pattern(2, 1) spends 458,276 rooted and
+        # 35,518,405 plain nodes; test_pattern_full_scan_node_counts pins it
+        if nodes <= 2 * REFERENCE_NODES:
+            assert (find_induced_pattern(host, pat) is None) == (rooted is None)
         if rooted is not None:
             assert is_embedding(host, pat, rooted)
             found += 1
     assert 0 < found < len(pats)  # both answers are exercised
 
 
-# every full-scan `pi` host with p^d <= 81
-@pytest.mark.parametrize("p, d", [(3, 2), (3, 3), (3, 4), (5, 2), (7, 2)])
-def test_rooted_twin_search_existence_matches_plain_reference(p, d):
-    host = pi_host(domain_points(p, d).tolist(), p, d)
+@pytest.mark.parametrize("kind, p, d", FULL_HOSTS)
+def test_rooted_twin_search_existence_matches_plain_reference(kind, p, d):
+    host = full_host(kind, p, d)
     rng = Rng(10 * p + d)
-    pats = [staircase_pattern(k) for k in range(2, d + 2)]  # the last is pattern-scan's
-    pats += [twin_pattern(rng.derive(i), 2, 2) for i in range(6)]
+    pats = known_patterns(kind, p, d) + [twin_pattern(rng.derive(i), 2, 2) for i in range(6)]
     found = 0
     for pat in pats:
-        plain = ref.find_induced_pattern(host, pat, rooted=True, twins=False)
-        if d < 4:  # the plain unrooted search of F_3^4 for staircase_pattern(5) takes 43 s
-            assert (ref.find_induced_pattern(host, pat, twins=False) is None) == (plain is None)
-        assert (find_induced_pattern(host, pat, rooted=True) is None) == (plain is None)
-        found += plain is not None
+        rooted = find_induced_pattern(host, pat, rooted=True)
+        found += rooted is not None
+        for root in (True, False):  # the plain search spends at least the rooted one's nodes
+            if nodes_of(host, pat, root) > REFERENCE_NODES:
+                break
+            plain = ref.find_induced_pattern(host, pat, rooted=root, twins=False)
+            assert (plain is None) == (rooted is None)
     assert 0 < found < len(pats)
 
 
-@pytest.mark.parametrize("p, nodes", [(5, 83_881), (7, 18_733)])
-def test_pattern_full_scan_node_counts(capsys, p, nodes):
+@pytest.mark.parametrize("p, d", [(3, 2), (5, 2), (3, 3)])
+def test_tree_host_columns_are_the_affine_hyperplanes_once_each(p, d):
+    # the hyperplanes as the translates of the spans of d - 1 independent
+    # directions: AGL(d, p) permutes them, so a full tree scan is rooted
+    grid = [tuple(v) for v in domain_points(p, d).tolist()]
+    planes = set()
+    for dirs in itertools.combinations(grid[1:], d - 1):
+        span = {tuple(sum(c * v[i] for c, v in zip(cs, dirs)) % p for i in range(d))
+                for cs in itertools.product(range(p), repeat=d - 1)}
+        if len(span) == p ** (d - 1):
+            planes |= {frozenset(tuple((b + v) % p for b, v in zip(base, s)) for s in span)
+                       for base in grid}
+    host = tree_host(p, d)
+    cols = [frozenset(x for i, x in enumerate(grid) if host.has_edge(i, j)) for j in range(host.n)]
+    assert len(set(cols)) == len(cols) and set(cols) == planes
+
+
+@pytest.mark.parametrize(
+    "pattern, p, nodes", [("pi", 5, 83_881), ("pi", 7, 18_733), ("tree", 3, 1_090), ("tree", 5, 458_276)]
+)
+def test_pattern_full_scan_node_counts(capsys, pattern, p, nodes):
     # the rooted, twin-ordered search on F_p^3; the plain rooted search
-    # spent 326,941 (p = 5) and 59,893 (p = 7) nodes
-    argv = ["pattern-scan", "--p", str(p), "--d", "3", "--full-scan", "--seed", "1"]
+    # spent 326,941 (pi, p = 5) and 59,893 (pi, p = 7) nodes, and the
+    # unrooted twin-ordered one 21,450 (tree, p = 3) and 35,518,405 (tree,
+    # p = 5)
+    argv = ["pattern-scan", "--p", str(p), "--d", "3", "--pattern", pattern, "--full-scan",
+            "--seed", "1"]
     assert ffil.cli.main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["counters"] == {"pattern_nodes": nodes, "rooted_searches": 1}
-
-
-def test_pattern_full_scan_tree_takes_plain_search(monkeypatch, capsys):
-    # the hyperplane host is not translation-invariant, so it is not rooted
-    argv = ["pattern-scan", "--p", "3", "--d", "3", "--full-scan", "--pattern", "tree",
-            "--seed", "1"]
-    calls = []
-
-    def spy(g, pat, counters=None, rooted=False):
-        calls.append((g, pat, rooted))
-        return find_induced_pattern(g, pat, counters=counters, rooted=rooted)
-
-    monkeypatch.setattr(ffil.cli, "find_induced_pattern", spy)
-    assert ffil.cli.main(argv) == 0
-    report = json.loads(capsys.readouterr().out)
-    [(g, pat, rooted)] = calls
-    assert not rooted
-    plain = {}
-    find_induced_pattern(g, pat, counters=plain)
-    assert report["counters"] == {"pattern_nodes": plain["pattern_nodes"], "rooted_searches": 0}
 
 
 SIGNATURES = {
@@ -647,7 +688,7 @@ def _translated(flat):
         return None
     for j in range(flat.ambient):
         e = tuple(int(i == j) for i in range(flat.ambient))
-        if not flat.contains(tuple(b + v for b, v in zip(flat.base, e))):
+        if rank([*map(list, flat.basis), list(e)], flat.ctx.p) > flat.dim:  # e off the directions
             return AffineFlat(flat.ctx, flat.ambient, tuple(b + v for b, v in zip(flat.base, e)),
                               flat.basis)
 
@@ -723,6 +764,7 @@ def test_sphere_family_rows_match_reference(monkeypatch, tmp_path, p, d):
         ["point-variety", "--m", "25", "--alpha", "1.0", "--dim", "2"],
         ["pattern-scan", "--p", "3", "--d", "3", "--hosts", "3", "--host-size", "12"],
         ["pattern-scan", "--full-scan", "--p", "3", "--d", "3"],
+        ["pattern-scan", "--full-scan", "--p", "3", "--d", "3", "--pattern", "tree"],
     ],
     ids=lambda argv: argv[0] + "-" + argv[-1],
 )
