@@ -1,6 +1,7 @@
 """Sparse multivariate polynomials over prime fields.
 
-A MultiPoly maps exponent vectors to nonzero coefficients. The scalar
+A MultiPoly holds its terms as two arrays, exponent rows `exps` and residues
+`coefs`; their dict view `terms` feeds the scalar reference code. The scalar
 `evaluate` is the reference semantics (term-by-term powering), and
 `bivariate_section` is the reference for fixing trailing variables.
 
@@ -17,7 +18,7 @@ mod p calls), in cache-sized slabs. `evaluate_batch` vectorizes the
 term-by-term arithmetic for scattered points. The test suite cross-checks
 every path against `evaluate`. `sample_uniform` draws all its coefficients
 in one block (`Rng.randbelow_many`), the same stream as one scalar draw per
-monomial.
+monomial, against the exponent rows of `monomials_upto`.
 
 Supported arithmetic is deliberately small: add, multiply, substitute. No
 GCDs, no factorization.
@@ -25,8 +26,6 @@ GCDs, no factorization.
 
 import math
 import re
-from functools import cache
-from itertools import chain
 
 import numpy as np
 
@@ -38,27 +37,32 @@ TERM_CAP = 10**7  # coefficients drawn for one random polynomial
 
 
 class MultiPoly:
-    """Multivariate polynomial over F_p in sparse exponent-map form."""
+    """Polynomial over F_p: `exps`, a T x nvars integer array of exponent rows
+    in insertion order, and `coefs`, their nonzero int64 residues; `terms` is
+    their dict view. Exponent sums stay below 2^63, so degrees fit int64."""
 
-    __slots__ = ("ctx", "nvars", "terms")
+    __slots__ = ("ctx", "nvars", "exps", "coefs")
 
     def __init__(self, ctx: FieldCtx, nvars: int, terms):
         if nvars < 0:
             raise DomainError("nvars must be nonnegative")
-        p = ctx.p
-        clean = {}
+        p, clean = ctx.p, {}
         for exps, c in dict(terms).items():
             exps = tuple(map(int, exps))
             if len(exps) != nvars:
                 raise DomainError(f"exponent vector {exps} has length != {nvars}")
-            if nvars and min(exps) < 0:
-                raise DomainError("exponents must be nonnegative")
+            if nvars and (min(exps) < 0 or sum(exps) >= 2**63):
+                raise DomainError("exponents must be nonnegative, with sum below 2^63")
             c %= p
             if c:
                 clean[exps] = c
-        self.ctx = ctx
-        self.nvars = nvars
-        self.terms = clean
+        self.ctx, self.nvars = ctx, nvars
+        self.exps = np.array(list(clean), dtype=np.int64).reshape(len(clean), nvars)
+        self.coefs = np.array(list(clean.values()), dtype=np.int64)
+
+    @property
+    def terms(self) -> dict:
+        return dict(zip(map(tuple, self.exps.tolist()), self.coefs.tolist()))
 
     # -- constructors ----------------------------------------------------
 
@@ -80,12 +84,12 @@ class MultiPoly:
     # -- basic queries ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not len(self.coefs)
 
     @property
     def total_degree(self) -> int:
         """Max exponent sum over stored terms; 0 for the zero polynomial."""
-        return max((sum(e) for e in self.terms), default=0)
+        return int(self.exps.sum(axis=1, dtype=np.int64).max(initial=0))
 
     def __eq__(self, other):
         return (
@@ -122,9 +126,9 @@ class MultiPoly:
 
     def __mul__(self, other):
         self._check_compat(other)
-        out = {}
+        out, rhs = {}, other.terms.items()
         for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
+            for e2, c2 in rhs:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 out[e] = out.get(e, 0) + c1 * c2
         return MultiPoly(self.ctx, self.nvars, out)
@@ -134,11 +138,8 @@ class MultiPoly:
     def evaluate(self, point) -> int:
         """Value at `point` (ints), term by term, as a residue in [0, p)."""
         if len(point) != self.nvars:
-            raise DomainError(
-                f"point has dimension {len(point)}, polynomial has {self.nvars}"
-            )
-        p = self.ctx.p
-        acc = 0
+            raise DomainError(f"point has dimension {len(point)}, polynomial has {self.nvars}")
+        p, acc = self.ctx.p, 0
         for exps, c in self.terms.items():
             t = c
             for x, e in zip(point, exps):
@@ -148,15 +149,16 @@ class MultiPoly:
         return acc
 
 
-def monomials_upto(nvars: int, degcap: int):
-    """All exponent vectors of length nvars with sum <= degcap, lex order."""
-    out = [()]
-    for _ in range(nvars):
-        out = [m + (e,) for m in out for e in range(degcap + 1 - sum(m))]
-    return out
-
-
-_monomials = cache(lambda n, deg: tuple(monomials_upto(n, deg)))  # memoized: read-only tuple
+def monomials_upto(nvars: int, degcap: int) -> np.ndarray:
+    """Exponent rows of sum <= degcap in lex order, in the smallest signed dtype holding degcap."""
+    dtype = np.min_scalar_type(-degcap - 1)
+    rows, room = np.zeros((1, 0), dtype=dtype), np.array([degcap], dtype=dtype)
+    for _ in range(nvars):  # a row with room k left becomes k + 1 rows, e = 0..k
+        counts = room.astype(np.int64) + 1
+        e = (np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)).astype(dtype)
+        rows = np.column_stack([np.repeat(rows, counts, axis=0), e])
+        room = np.repeat(room, counts) - e
+    return rows
 
 
 def monomial_count(nvars: int, degcap: int) -> int:
@@ -167,8 +169,8 @@ def sample_uniform(ctx: FieldCtx, nvars: int, degcap: int, rng) -> MultiPoly:
     """Uniformly random polynomial of total degree <= degcap.
 
     Each of the C(nvars + degcap, nvars) monomial coefficients is drawn
-    i.i.d. uniform in F_p, in lex order of `monomials_upto`, by one
-    `randbelow_many` call; zero coefficients are dropped from storage. More
+    i.i.d. uniform in F_p, in the lex order of the rows of `monomials_upto`,
+    by one `randbelow_many` call; rows whose coefficient is zero are dropped. More
     than TERM_CAP coefficients raise ResourceLimitError before any draw.
     """
     if nvars < 1:
@@ -178,9 +180,10 @@ def sample_uniform(ctx: FieldCtx, nvars: int, degcap: int, rng) -> MultiPoly:
     count = monomial_count(nvars, degcap)
     if count > TERM_CAP:
         raise ResourceLimitError(f"{count} polynomial coefficients exceed cap {TERM_CAP}")
-    coeffs = rng.randbelow_many(ctx.p, count).tolist()
+    coefs = rng.randbelow_many(ctx.p, count)
+    keep = coefs != 0
     f = MultiPoly(ctx, nvars, {})  # checks the field; the drawn terms need no checks
-    f.terms = {e: c for e, c in zip(_monomials(nvars, degcap), coeffs) if c}
+    f.exps, f.coefs = monomials_upto(nvars, degcap)[keep], coefs[keep]
     return f
 
 
@@ -215,8 +218,7 @@ def evaluate_batch(f: MultiPoly, pts: np.ndarray) -> np.ndarray:
     """Values of f at each row of pts, as residues. Matches `evaluate` pointwise."""
     if pts.ndim != 2 or pts.shape[1] != f.nvars:
         raise DomainError("point array has wrong dimension")
-    p = f.ctx.p
-    n = pts.shape[0]
+    p, n = f.ctx.p, pts.shape[0]
     acc = np.zeros(n, dtype=np.int64)
     powcache = {}
     for exps, c in f.terms.items():
@@ -224,11 +226,9 @@ def evaluate_batch(f: MultiPoly, pts: np.ndarray) -> np.ndarray:
         for v, e in enumerate(exps):
             if not e:
                 continue
-            col = powcache.get((v, e))
-            if col is None:
-                col = _pow_col(pts[:, v], e, p)
-                powcache[(v, e)] = col
-            t = t * col % p
+            if (v, e) not in powcache:
+                powcache[v, e] = _pow_col(pts[:, v], e, p)
+            t = t * powcache[v, e] % p
         acc = (acc + t) % p
     return acc
 
@@ -260,20 +260,21 @@ def coefficient_tensor(f: MultiPoly, fold=()) -> np.ndarray:
     F_p unchanged (x^p = x for every x) and caps their axes at length p, so
     the tensor is never larger than the grid they are evaluated on.
     """
-    p = f.ctx.p
-    count = len(f.terms) * f.nvars
-    exps = np.fromiter(chain.from_iterable(f.terms), dtype=np.int64, count=count)
-    exps = exps.reshape(len(f.terms), f.nvars)
-    big = exps[:, fold] >= p
-    merge = bool(big.any())  # only folding can merge exponents
-    if merge:
-        exps[:, fold] = np.where(big, 1 + (exps[:, fold] - 1) % (p - 1), exps[:, fold])
-    shape = tuple(exps.max(axis=0) + 1) if f.terms else (1,) * f.nvars
+    p, fold = f.ctx.p, set(fold)
+    flat, shape, merge = np.zeros(len(f.coefs), dtype=np.int64), [], False
+    for v in range(f.nvars):  # the C-order flat index, by Horner's rule
+        col = f.exps[:, v].astype(np.int64)
+        if v in fold and (big := col >= p).any():  # only folding can merge exponents
+            col[big] = 1 + (col[big] - 1) % (p - 1)
+            merge = True
+        shape.append(int(col.max(initial=0)) + 1)
+        flat *= shape[-1]
+        flat += col
     coef = np.zeros(shape, dtype=np.int64)
     if not merge:  # distinct exponents, coefficients already below p
-        coef[tuple(exps.T)] = list(f.terms.values())
+        coef.reshape(-1)[flat] = f.coefs
         return coef
-    np.add.at(coef, tuple(exps.T), list(f.terms.values()))
+    np.add.at(coef.reshape(-1), flat, f.coefs)
     return coef % p
 
 
@@ -468,8 +469,7 @@ def format_poly(f: MultiPoly) -> str:
         body = "0"
     else:
         parts = []
-        for exps in sorted(f.terms, reverse=True):
-            c = f.terms[exps]
+        for exps, c in sorted(f.terms.items(), reverse=True):
             factors = []
             if c != 1 or not any(exps):
                 factors.append(str(c))

@@ -47,8 +47,8 @@ class Rng:
 
     def randbelow_many(self, n: int, count: int) -> np.ndarray:
         """`count` draws of `randbelow(n)` (n <= 2^63) as an int64 array, mixed on
-        uint64 arrays (uint64 operands only, so NumPy 1.x never promotes to
-        float64); the counter ends where `count` scalar calls leave it."""
+        uint64 blocks of at most 2^20 (uint64 operands only, so NumPy 1.x never
+        promotes to float64); the counter ends where `count` scalar calls leave it."""
         if not 1 <= n <= 1 << 63:
             raise ValueError("randbelow_many needs 1 <= n <= 2^63")
         if n == 1 or count <= 0:
@@ -56,7 +56,7 @@ class Rng:
         shift, bound = np.uint64(64 - (n - 1).bit_length()), np.uint64(n)
         out = []
         while count:
-            block = 2 * count + 8  # a candidate is accepted with probability > 1/2
+            block = min(2 * count + 8, 1 << 20)  # accepted with probability > 1/2 each
             z = np.arange(1, block + 1, dtype=np.uint64) * np.uint64(_GOLDEN)
             z += np.uint64((self.seed + self._counter * _GOLDEN) & MASK64)
             for s, mul in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):

@@ -18,7 +18,9 @@ fast kernels in `ffil` must return the same witness, raise
 give the same family verdicts and shatter values. The polynomial layer keeps
 `sample_uniform` (one scalar `randbelow` per monomial), which the block
 sampler must match term for term and counter for counter, and `tensor_poly`,
-which turns a dense coefficient tensor back into a `MultiPoly`. The scalar
+which turns a dense coefficient tensor back into a `MultiPoly`, and
+`coefficient_tensor`, which builds that tensor term by term from the dict
+view `MultiPoly.terms` for the array kernel to match. The scalar
 searches read adjacency and set-system members as Python int bitmasks,
 converted from the packed rows by `int_masks`. `QuadraticField` is the
 F_{p^2} arithmetic behind the re-embedding flag of d = 1 (mod 4)
@@ -438,13 +440,31 @@ def shatter_function(system: SetSystem, k: int, cap: int = ENUM_CAP) -> int:
 
 def sample_uniform(ctx, nvars: int, degcap: int, rng) -> MultiPoly:
     """Uniform polynomial of total degree <= degcap, one scalar draw per
-    monomial in `monomials_upto` order; zero coefficients are dropped."""
+    monomial in the row order of `monomials_upto`; zero coefficients are dropped."""
     terms = {}
-    for exps in monomials_upto(nvars, degcap):
+    for exps in map(tuple, monomials_upto(nvars, degcap).tolist()):
         c = rng.randbelow(ctx.p)
         if c:
             terms[exps] = c
     return MultiPoly(ctx, nvars, terms)
+
+
+def coefficient_tensor(f: MultiPoly, fold=()) -> np.ndarray:
+    """`coefficient_tensor` by a scalar loop over `f.terms`: fold each
+    exponent e >= p on the `fold` axes to 1 + (e - 1) mod (p - 1), sum the
+    coefficients that land on one exponent, and size each axis by the largest
+    folded exponent, cancelled terms included."""
+    p = f.ctx.p
+    sums = {}
+    for exps, c in f.terms.items():
+        key = tuple(1 + (e - 1) % (p - 1) if v in fold and e >= p else e
+                    for v, e in enumerate(exps))
+        sums[key] = sums.get(key, 0) + c
+    shape = tuple(max((key[v] for key in sums), default=0) + 1 for v in range(f.nvars))
+    coef = np.zeros(shape, dtype=np.int64)
+    for key, c in sums.items():
+        coef[key] = c % p
+    return coef
 
 
 def tensor_poly(ctx, coef: np.ndarray) -> MultiPoly:

@@ -642,6 +642,32 @@ def test_zero_patterns_fixture_in_zero_variables(tmp_path):
     assert json.loads(r.stdout)["achieved"] == {"pattern_count": 1}
 
 
+def test_zero_patterns_fixture_exponent_sum_past_int64(tmp_path):
+    fx = tmp_path / "fx.txt"
+    fx.write_text("p=5; vars=2; x0^99999999999999999999 + 1\n")
+    r = run_cli("zero-patterns", "--p", "5", "--vars", "2", "--k", "1", "--degree", str(10**20),
+                "--fixture", str(fx), "--seed", "0")
+    assert_usage_error(r, "2^63")
+    assert len(r.stderr.splitlines()) == 1
+
+
+def test_zero_patterns_fixture_exponents_near_1e18(tmp_path):
+    # exponents that fit int64 run as before; the report is pinned
+    fx = tmp_path / "fx.txt"
+    fx.write_text("p=5; vars=2; 2*x0^1000000000000000000*x1 + 3\n"
+                  "p=5; vars=2; x0^999999999999999999 + x1^3 + 4*x0*x1^123456789012345678\n")
+    r = run_cli("zero-patterns", "--p", "5", "--vars", "2", "--k", "2", "--degree",
+                str(2 * 10**18), "--fixture", str(fx), "--seed", "0")
+    assert r.returncode == 0, r.stderr
+    rep = json.loads(r.stdout)
+    assert rep["achieved"] == {"pattern_count": 4}
+    assert rep["bound"] == {"rbg": 2000000000000000007000000000000000006,
+                            "tight_form": 2000000000000000003000000000000000001}
+    assert rep["family"]["delta"] == 10**18 + 1
+    assert [(e["subset"], e["witness"]) for e in rep["family"]["patterns"]] == [
+        ([], [0, 1]), ([0], [1, 1]), ([1], [0, 0]), ([0, 1], [3, 1])]
+
+
 @pytest.mark.parametrize("alpha", ["nan", "inf", "1e308"])
 def test_point_variety_rejects_a_non_finite_alpha(alpha):
     # --alpha times --dim must be finite before its ceiling is taken

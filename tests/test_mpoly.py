@@ -61,13 +61,17 @@ def test_evaluate_dimension_mismatch():
 def test_monomial_counts():
     assert monomial_count(2, 2) == 6
     assert monomial_count(3, 9) == 220
-    assert len(monomials_upto(2, 2)) == 6
-    assert len(monomials_upto(3, 9)) == 220
+    assert monomials_upto(2, 2).shape == (6, 2)
+    assert monomials_upto(3, 9).shape == (220, 3)
     # lex order is what the sampler's coefficient stream follows
-    for nvars, degcap in ((1, 3), (3, 4), (4, 2)):
+    for nvars, degcap in ((1, 3), (3, 4), (4, 2), (2, 127), (2, 128)):
         box = itertools.product(range(degcap + 1), repeat=nvars)
-        assert monomials_upto(nvars, degcap) == sorted(e for e in box if sum(e) <= degcap)
-    assert monomials_upto(0, 5) == [()]
+        want = sorted(list(e) for e in box if sum(e) <= degcap)
+        assert monomials_upto(nvars, degcap).tolist() == want
+    assert monomials_upto(0, 5).shape == (1, 0)  # one empty row
+    # the smallest signed dtype that holds the degree cap
+    assert [monomials_upto(1, d).dtype for d in (0, 127, 128, 2**15)] == [
+        np.int8, np.int8, np.int16, np.int32]
 
 
 def test_sampler_uniformity_chi_square():
@@ -118,6 +122,13 @@ def test_multipoly_validates_exponents():
     ctx = FieldCtx.prime(5)
     assert MultiPoly(ctx, 0, {(): 7}).terms == {(): 2}
     assert MultiPoly(ctx, 2, {(np.int64(1), 2): 3}).terms == {(1, 2): 3}
+    # exponent sums stay below 2^63, so total_degree is an exact int64 sum
+    assert MultiPoly(ctx, 2, {(2**62, 2**62 - 1): 1, (1, 0): 2}).total_degree == 2**63 - 1
+    for exps in ((2**62, 2**62), (2**63, 0), (10**20, 1)):
+        with pytest.raises(DomainError, match="below 2\\^63"):
+            MultiPoly(ctx, 2, {exps: 1})
+    with pytest.raises(DomainError, match="below 2\\^63"):
+        parse_poly("p=5; vars=1; x0^99999999999999999999 + 1")
     with pytest.raises(DomainError, match="length"):
         MultiPoly(ctx, 2, {(1,): 1})
     with pytest.raises(DomainError, match="length"):
@@ -418,6 +429,57 @@ def test_count_zeros_by_slabs_matches_mask(monkeypatch):
     monkeypatch.setattr(mpoly, "ENUM_CAP", 300)
     with pytest.raises(ResourceLimitError):
         count_zeros(polys[-1])
+
+
+@pytest.mark.parametrize("p", [3, 13, 2**31 - 1])
+def test_coefficient_tensor_matches_scalar_reference(p):
+    # unfolded, every axis folded, and the trailing axes folded
+    ctx = FieldCtx.prime(p)
+    for seed in (0, 9):
+        rng = Rng(seed)
+        for nvars in (1, 2, 4):
+            for degcap in (0, 2, 16):
+                f = sample_uniform(ctx, nvars, degcap, rng)
+                for fold in ((), range(nvars), range(nvars // 2, nvars)):
+                    got = coefficient_tensor(f, fold)
+                    assert got.dtype == np.int64
+                    assert np.array_equal(got, ref.coefficient_tensor(f, fold))
+
+
+@pytest.mark.parametrize("text, folds", [
+    # x0^3 x1 folds onto x0 x1 and cancels it; x2^5 and x2^3 merge into 2 x2
+    ("p=3; vars=3; x0^3*x1 + 2*x0*x1 + x2^5 + x2^3 + x0^4*x2^2 + 2", [(), (0, 1, 2), (1, 2), (0,)]),
+    ("p=2; vars=2; x0^2 + x0 + x0^3*x1^7 + x1 + 1", [(), (0, 1), (1,)]),
+    ("p=5; vars=3; x0^2*x1^5*x2^9 + 4*x0^2*x1*x2 + x1^4 + 3*x1^8 + x0^25", [(), (0, 1, 2), (1, 2)]),
+    # exponents reaching p = 2^31 - 1 on the folded axes only
+    ("p=2147483647; vars=2; x0*x1^2147483647 + 2147483646*x0*x1 + x1^4294967293 + x0^3",
+     [(0, 1), (1,)]),
+])
+def test_coefficient_tensor_folds_fixtures_like_the_reference(text, folds):
+    f = parse_poly(text)
+    for fold in folds:
+        got = coefficient_tensor(f, fold)
+        assert np.array_equal(got, ref.coefficient_tensor(f, fold)), fold
+        assert all(got.shape[v] <= f.ctx.p for v in fold)
+
+
+def test_large_draw_and_its_tensor_in_bounded_memory():
+    # C(42, 6) = 5,245,786 coefficients: as a dict of exponent tuples the draw
+    # alone peaked at 1.49 GB; as arrays each step stays under 300 MB
+    ctx = FieldCtx.prime(7)
+    tracemalloc.start()
+    try:
+        f = sample_uniform(ctx, 6, 36, Rng(1))
+        draw_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        coef = coefficient_tensor(f, fold=range(6))
+        tensor_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert draw_peak < 300 * 10**6, draw_peak
+    assert tensor_peak < 300 * 10**6, tensor_peak
+    assert coef.shape == (7,) * 6 and f.total_degree == 36
+    assert len(f.coefs) == np.count_nonzero(f.coefs) > 4 * 10**6
 
 
 def test_coefficient_tensor_round_trip():

@@ -72,6 +72,17 @@ def test_largest_modulus_and_derived_streams():
         _check_same(Rng(seed).derive(7).seed, 13, 4845)
 
 
+def test_draws_past_one_block_equal_the_draw_split_over_two_calls():
+    # blocks hold at most 2^20 candidates, so 2^20 + 5,000 draws take several
+    for n in (13, 2**62 + 1):
+        whole, split = Rng(3), Rng(3)
+        got = whole.randbelow_many(n, 2**20 + 5000)
+        want = np.concatenate([split.randbelow_many(n, 2**19), split.randbelow_many(n, 2**19 + 5000)])
+        assert np.array_equal(got, want)
+        assert whole._counter == split._counter
+        assert got[:1000].tolist() == _scalar(Rng(3), n, 1000)
+
+
 @pytest.mark.parametrize("n", [0, -1, -(2**40), 2**63 + 1])
 def test_out_of_range_modulus_raises(n):
     with pytest.raises(ValueError):
