@@ -26,7 +26,6 @@ from .mpoly import (
     domain_points,
     lex_points,
     sample_uniform,
-    section_tensors,
     zero_mask,
 )
 from .bigraph import BipartiteGraph, _popcount, contains_kss, smallest_free_s
@@ -40,6 +39,7 @@ from .geometry import (
 RETRY_POLY = 20
 RETRY_SUBSAMPLE = 20
 RETRY_SHIFT = 50
+_DEGREE_BLOCK = 1 << 16  # products (terms x open columns) of one block of the section-degree walk
 
 
 @dataclass
@@ -151,6 +151,7 @@ def random_algebraic_graph(p, d1, d2, m, n, s, rng) -> AlgebraicGraphInstance:
         raise DomainError("p must be prime")
     if d1 + d2 < 1:  # the polynomial needs a variable
         raise DomainError(f"need --d1 + --d2 >= 1, got --d1 {d1} --d2 {d2}")
+    _check_enum_cap(p, d1 + d2)  # the graph's grid, before p^d1 or p^d2 is formed
     if m < 1 or n < 1 or m > p**d1 or n > p**d2:
         raise DomainError("need 1 <= m <= p^d1 and 1 <= n <= p^d2")
     if s < 1:
@@ -234,6 +235,40 @@ class PointVarietyInstance:
     incident_points: list  # per variety, how many of `points` lie on it
 
 
+def _section_degrees(f: MultiPoly, d1: int, cols) -> list:
+    """Total degree of `bivariate_section(f, q)` at each row q of `cols`: the
+    largest |h| of a head h (a term's leading d1 exponents) whose coefficient
+    sum_t c_t q^tail(t) is nonzero, else 0. Head degrees are walked down over
+    the columns still open, tails folded as in `coefficient_tensor`, in blocks
+    of whole head groups of about `_DEGREE_BLOCK` products. Residues are below
+    p <= 2^31: a product is below 2^62, a head group's sum (< 2^32 terms) below 2^63."""
+    p, cols = f.ctx.p, np.asarray(cols, dtype=np.int64)
+    level = f.exps[:, :d1].sum(axis=1, dtype=np.int64)
+    tables = [_power_table(cols[:, v], min(p, int(f.exps[:, d1 + v].max(initial=0)) + 1), p).T
+              for v in range(cols.shape[1])]  # [e, j] = (q_j)_v^e
+    degrees, open_ = np.zeros(len(cols), dtype=np.int64), np.arange(len(cols))
+    h = int(level.max(initial=0))
+    while h > 0 and len(open_):  # columns open at level 0 have degree 0
+        at = np.flatnonzero(level == h)
+        at = at[np.lexsort(f.exps[at, :d1].T[::-1])]  # grouped by head
+        heads, tail = f.exps[at, :d1], f.exps[at, d1:].astype(np.int64)
+        tail = np.where(tail >= p, 1 + (tail - 1) % (p - 1), tail)
+        bounds = np.flatnonzero(np.r_[True, (heads[1:] != heads[:-1]).any(axis=1), True])
+        g = 0  # the block's first head group
+        while g < len(bounds) - 1 and len(open_):
+            step = _DEGREE_BLOCK // len(open_)  # terms, rounded to whole head groups
+            end = max(g + 1, np.searchsorted(bounds, bounds[g] + step, "right") - 1)
+            lo, hi = bounds[g], bounds[end]
+            prod = f.coefs[at[lo:hi], None]
+            for v, table in enumerate(tables):
+                prod = prod * table[np.ix_(tail[lo:hi, v], open_)] % p
+            hit = (np.add.reduceat(prod, bounds[g:end] - lo, axis=0) % p).any(axis=0)
+            degrees[open_[hit]] = h
+            open_, g = open_[~hit], end
+        h = int(level.max(initial=0, where=level < h))  # the next level present
+    return degrees.tolist()
+
+
 def point_variety_instance(m, alpha, dim, rng) -> PointVarietyInstance:
     """m points and n = floor(m^alpha) hypersurfaces in F_p^dim with many
     incidences and an exactly verified K_{s,s}-free incidence graph.
@@ -254,17 +289,14 @@ def point_variety_instance(m, alpha, dim, rng) -> PointVarietyInstance:
         raise DomainError(f"need ceil(--alpha * --dim) >= 1, got --alpha {alpha} --dim {dim}")
     if m < 2:  # then alpha > 0 makes floor(m^alpha) >= 1
         raise DomainError("need m >= 2 and floor(m^alpha) >= 1")
+    _check_enum_cap(2, dim + dim2)  # p >= 2: the check below, before the root of m is formed
     p = find_prime(max(2, integer_nth_root(m, dim)))  # p^dim > m, so p^dim2 > m^alpha
     _check_enum_cap(p, dim + dim2)  # the graph's grid, before m^alpha is formed
     n = int(m**alpha)
     s = delta = (dim + dim2) ** 2  # K_{s,s} size and the graph polynomial's degree
     inst = random_algebraic_graph(p, dim, dim2, m, n, s, rng)
 
-    cidx = np.ravel_multi_index(tuple(np.asarray(inst.cols).T), (p,) * dim2)
-    sections = section_tensors(inst.poly, dim2)[cidx]
-    # a section's degree is the largest index sum of its nonzero coefficients
-    index_sum = sum(np.indices(sections.shape[1:]))
-    degrees = np.where(sections != 0, index_sum, 0).reshape(len(sections), -1).max(axis=1).tolist()
+    degrees = _section_degrees(inst.poly, dim, inst.cols)
     # column j of the graph is the zero set of section j among the chosen points
     incident = _popcount(inst.graph.cols).tolist()
     proxy_ok = max(inst.col_zeros) <= delta * p ** (dim - 1)

@@ -5,20 +5,18 @@ A MultiPoly holds its terms as two arrays, exponent rows `exps` and residues
 `evaluate` is the reference semantics (term-by-term powering), and
 `bivariate_section` is the reference for fixing trailing variables.
 
-Whole-grid sweeps (`zero_mask` and `count_zeros`, both on `_zero_slabs`,
-and the grid work in `constructions`) go through one separable kernel,
-`grid_slabs`: the dense coefficient tensor (one axis per variable) is
-contracted one axis at a time with the power table x^e mod p of that axis'
-coordinates, so a sweep of n^D points costs about D n^(D+1) multiply-adds
-instead of terms x n^D, and contracting only the trailing axes yields every
-section's coefficients at once (Kronecker-structured evaluation, as in
-Yates' algorithm). It reduces mod p only where a float64 product could
-reach 2^53 (the exactness rule of `matmul_mod`, which every other product
-mod p calls), in cache-sized slabs. `evaluate_batch` vectorizes the
-term-by-term arithmetic for scattered points. The test suite cross-checks
-every path against `evaluate`. `sample_uniform` draws all its coefficients
-in one block (`Rng.randbelow_many`), the same stream as one scalar draw per
-monomial, against the exponent rows of `monomials_upto`.
+Whole-grid sweeps (`zero_mask` and `count_zeros`, both on `_zero_slabs`)
+go through one separable kernel, `_grid`: the dense coefficient tensor (one
+axis per variable) is contracted one axis at a time with the power table
+x^e mod p of that axis' coordinates, so a sweep of n^D points costs about
+D n^(D+1) multiply-adds instead of terms x n^D (Kronecker-structured
+evaluation, as in Yates' algorithm). It reduces mod p only where a float64
+product could reach 2^53 (the exactness rule of `matmul_mod`, which every
+other product mod p calls), in cache-sized slabs. `evaluate_batch`
+vectorizes the term-by-term arithmetic for scattered points. The test suite
+cross-checks every path against `evaluate`. `sample_uniform` draws all its
+coefficients in one block (`Rng.randbelow_many`), the same stream as one
+scalar draw per monomial, against the exponent rows of `monomials_upto`.
 
 Supported arithmetic is deliberately small: add, multiply, substitute. No
 GCDs, no factorization.
@@ -251,20 +249,20 @@ def _check_enum_cap(p, nvars):
 _SLAB_ELEMS = 1 << 15  # elements in the largest intermediate array of one slab
 
 
-def coefficient_tensor(f: MultiPoly, fold=()) -> np.ndarray:
+def coefficient_tensor(f: MultiPoly) -> np.ndarray:
     """Dense int64 coefficients of f: one axis per variable, of length
-    (largest exponent of that variable) + 1.
+    (largest folded exponent of that variable) + 1.
 
-    On the variables listed in `fold`, every exponent e >= p first becomes
-    1 + (e - 1) mod (p - 1). That leaves the function of those variables on
-    F_p unchanged (x^p = x for every x) and caps their axes at length p, so
-    the tensor is never larger than the grid they are evaluated on.
+    Every exponent e >= p first becomes 1 + (e - 1) mod (p - 1). That leaves
+    the function on F_p unchanged (x^p = x for every x) and caps every axis
+    at length p, so the tensor is never larger than the grid it is evaluated
+    on.
     """
-    p, fold = f.ctx.p, set(fold)
+    p = f.ctx.p
     flat, shape, merge = np.zeros(len(f.coefs), dtype=np.int64), [], False
     for v in range(f.nvars):  # the C-order flat index, by Horner's rule
         col = f.exps[:, v].astype(np.int64)
-        if v in fold and (big := col >= p).any():  # only folding can merge exponents
+        if (big := col >= p).any():  # only folding can merge exponents
             col[big] = 1 + (col[big] - 1) % (p - 1)
             merge = True
         shape.append(int(col.max(initial=0)) + 1)
@@ -338,14 +336,25 @@ def _multiple_of_p(v: np.ndarray, p: int) -> np.ndarray:
     return np.floor(v / p) * p == v
 
 
-def _grid(coef: np.ndarray, p: int, axes, last):
-    """`grid_slabs`, ending each slab with `last` on exact float64 values
-    (or, on the int64 path, residues)."""
-    coef, m = np.asarray(coef), len(axes)
-    tables = [_power_table(x, k, p).astype(_plan(k, p)[0]) for x, k in zip(axes, coef.shape)]
+def _grid(coef: np.ndarray, p: int, axes):
+    """Exact values of a polynomial on the product set axes[0] x ... x
+    axes[m-1], in slabs of shape (rows, len(axes[1]), ..., len(axes[m-1]))
+    along axes[0]: float64 values below 2^53 or, on the int64 path, residues
+    (`_residues` reduces either; zero tests map `_multiple_of_p` instead).
+
+    `coef` holds residues mod p, one exponent axis per entry of `axes` (as
+    from `coefficient_tensor`), each contracted in turn with the power table
+    of its coordinates. A bound B on the entries (p - 1 for `coef`) is
+    carried along; an axis of length k takes it to B k (p - 1). While that is
+    below 2^53 the axis is one float64 BLAS product with no `% p`, exact as
+    in `matmul_mod`. Otherwise the entries are reduced first (B = p - 1), or,
+    where k (p - 1)^2 alone reaches 2^53, the axis is an int64 `matmul_mod`
+    product. Slabs are cache-sized (`_SLAB_ELEMS` elements beyond `coef`),
+    and no coordinate array of the product set is built.
+    """
+    tables = [_power_table(x, k, p).astype(_plan(k, p)[0]) for x, k in zip(axes, np.shape(coef))]
     coef = np.ascontiguousarray(coef, dtype=tables[0].dtype)  # once, not per slab
-    width = math.prod(max(t.shape) for t in tables[1:]) * math.prod(coef.shape[m:])
-    step = max(1, _SLAB_ELEMS // max(1, width))
+    step = max(1, _SLAB_ELEMS // math.prod(max(t.shape) for t in tables[1:]))  # each max >= 1
     for lo in range(0, len(tables[0]), step):
         t, bound = coef, p - 1  # bound: the largest value an entry of t can hold
         for table in [tables[0][lo : lo + step], *tables[1:]]:
@@ -353,49 +362,7 @@ def _grid(coef: np.ndarray, p: int, axes, last):
             if bound * k * (p - 1) >= 2**53:  # always so on the int64 path
                 t, bound = _residues(t, p), p - 1
             t, bound = _dot(t, table, p), bound * k * (p - 1)
-        # contracted axes were appended in order after the carried ones
-        yield np.ascontiguousarray(np.moveaxis(last(t, p), range(t.ndim - m, t.ndim), range(m)))
-
-
-def grid_slabs(coef: np.ndarray, p: int, axes):
-    """Values of a polynomial on the product set axes[0] x ... x axes[m-1],
-    yielded as int64 residues in slabs along axes[0].
-
-    `coef` holds residues mod p. Its first m = len(axes) >= 1 axes are
-    exponent axes (as from `coefficient_tensor`), each contracted in turn
-    with the power table of its coordinate vector; further axes are carried
-    through, so a slab has shape
-    (rows, len(axes[1]), ..., len(axes[m-1]), *coef.shape[m:]).
-
-    A bound B on the entries (p - 1 for `coef`) is carried along; an axis of
-    length k takes it to B k (p - 1). While that is below 2^53 the axis is
-    one float64 BLAS product with no `% p`, exact as in `matmul_mod`.
-    Otherwise the entries are reduced first (B = p - 1), or, where k (p - 1)^2
-    alone reaches 2^53, the axis is an int64 `matmul_mod` product. Residues
-    are taken once per slab; zero tests run `_grid` with the exact
-    `_multiple_of_p` as the last step instead. Slabs are cache-sized
-    (`_SLAB_ELEMS` elements beyond `coef`), and no coordinate array of the
-    product set is built.
-    """
-    return _grid(coef, p, axes, _residues)
-
-
-def section_tensors(f: MultiPoly, d2: int) -> np.ndarray:
-    """Coefficient tensors of the sections f(., q) for every q in F_p^d2.
-
-    Contracts the trailing d2 >= 1 axes of f's coefficient tensor over all of
-    F_p^d2 at once. Row j belongs to the j-th q in lexicographic order and
-    holds the coefficients of `bivariate_section(f, q)` on the leading
-    nvars - d2 axes. Only the contracted axes are folded: section degrees
-    are formal, so the leading exponents stay as they are.
-    """
-    if not 1 <= d2 <= f.nvars:
-        raise DomainError("need 1 <= d2 <= nvars")
-    p, d1 = f.ctx.p, f.nvars - d2
-    coef = coefficient_tensor(f, fold=range(d1, f.nvars))
-    tail_first = np.moveaxis(coef, range(d1, f.nvars), range(d2))
-    out = np.concatenate(list(grid_slabs(tail_first, p, [np.arange(p)] * d2)))
-    return out.reshape(p**d2, *coef.shape[:d1])
+        yield t  # each contracted axis was appended last, so the axes are in order
 
 
 def _zero_slabs(f: MultiPoly):
@@ -404,8 +371,8 @@ def _zero_slabs(f: MultiPoly):
     at the first slab."""
     p = f.ctx.p
     _check_enum_cap(p, f.nvars)
-    coef = coefficient_tensor(f, fold=range(f.nvars))
-    return _grid(coef, p, [np.arange(p)] * f.nvars, _multiple_of_p)
+    grid = _grid(coefficient_tensor(f), p, [np.arange(p)] * f.nvars)
+    return (_multiple_of_p(t, p) for t in grid)
 
 
 def zero_mask(f: MultiPoly) -> np.ndarray:

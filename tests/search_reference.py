@@ -449,16 +449,15 @@ def sample_uniform(ctx, nvars: int, degcap: int, rng) -> MultiPoly:
     return MultiPoly(ctx, nvars, terms)
 
 
-def coefficient_tensor(f: MultiPoly, fold=()) -> np.ndarray:
+def coefficient_tensor(f: MultiPoly) -> np.ndarray:
     """`coefficient_tensor` by a scalar loop over `f.terms`: fold each
-    exponent e >= p on the `fold` axes to 1 + (e - 1) mod (p - 1), sum the
-    coefficients that land on one exponent, and size each axis by the largest
-    folded exponent, cancelled terms included."""
+    exponent e >= p to 1 + (e - 1) mod (p - 1), sum the coefficients that
+    land on one exponent, and size each axis by the largest folded exponent,
+    cancelled terms included."""
     p = f.ctx.p
     sums = {}
     for exps, c in f.terms.items():
-        key = tuple(1 + (e - 1) % (p - 1) if v in fold and e >= p else e
-                    for v, e in enumerate(exps))
+        key = tuple(1 + (e - 1) % (p - 1) if e >= p else e for e in exps)
         sums[key] = sums.get(key, 0) + c
     shape = tuple(max((key[v] for key in sums), default=0) + 1 for v in range(f.nvars))
     coef = np.zeros(shape, dtype=np.int64)

@@ -418,6 +418,21 @@ def test_grid_over_cap_exit_3_before_any_grid(command, d):
     assert r.stderr.startswith("resource error:")
 
 
+@pytest.mark.parametrize("value", [10**30, 2**31 + 11, 2**61 - 1])
+@pytest.mark.parametrize("argv", [
+    "zarankiewicz --p 5 --d1 {} --d2 1 --m 2 --n 2 --s 2",
+    "zarankiewicz --p 5 --d1 1 --d2 {} --m 2 --n 2 --s 2",
+    "point-variety --m 20 --alpha 1.0 --dim {}",
+], ids=["d1", "d2", "dim"])
+def test_huge_dimensions_exit_3_before_forming_a_power(argv, value, capsys):
+    # p^d1 in the m <= p^d1 check, and r^(dim - 1) in the root of m, ran
+    # past 10 s at each of these values before the cap was checked first
+    import ffil.cli
+
+    assert ffil.cli.main([*argv.format(value).split(), "--seed", "1"]) == 3
+    assert capsys.readouterr().err.startswith("resource error:")
+
+
 def test_sphere_geometry_checks_the_cap_before_building_the_form(capsys):
     # the form's d-entry signature used to be built first: 0.9 s and about
     # 180 MB before the exit 3 at --d 10^7

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from ffil import (
     DomainError,
     FieldCtx,
+    MultiPoly,
     evasive_point_set,
     point_variety_instance,
     random_algebraic_graph,
@@ -20,14 +22,14 @@ from ffil.mpoly import (
     bivariate_section,
     domain_points,
     evaluate_batch,
+    parse_poly,
     sample_uniform,
-    section_tensors,
     zero_mask,
 )
 from ffil.rng import Rng
 
 from oracles import brute_kss
-from search_reference import QuadraticField, tensor_poly
+from search_reference import QuadraticField
 
 
 def test_integer_nth_root():
@@ -167,48 +169,98 @@ def test_point_variety_instance():
     assert inst.incident_points == [
         sum(bin(word).count("1") for word in col) for col in inst.graph.cols.tolist()
     ]
-    # section degrees read off the tensors equal those of the section polynomials,
-    # and (spot-check) section zero sets agree with graph adjacency
+    # section degrees equal those of the section polynomials, and (spot-check)
+    # section zero sets agree with graph adjacency
     p = rep.params["p"]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cols = random_algebraic_graph(p, 2, 2, 49, 49, 16, Rng(42)).cols  # the same draw
-    cidx = np.ravel_multi_index(tuple(np.asarray(cols).T), (p,) * 2)
-    sections = section_tensors(inst.poly, 2)[cidx]
-    ctx = inst.poly.ctx
-    assert inst.section_degrees == [tensor_poly(ctx, sec).total_degree for sec in sections]
+    sections = [bivariate_section(inst.poly, q) for q in cols]
+    assert inst.section_degrees == [fq.total_degree for fq in sections]
     assert all(0 <= deg <= rep.params["delta"] for deg in inst.section_degrees)
     for j in (0, 7, 23):
-        fq = tensor_poly(ctx, sections[j])
-        assert fq == bivariate_section(inst.poly, cols[j])
+        fq = sections[j]
         for i in (0, 11, 48):
             assert (fq.evaluate(inst.points[i]) == 0) == inst.graph.has_edge(i, j)
 
 
-def test_point_variety_section_degrees_of_truncated_sections(monkeypatch):
-    # every section of the random polynomial has its full degree, so cut them
-    # to degrees -1..16 (-1: the zero section), keeping only x0^a x1^b with
-    # |a - b| <= 1, where the largest exponent and the exponent sum differ
-    full = constructions.section_tensors
+def assert_walk_matches_sections(f, d1, cols):
+    cols = [tuple(int(x) for x in q) for q in cols]
+    want = [bivariate_section(f, q).total_degree for q in cols]
+    assert constructions._section_degrees(f, d1, cols) == want
+    return want
 
-    def truncated(f, d2):
-        secs = full(f, d2)
-        idx = np.indices(secs.shape[1:])
-        for j, sec in enumerate(secs):
-            sec[(idx.sum(axis=0) > j % 18 - 1) | (np.ptp(idx, axis=0) > 1)] = 0
-        return secs
 
-    monkeypatch.setattr(constructions, "section_tensors", truncated)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        inst = point_variety_instance(49, 1.0, 2, Rng(42))
-        cols = random_algebraic_graph(11, 2, 2, 49, 49, 16, Rng(42)).cols
-    assert inst.report.params["p"] == 11
-    cidx = np.ravel_multi_index(tuple(np.asarray(cols).T), (11, 11))
-    sections = truncated(inst.poly, 2)[cidx]
-    want = [tensor_poly(inst.poly.ctx, sec).total_degree for sec in sections]
-    assert inst.section_degrees == want
-    assert len(set(want)) > 10 and 0 in want
+def sparse_random_poly(p, d1, d2, rng):
+    # a few terms on few heads, tail exponents up to 3p: heads cancel at some q
+    ctx = FieldCtx.prime(p)
+    terms = {}
+    for _ in range(1 + rng.randbelow(12)):
+        head = tuple(rng.randbelow(4) for _ in range(d1))
+        terms[head + tuple(rng.randbelow(3 * p) for _ in range(d2))] = rng.randbelow(p)
+    return MultiPoly(ctx, d1 + d2, terms)
+
+
+def every_degree_poly(p):
+    # the coefficient of x0^k is z * prod_{j<k} (y - j), so the section at
+    # (y, z) = (a, 1) has degree a, and every section at z = 0 is zero
+    ctx = FieldCtx.prime(p)
+    x, y, z = (MultiPoly.variable(ctx, 3, v) for v in range(3))
+    f, coef = MultiPoly.zero(ctx, 3), z
+    for k in range(p):
+        f += coef
+        coef = coef * x * (y - MultiPoly.constant(ctx, 3, k))
+    return f
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_section_degree_walk_matches_bivariate_section(p):
+    rng = Rng(p)
+    for trial in range(40):
+        r = rng.derive(trial)
+        d1, d2 = 1 + trial % 2, 1 + trial // 2 % 2
+        f = sparse_random_poly(p, d1, d2, r)
+        assert_walk_matches_sections(f, d1, domain_points(p, d2))
+    # random draws: tail exponents reach past p, and the top level decides
+    for d1, d2, deg in ((1, 2, 9), (2, 1, 8), (2, 2, 7)):
+        f = sample_uniform(FieldCtx.prime(p), d1 + d2, deg, rng.derive(100 + deg))
+        assert f.exps[:, d1:].max() >= p
+        assert set(assert_walk_matches_sections(f, d1, domain_points(p, d2))) <= {deg}
+
+
+def test_section_degree_walk_on_cancelling_heads(monkeypatch):
+    f = parse_poly("p=5; vars=2; x0^2*x1 + 4*x0^2 + x0")  # x0^2 (x1 - 1) + x0
+    assert assert_walk_matches_sections(f, 1, domain_points(5, 1)) == [2, 1, 2, 2, 2]
+    # tail exponents past p fold; the head exponent 9 >= p stays formal
+    f = MultiPoly(FieldCtx.prime(5), 4, {(1, 120, 120, 120): 1, (9, 7, 0, 5): 3,
+                                         (2, 0, 5, 4): 2, (0, 4, 121, 0): 4, (0, 0, 0, 0): 1})
+    assert set(assert_walk_matches_sections(f, 1, domain_points(5, 3))) == {0, 2, 9}
+    g = every_degree_poly(7)
+    qs = [(a, z) for z in (1, 0) for a in range(7)]
+    assert assert_walk_matches_sections(g, 1, qs) == list(range(7)) + [0] * 7
+    # small blocks end inside the levels that have more than one head (d1 = 2):
+    # one head group per block at size 1, a few at size 8
+    for block in (1, 8):
+        monkeypatch.setattr(constructions, "_DEGREE_BLOCK", block)
+        assert assert_walk_matches_sections(g, 1, qs[::-1]) == [0] * 7 + list(range(6, -1, -1))
+        for p in (2, 3, 5, 7):
+            for trial in range(10):
+                f = sparse_random_poly(p, 2, 1, Rng(p).derive(trial))
+                assert_walk_matches_sections(f, 2, domain_points(p, 1))
+
+
+def test_section_degree_walk_in_bounded_memory():
+    # the (17, 3 + 3, 36) draw: the dense section box would take 1.85 GiB
+    f = sample_uniform(FieldCtx.prime(17), 6, 36, Rng(1))
+    cols = domain_points(17, 3)[::17][:275]
+    tracemalloc.start()
+    try:
+        degrees = constructions._section_degrees(f, 3, cols)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 150 * 10**6, peak
+    assert degrees == [36] * 275
 
 
 def test_evasive_set_map_image():

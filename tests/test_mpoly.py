@@ -26,9 +26,7 @@ from ffil import mpoly
 from ffil.mpoly import (
     coefficient_tensor,
     domain_points,
-    grid_slabs,
     matmul_mod,
-    section_tensors,
     zero_mask,
 )
 from ffil.rng import Rng
@@ -228,7 +226,8 @@ def test_batch_matches_scalar():
 
 
 def _grid_values(f, axes):
-    return np.concatenate(list(grid_slabs(coefficient_tensor(f), f.ctx.p, axes)))
+    slabs = mpoly._grid(coefficient_tensor(f), f.ctx.p, axes)
+    return np.concatenate([mpoly._residues(t, f.ctx.p) for t in slabs])
 
 
 def _scalar_values(f, axes):
@@ -311,8 +310,8 @@ def test_grid_kernel_reduces_only_when_2_53_demands_it(monkeypatch, p, first_red
         # sees its unreduced value, a multiple of p
         x0 = (0, p - 1, axes[2][-1], axes[3][0])
         g = f - MultiPoly.constant(ctx, 4, f.evaluate(x0))
-        zeros = np.concatenate(list(mpoly._grid(coefficient_tensor(g), p, axes,
-                                                mpoly._multiple_of_p)))
+        zeros = np.concatenate([mpoly._multiple_of_p(t, p)
+                                for t in mpoly._grid(coefficient_tensor(g), p, axes)])
         assert zeros[(0, 1, len(axes[2]) - 1, 0)]
         assert np.array_equal(zeros, _scalar_values(g, axes) == 0)
 
@@ -405,7 +404,7 @@ def test_grid_kernel_slabs_and_full_grid(monkeypatch):
     want = evaluate_batch(f, domain_points(5, 3)).reshape(5, 5, 5)
     assert np.array_equal(_grid_values(f, [range(5)] * 3), want)
     monkeypatch.setattr(mpoly, "_SLAB_ELEMS", 1)
-    slabs = list(grid_slabs(coefficient_tensor(f), 5, [range(5)] * 3))
+    slabs = [mpoly._residues(t, 5) for t in mpoly._grid(coefficient_tensor(f), 5, [range(5)] * 3)]
     assert len(slabs) == 5
     assert np.array_equal(np.concatenate(slabs), want)
     assert np.array_equal(zero_mask(f).ravel(), want.ravel() == 0)
@@ -421,8 +420,7 @@ def test_count_zeros_by_slabs_matches_mask(monkeypatch):
     for f, w in zip(polys, want):
         if f.nvars > 1:
             grid = [range(f.ctx.p)] * f.nvars
-            coef = coefficient_tensor(f, fold=range(f.nvars))
-            assert len(list(grid_slabs(coef, f.ctx.p, grid))) > 1
+            assert len(list(mpoly._grid(coefficient_tensor(f), f.ctx.p, grid))) > 1
         assert count_zeros(f) == w
     for c, w in ((0, 1), (3, 0)):
         assert count_zeros(MultiPoly(FieldCtx.prime(5), 0, {(): c})) == w
@@ -433,34 +431,31 @@ def test_count_zeros_by_slabs_matches_mask(monkeypatch):
 
 @pytest.mark.parametrize("p", [3, 13, 2**31 - 1])
 def test_coefficient_tensor_matches_scalar_reference(p):
-    # unfolded, every axis folded, and the trailing axes folded
+    # degree 16 folds exponents at p = 3 and 13
     ctx = FieldCtx.prime(p)
     for seed in (0, 9):
         rng = Rng(seed)
         for nvars in (1, 2, 4):
             for degcap in (0, 2, 16):
                 f = sample_uniform(ctx, nvars, degcap, rng)
-                for fold in ((), range(nvars), range(nvars // 2, nvars)):
-                    got = coefficient_tensor(f, fold)
-                    assert got.dtype == np.int64
-                    assert np.array_equal(got, ref.coefficient_tensor(f, fold))
+                got = coefficient_tensor(f)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, ref.coefficient_tensor(f))
 
 
-@pytest.mark.parametrize("text, folds", [
+@pytest.mark.parametrize("text", [
     # x0^3 x1 folds onto x0 x1 and cancels it; x2^5 and x2^3 merge into 2 x2
-    ("p=3; vars=3; x0^3*x1 + 2*x0*x1 + x2^5 + x2^3 + x0^4*x2^2 + 2", [(), (0, 1, 2), (1, 2), (0,)]),
-    ("p=2; vars=2; x0^2 + x0 + x0^3*x1^7 + x1 + 1", [(), (0, 1), (1,)]),
-    ("p=5; vars=3; x0^2*x1^5*x2^9 + 4*x0^2*x1*x2 + x1^4 + 3*x1^8 + x0^25", [(), (0, 1, 2), (1, 2)]),
-    # exponents reaching p = 2^31 - 1 on the folded axes only
-    ("p=2147483647; vars=2; x0*x1^2147483647 + 2147483646*x0*x1 + x1^4294967293 + x0^3",
-     [(0, 1), (1,)]),
+    "p=3; vars=3; x0^3*x1 + 2*x0*x1 + x2^5 + x2^3 + x0^4*x2^2 + 2",
+    "p=2; vars=2; x0^2 + x0 + x0^3*x1^7 + x1 + 1",
+    "p=5; vars=3; x0^2*x1^5*x2^9 + 4*x0^2*x1*x2 + x1^4 + 3*x1^8 + x0^25",
+    # exponents reaching p = 2^31 - 1
+    "p=2147483647; vars=2; x0*x1^2147483647 + 2147483646*x0*x1 + x1^4294967293 + x0^3",
 ])
-def test_coefficient_tensor_folds_fixtures_like_the_reference(text, folds):
+def test_coefficient_tensor_folds_fixtures_like_the_reference(text):
     f = parse_poly(text)
-    for fold in folds:
-        got = coefficient_tensor(f, fold)
-        assert np.array_equal(got, ref.coefficient_tensor(f, fold)), fold
-        assert all(got.shape[v] <= f.ctx.p for v in fold)
+    got = coefficient_tensor(f)
+    assert np.array_equal(got, ref.coefficient_tensor(f))
+    assert all(k <= f.ctx.p for k in got.shape)
 
 
 def test_large_draw_and_its_tensor_in_bounded_memory():
@@ -472,7 +467,7 @@ def test_large_draw_and_its_tensor_in_bounded_memory():
         f = sample_uniform(ctx, 6, 36, Rng(1))
         draw_peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
-        coef = coefficient_tensor(f, fold=range(6))
+        coef = coefficient_tensor(f)
         tensor_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -496,42 +491,8 @@ def test_zero_set_with_exponents_above_p():
         ctx = FieldCtx.prime(p)
         f = MultiPoly(ctx, 3, {(1000, 999, 0): 1, (0, 0, p): 2, (p - 1, 2 * p, 1): 1,
                                (1, 0, 0): p - 1, (0, 0, 0): 1})
-        assert all(k <= p for k in coefficient_tensor(f, fold=range(3)).shape)
+        assert all(k <= p for k in coefficient_tensor(f).shape)
         assert zero_points(f) == scalar_zero_points(f)
-
-
-def test_section_tensors_match_bivariate_section():
-    rng = Rng(19)
-    for p, d1, d2, deg in ((5, 1, 2, 6), (7, 2, 1, 4), (3, 2, 2, 9)):
-        ctx = FieldCtx.prime(p)
-        f = sample_uniform(ctx, d1 + d2, deg, rng.derive(p))
-        sections = section_tensors(f, d2)
-        qs = domain_points(p, d2)
-        assert sections.shape[0] == len(qs)
-        for q, sec in zip(qs, sections):
-            assert ref.tensor_poly(ctx, sec) == bivariate_section(f, tuple(int(x) for x in q))
-    with pytest.raises(DomainError):
-        section_tensors(f, 0)
-
-
-def test_section_tensors_fold_the_tail_in_small_memory():
-    # tail exponents >= p fold into (p,)-long axes, so the unfolded
-    # 121^3-entry tensor is never built; the leading exponent 9 >= p is kept,
-    # as section degrees are formal
-    p = 5
-    ctx = FieldCtx.prime(p)
-    f = MultiPoly(ctx, 4, {(1, 120, 120, 120): 1, (9, 7, 0, 5): 3, (2, 0, p, p - 1): 2,
-                           (0, 4, 121, 0): 4, (0, 0, 0, 0): 1})
-    tracemalloc.start()
-    try:
-        sections = section_tensors(f, 3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20, peak
-    assert sections.shape == (p**3, 10)
-    for q, sec in zip(domain_points(p, 3), sections):
-        assert ref.tensor_poly(ctx, sec) == bivariate_section(f, tuple(int(x) for x in q))
 
 
 def test_bivariate_section_examples():
