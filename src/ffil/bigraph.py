@@ -253,14 +253,19 @@ def find_induced_pattern(g: BipartiteGraph, pat: Pattern, counters=None, rooted=
 
     Every '1'-labeled pair must map to an edge and every '0'-labeled pair to a
     non-edge; '*' pairs are free. Backtracking maps the pattern vertices in a
-    static order, computed once before the search: next comes the vertex with
-    the most non-* constraints to vertices already in the order (ties: total
-    constraint count, then A before B, then index). The vertices mapped at
-    depth t are always the first t of that order, so each depth also knows
-    in advance which constraints it must check. Host candidates are taken
-    in increasing index, so the search tree is ordered lexicographically by
-    the host vertices chosen at depths 0, 1, ..., and the embedding returned
-    is the lex-first one.
+    static order, computed once before the search (any order finds the same
+    embeddings): next comes the vertex with the most '1' constraints to
+    vertices already in the order, as a '1' cuts a sparse host's candidates
+    to one neighbourhood and a '0' barely cuts them (ties: non-* constraints
+    to them, then '1' labels in all unless rooted, then total constraint
+    count, then A before B, then index). Rooted, that tie-break puts a twin
+    on the `pi` staircases' root, where its bound above host 0 prunes
+    nothing, and about doubles their nodes. The vertices mapped at depth t
+    are always the first t of that order, so each depth also knows in
+    advance which constraints it must check. Host candidates are taken in
+    increasing index, so the search tree is ordered lexicographically by the
+    host vertices chosen at depths 0, 1, ..., and the embedding returned is
+    the lex-first one.
 
     Twins, pattern vertices of one class with equal label vectors, map to
     increasing hosts: a candidate must lie above the latest earlier twin's
@@ -298,11 +303,11 @@ def find_induced_pattern(g: BipartiteGraph, pat: Pattern, counters=None, rooted=
     # vertex mapped at depth t and its constraints to those mapped before;
     # twin[t] is the latest earlier depth of a twin (equal constraints), or -1
     order, steps, twin = {}, [], []
+    ones = {v: 0 if rooted else sum(one for _, one in c) for v, c in cons.items()}
     for _ in range(a + b):
-        best = min(
-            (v for v in cons if v not in order),
-            key=lambda v: (-sum(o in order for o, _ in cons[v]), -len(cons[v]), v),
-        )
+        placed = {v: [one for o, one in cons[v] if o in order] for v in cons if v not in order}
+        best = min(placed, key=lambda v: (
+            -sum(placed[v]), -len(placed[v]), -ones[v], -len(cons[v]), v))
         steps.append(
             (best[0] == "A", best[1], [(order[o], one) for o, one in cons[best] if o in order])
         )
@@ -313,6 +318,7 @@ def find_induced_pattern(g: BipartiteGraph, pat: Pattern, counters=None, rooted=
     cols = {True: g.cols, False: g.rows}
     width = [g.m if is_a else g.n for is_a, _, _ in steps]
     block = [max(1, _BLOCK_CELLS // max(1, w)) for w in width]
+    span = [np.arange(w, dtype=np.int32) for w in width]  # compared with int32 hosts
     # earlier depths of the same class: their hosts are used
     same = [[u for u in range(t) if steps[u][0] == steps[t][0]] for t in range(a + b)]
 
@@ -332,15 +338,16 @@ def find_induced_pattern(g: BipartiteGraph, pat: Pattern, counters=None, rooted=
             bits = _unpack(mask, width[t])  # nonzero is much faster on bool than on 0/1 bytes
         else:
             bits = np.ones((len(hosts), width[t]), dtype=bool)
-        rows = np.arange(len(hosts))
+        flat, row0 = bits.reshape(-1), np.arange(0, bits.size, width[t])  # a view: bits is fresh
         for u in same[t]:
-            bits[rows, hosts[:, u]] = False
+            flat[row0 + hosts[:, u]] = False
         if rooted and t == 0:
             bits[:, 1:] = False
         if twin[t] >= 0:  # above the host of the latest twin
-            bits &= np.arange(width[t]) > hosts[:, twin[t], None]
-        parent, cand = np.divmod(np.flatnonzero(bits), width[t])
-        return parent, cand, np.arange(1, len(cand) + 1), len(cand)
+            bits &= span[t] > hosts[:, twin[t], None]
+        hit = np.flatnonzero(bits)
+        parent = hit // width[t]  # faster than np.divmod
+        return parent, hit - parent * width[t], np.arange(1, len(hit) + 1), len(hit)
 
     hosts, nodes = _lex_walk(expand, a + b, block) if a <= g.m and b <= g.n else (None, 0)
     if counters is not None:
@@ -395,7 +402,8 @@ def _lex_walk(expand, depth: int, block):
         charged[t] += total
         if not len(cand):
             continue
-        kids = np.hstack((hosts[parent], cand[:, None].astype(np.int32)))
+        kids = np.empty((len(cand), t + 1), dtype=np.int32)
+        kids[:, :t], kids[:, t] = hosts.take(parent, axis=0), cand
         del parent, cand, pos  # not kept while the blocks below are expanded
         size = block[t + 1]
         for lo in reversed(range(0, len(kids), size)):  # the lex-first block on top

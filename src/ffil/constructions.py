@@ -424,6 +424,7 @@ def unit_distance_instance(
     """
     if d < 2:
         raise DomainError("construction needs d >= 2")
+    _check_enum_cap(2, d)  # p >= 2: before the form's d entries and 7^e
     if s < 1:
         raise DomainError(f"need --s >= 1, got --s {s}")
     k = d // 2

@@ -137,8 +137,9 @@ def find_induced_pattern(
 
     Every '1'-labeled pair must map to an edge and every '0'-labeled pair to a
     non-edge; '*' pairs are free. Backtracking picks the next pattern vertex
-    with the most already-assigned non-* constraints (ties: total constraint
-    count, then A before B, then index) and scans host candidates in
+    with the most already-assigned '1' constraints (ties: already-assigned
+    non-* constraints, then '1' labels in all unless rooted, then total
+    constraint count, then A before B, then index) and scans host candidates in
     increasing index through bitmask filtering, so the result is
     deterministic. Each candidate attempted counts against node_cap. With
     rooted=True the first pattern vertex picked may only map to host vertex 0.
@@ -182,8 +183,9 @@ def find_induced_pattern(
             for i in range(count):
                 if mapped[i] != -1:
                     continue
-                assigned = sum(1 for o, _ in cons[i] if other_map[o] != -1)
-                key = (-assigned, -len(cons[i]), side, i)
+                assigned = [lbl for o, lbl in cons[i] if other_map[o] != -1]
+                ones = 0 if rooted else [lbl for _, lbl in cons[i]].count("1")
+                key = (-assigned.count("1"), -len(assigned), -ones, -len(cons[i]), side, i)
                 if best_key is None or key < best_key:
                     best_key = key
                     best = (side, i)

@@ -423,10 +423,14 @@ def test_grid_over_cap_exit_3_before_any_grid(command, d):
     "zarankiewicz --p 5 --d1 {} --d2 1 --m 2 --n 2 --s 2",
     "zarankiewicz --p 5 --d1 1 --d2 {} --m 2 --n 2 --s 2",
     "point-variety --m 20 --alpha 1.0 --dim {}",
-], ids=["d1", "d2", "dim"])
+    "unit-distance --p 7 --d {}",
+    "unit-distance --n 100 --d {}",
+], ids=["d1", "d2", "dim", "unit-p", "unit-n"])
 def test_huge_dimensions_exit_3_before_forming_a_power(argv, value, capsys):
     # p^d1 in the m <= p^d1 check, and r^(dim - 1) in the root of m, ran
-    # past 10 s at each of these values before the cap was checked first
+    # past 10 s at each of these values before the cap was checked first;
+    # unit-distance built the form's d-entry signature (an OverflowError at
+    # 10^30, a MemoryError at 2^61 - 1) or, with --n, ran past 5 s in 7^e
     import ffil.cli
 
     assert ffil.cli.main([*argv.format(value).split(), "--seed", "1"]) == 3

@@ -348,14 +348,42 @@ def test_twin_rule_keeps_the_plain_witness(monkeypatch, cells):
     assert 0 < found < 3 * len(WORD_SHAPES)
 
 
+# patterns with twins, and with vertices of one class whose labels differ
+# only where one of them has '*', so that one host could serve both and only
+# the exclusion keeps them apart; each is cut to the host's rows
+CROWDED = [["111", "111", "11*"], ["1110", "1110", "11*1"], ["11*", "1*1", "*11", "*11"],
+           ["110", "110", "011", "01*"]]
+
+
+@pytest.mark.parametrize(
+    "cells", [*SMALL_BLOCKS.values(), bigraph._BLOCK_CELLS], ids=[*SMALL_BLOCKS, "default"]
+)
+def test_pattern_exclusion_and_twin_bounds_at_word_boundaries(monkeypatch, cells):
+    # vertices of one class exclude each other's hosts state by state, and
+    # twins bound their hosts from below, on classes of 1, 63-65, 129 and 130
+    # vertices: the kernel's witness and nodes must be the reference's, at
+    # caps c - 1 and c
+    monkeypatch.setattr(bigraph, "_BLOCK_CELLS", cells)
+    rng = Rng(3633)
+    verdicts = []
+    for m, n in WORD_SHAPES:
+        r = rng.derive(m + n)
+        for density in (0.04, 0.08):
+            edges = [(i, j) for i in range(m) for j in range(n) if r.bernoulli(density)]
+            g = BipartiteGraph(m, n, edges)
+            for rooted, labels in itertools.product((False, True), CROWDED):
+                verdicts.append(check_pattern(g, Pattern(labels[:m]), rooted) is not None)
+    assert 10 < sum(verdicts) < len(verdicts) - 10  # both verdicts are exercised
+
+
 # the --seed that perfbench/workloads.py gives the `incidence` workload's
 # pattern-scan command at workload seed 1
 INCIDENCE_SCAN_SEED = 455211955
 
 
 def test_pattern_matches_reference_on_incidence_sub_hosts(monkeypatch, capsys):
-    # the ten 40 x 40 sub-hosts of the benchmark's pattern-scan: 180,715
-    # nodes in all (520,607 before the twin rule), none holds the pattern
+    # the ten 40 x 40 sub-hosts of the benchmark's pattern-scan: 142,493
+    # nodes in all (520,607 without the twin rule), none holds the pattern
     searches = []
 
     def spy(g, pat, counters=None):
@@ -366,7 +394,7 @@ def test_pattern_matches_reference_on_incidence_sub_hosts(monkeypatch, capsys):
     argv = ["pattern-scan", "--p", "5", "--d", "3", "--hosts", "10", "--host-size", "40"]
     assert ffil.cli.main(argv + ["--seed", str(INCIDENCE_SCAN_SEED)]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["counters"]["pattern_nodes"] == 180_715
+    assert report["counters"]["pattern_nodes"] == 142_493
     assert len(searches) == 10
     for g, pat in searches:
         assert check_pattern(g, pat) is None
@@ -407,7 +435,7 @@ def known_patterns(kind, p, d):
     """The staircases up to pattern-scan's (`pi`); or p^(d-2) + 1 points on
     two hyperplanes, absent as two distinct hyperplanes share at most p^(d-2)
     points, and from d = 3 prefix_tree_pattern(2, 1), pattern-scan's at
-    d = 3 (`tree`; its d = 4 pattern exhausts PROBE_CAP on F_3^4)."""
+    d = 3 (`tree`; its d = 4 pattern takes 5,388,229 rooted nodes on F_3^4)."""
     if kind == "pi":
         return [staircase_pattern(k) for k in range(2, d + 2)]
     return [Pattern(["11"] * (p ** (d - 2) + 1))] + [prefix_tree_pattern(2, 1)] * (d >= 3)
@@ -440,8 +468,8 @@ def test_rooted_pattern_search_matches_plain(kind, p, d):
             rooted = check_pattern(host, pat, rooted=True)
         else:
             rooted = find_induced_pattern(host, pat, rooted=True)
-        # F_5^3's prefix_tree_pattern(2, 1) spends 458,276 rooted and
-        # 35,518,405 plain nodes; test_pattern_full_scan_node_counts pins it
+        # F_5^3's prefix_tree_pattern(2, 1) spends 14,276 rooted and
+        # 1,108,405 plain nodes; test_pattern_full_scan_node_counts pins it
         if nodes <= 2 * REFERENCE_NODES:
             assert (find_induced_pattern(host, pat) is None) == (rooted is None)
         if rooted is not None:
@@ -485,14 +513,17 @@ def test_tree_host_columns_are_the_affine_hyperplanes_once_each(p, d):
 
 
 @pytest.mark.parametrize(
-    "pattern, p, nodes", [("pi", 5, 83_881), ("pi", 7, 18_733), ("tree", 3, 1_090), ("tree", 5, 458_276)]
+    "pattern, p, d, nodes",
+    [("pi", 5, 3, 83_881), ("pi", 7, 3, 18_733), ("tree", 3, 3, 514), ("tree", 5, 3, 14_276),
+     ("tree", 3, 4, 5_388_229)],
+    ids=["pi-5", "pi-7", "tree-3", "tree-5", "tree-3-d4"],
 )
-def test_pattern_full_scan_node_counts(capsys, pattern, p, nodes):
-    # the rooted, twin-ordered search on F_p^3; the plain rooted search
+def test_pattern_full_scan_node_counts(capsys, pattern, p, d, nodes):
+    # the rooted, twin-ordered search on F_p^d; the plain rooted search
     # spent 326,941 (pi, p = 5) and 59,893 (pi, p = 7) nodes, and the
-    # unrooted twin-ordered one 21,450 (tree, p = 3) and 35,518,405 (tree,
+    # unrooted twin-ordered one 10,218 (tree, p = 3) and 1,108,405 (tree,
     # p = 5)
-    argv = ["pattern-scan", "--p", str(p), "--d", "3", "--pattern", pattern, "--full-scan",
+    argv = ["pattern-scan", "--p", str(p), "--d", str(d), "--pattern", pattern, "--full-scan",
             "--seed", "1"]
     assert ffil.cli.main(argv) == 0
     report = json.loads(capsys.readouterr().out)
